@@ -31,7 +31,6 @@ from .analysis import (
 )
 from .bundles import (
     BundleDescriptor,
-    ChernCharacter,
     NormalizationUnknownError,
     NotBundleClassError,
     chi_hrr,
@@ -46,7 +45,7 @@ from .bundles import (
     twist,
 )
 from .catalog import CatalogEntry, catalog, h0_acm_twist, lookup
-from .chowring import ChowClass, Hypersurface, exp_h, integrate, mul, tangent_chern, todd
+from .chowring import ChowClass, Hypersurface, integrate
 
 __version__ = "0.1.0"
 
@@ -55,12 +54,7 @@ __all__ = [
     "ChowClass",
     "Hypersurface",
     "integrate",
-    "mul",
-    "exp_h",
-    "tangent_chern",
-    "todd",
     "BundleDescriptor",
-    "ChernCharacter",
     "NotBundleClassError",
     "NormalizationUnknownError",
     "to_ch",

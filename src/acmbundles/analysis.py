@@ -41,13 +41,12 @@ is informative exactly for the c1-disjoint ones).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bundles import BundleDescriptor, chi_hrr, chi_rank2, direct_sum, dual, tensor, twist
+from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, tensor, twist
 from .catalog import CatalogEntry, catalog, h0_acm_twist, lookup
-from .chowring import Hypersurface
+from .chowring import QUINTIC, Hypersurface
 
 __all__ = [
     "QUINTIC",
@@ -57,12 +56,14 @@ __all__ = [
     "VanishingConditions",
     "UnsupportedDegreeError",
     "BoundNotJustifiedError",
+    "CASE_INDICES",
     "FILTER_CHERN_MISMATCH",
     "FILTER_TRIVIAL_SPLIT",
     "FILTER_H0_MISMATCH",
     "FILTER_UNDECIDED",
     "CONCLUSION_INDECOMPOSABLE",
     "CONCLUSION_INCONCLUSIVE",
+    "require_quintic",
     "build_case",
     "extension_cases",
     "vanishing_conditions",
@@ -71,8 +72,6 @@ __all__ = [
     "analyze_case",
     "analyze_extension",
 ]
-
-QUINTIC = Hypersurface(5)
 
 FILTER_CHERN_MISMATCH = "chern-mismatch"
 FILTER_TRIVIAL_SPLIT = "trivial-split"
@@ -97,9 +96,11 @@ _TABLE_ROWS: tuple[tuple[tuple[int, int], tuple[int, int], int], ...] = (
     ((1, 8), (0, 5), 0),
 )
 
+CASE_INDICES = range(1, len(_TABLE_ROWS) + 1)
+
 
 class UnsupportedDegreeError(ValueError):
-    """The catalog-backed analysis only exists on the quintic (r = 5)."""
+    """The catalog-backed analysis only exists on the quintic."""
 
 
 class BoundNotJustifiedError(ValueError):
@@ -170,9 +171,10 @@ class CaseReport:
     notes: tuple[str, ...] = ()
 
 
-def _int_of(q: Fraction) -> int:
-    assert q.denominator == 1, q
-    return int(q)
+def require_quintic(X: Hypersurface, what: str) -> None:
+    """The one degree guard for everything that rests on the quintic catalog."""
+    if X != QUINTIC:
+        raise UnsupportedDegreeError(f"{what} requires degree {QUINTIC.r}, got {X.r}")
 
 
 def build_case(
@@ -186,7 +188,7 @@ def build_case(
     if m > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm = twist(F.descriptor(), m, X)
-    chi_t = _int_of(chi_hrr(tensor(Fm, dual(E.descriptor()), X), X))
+    chi_t = _exact_int(chi_hrr(tensor(Fm, dual(E.descriptor()), X), X), "chi")
     G = direct_sum(Fm, E.descriptor(), X)
     return ExtensionCase(
         index=index,
@@ -209,10 +211,7 @@ def _entry(pair: tuple[int, int]) -> CatalogEntry:
 @lru_cache(maxsize=None)
 def extension_cases(X: Hypersurface = QUINTIC) -> tuple[ExtensionCase, ...]:
     """The seven extension cases, with chi computed through Riemann-Roch."""
-    if X.r != 5:
-        raise UnsupportedDegreeError(
-            f"the extension table requires degree 5, got {X.r}"
-        )
+    require_quintic(X, "the extension table")
     return tuple(
         build_case(_entry(f), _entry(e), m, X, index=i)
         for i, (f, e, m) in enumerate(_TABLE_ROWS, start=1)
@@ -261,7 +260,7 @@ def _classify(
     Fm = case.F_twisted
     target_pairs = sorted([(Fm.c1, Fm.c2), (case.E.c1, case.E.c2)])
     target_c1s = {Fm.c1, case.E.c1}
-    chi_target = _int_of(chi_hrr(G, X))
+    chi_target = _exact_int(chi_hrr(G, X), "chi")
 
     survivors: list[SplitVerdict] = []
     rejected: list[SplitVerdict] = []
@@ -274,7 +273,7 @@ def _classify(
         c2_sum = P.c2 + Q.c2 + X.r * P.c1 * Q.c1
         c3_sum = P.c1 * Q.c2 + P.c2 * Q.c1
         sum_chern = (P.c1 + Q.c1, c2_sum, c3_sum)
-        chi_sum = _int_of(chi_rank2(P.c1, P.c2) + chi_rank2(Q.c1, Q.c2))
+        chi_sum = P.chi + Q.chi
         base_details = {
             "c2_sum": c2_sum,
             "c2_target": G.c2,
@@ -400,8 +399,5 @@ def analyze_extension(
     inconclusive, e.g. when a surviving candidate needs a section count the
     numerics cannot determine.
     """
-    if X.r != 5:
-        raise UnsupportedDegreeError(
-            f"the catalog-backed analysis requires degree 5, got {X.r}"
-        )
+    require_quintic(X, "the catalog-backed analysis")
     return _report(build_case(F, E, m, X), X)

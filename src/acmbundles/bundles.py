@@ -29,7 +29,6 @@ from .chowring import ChowClass, Hypersurface, integrate
 
 __all__ = [
     "BundleDescriptor",
-    "ChernCharacter",
     "NotBundleClassError",
     "NormalizationUnknownError",
     "to_ch",
@@ -90,55 +89,32 @@ class BundleDescriptor:
         return ChowClass(1, self.c1, self.c2, self.c3)
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
-    """Chern character components (ch0, ch1, ch2, ch3) in basis units."""
-
-    ch0: Fraction
-    ch1: Fraction
-    ch2: Fraction
-    ch3: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("ch0", "ch1", "ch2", "ch3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def to_chow(self) -> ChowClass:
-        return ChowClass(self.ch0, self.ch1, self.ch2, self.ch3)
-
-    @staticmethod
-    def from_chow(x: ChowClass) -> "ChernCharacter":
-        return ChernCharacter(x.a0, x.a1, x.a2, x.a3)
-
-    def mul(self, other: "ChernCharacter", X: Hypersurface) -> "ChernCharacter":
-        return ChernCharacter.from_chow(X.mul(self.to_chow(), other.to_chow()))
-
-
-def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChernCharacter:
-    """Chern character of a descriptor (Newton identities, truncated)."""
+def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
+    """Chern character ch0 + ch1 H + ch2 ell + ch3 pt of E (Newton identities)."""
     r, c1, c2, c3 = X.r, E.c1, E.c2, E.c3
-    return ChernCharacter(
-        Fraction(E.rank),
-        Fraction(c1),
+    return ChowClass(
+        E.rank,
+        c1,
         Fraction(r * c1 * c1 - 2 * c2, 2),
         Fraction(r * c1**3 - 3 * c1 * c2 + 3 * c3, 6),
     )
 
 
 def _exact_int(q: Fraction, what: str) -> int:
+    """The integer value of q; a non-integral q is no bundle invariant."""
     if q.denominator != 1:
         raise NotBundleClassError(f"{what} is not an integer: {q}")
     return int(q)
 
 
-def from_ch(c: ChernCharacter, X: Hypersurface) -> BundleDescriptor:
+def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
     """Invert the Newton identities; reject non-integral synthetic characters."""
-    if c.ch0.denominator != 1 or c.ch0 <= 0:
-        raise NotBundleClassError(f"rank must be a positive integer, got {c.ch0}")
-    rank = int(c.ch0)
-    c1 = _exact_int(c.ch1, "c1")
-    c2 = _exact_int(Fraction(X.r * c1 * c1, 2) - c.ch2, "c2")
-    c3 = _exact_int(2 * c.ch3 - Fraction(X.r * c1**3, 3) + c1 * c2, "c3")
+    if ch.a0.denominator != 1 or ch.a0 <= 0:
+        raise NotBundleClassError(f"rank must be a positive integer, got {ch.a0}")
+    rank = int(ch.a0)
+    c1 = _exact_int(ch.a1, "c1")
+    c2 = _exact_int(Fraction(X.r * c1 * c1, 2) - ch.a2, "c2")
+    c3 = _exact_int(2 * ch.a3 - Fraction(X.r * c1**3, 3) + c1 * c2, "c3")
     try:
         return BundleDescriptor(rank, c1, c2, c3)
     except ValueError as exc:
@@ -166,8 +142,7 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
     """E(n) = E tensor O_X(n); shifts b by n and preserves the ACM property."""
     if n == 0:
         return E
-    ch = to_ch(E, X).mul(ChernCharacter.from_chow(X.exp_h(n)), X)
-    bare = from_ch(ch, X)
+    bare = from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
     return replace(bare, b=None if E.b is None else E.b + n, acm=E.acm)
 
 
@@ -177,7 +152,7 @@ def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleD
         return twist(E, F.c1, X)
     if E.rank == 1:
         return twist(F, E.c1, X)
-    return from_ch(to_ch(E, X).mul(to_ch(F, X), X), X)
+    return from_ch(X.mul(to_ch(E, X), to_ch(F, X)), X)
 
 
 def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
@@ -204,11 +179,14 @@ def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
     satisfies the parity constraint of an honest bundle class (in particular
     for every bundle appearing in the catalog and analysis modules).
     """
-    return integrate(X.mul(to_ch(E, X).to_chow(), X.todd()))
+    return integrate(X.mul(to_ch(E, X), X.todd()))
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:
-    """Closed-form chi for a rank-2 bundle on the quintic threefold (r = 5)."""
+    """Closed-form chi for a rank-2 bundle on the quintic threefold (r = 5).
+
+    The catalog's section-count oracle applies it to twist(E, n).
+    """
     return Fraction(5 * c1**3, 6) - Fraction(c1 * c2, 2) + Fraction(25 * c1, 6)
 
 

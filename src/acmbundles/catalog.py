@@ -16,9 +16,9 @@ and stability read off from 2b - c1 with b = 0.  The twist oracle
 ``h0_acm_twist`` extends the section count to E(n):
 
 * n < 0: zero, because the bundle is normalized;
-* c1 + n > 0 (and n >= 0): chi of the twist — the ACM condition kills h1 and
-  h2, and Serre duality with trivial canonical class kills h3 because
-  h0(E(-c1-n)) = 0;
+* c1 + n > 0 (and n >= 0): chi of the twist, the closed form ``chi_rank2``
+  of ``twist(E, n)`` — the ACM condition kills h1 and h2, and Serre duality
+  with trivial canonical class kills h3 because h0(E(-c1-n)) = 0;
 * n = 0 with c1 = 0: one — chi vanishes identically there, but a normalized
   bundle has a section, and counting exactly one reproduces every exclusion
   downstream;
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-from .bundles import BundleDescriptor, chi_rank2
+from .bundles import BundleDescriptor, _exact_int, chi_rank2, twist
+from .chowring import QUINTIC
 
 __all__ = ["CatalogEntry", "catalog", "lookup", "h0_acm_twist", "FAMILY_A", "FAMILY_B"]
 
@@ -80,14 +81,8 @@ class CatalogEntry:
         return BundleDescriptor(2, self.c1, self.c2, 0, b=0, acm=True)
 
 
-def _chi_int(c1: int, c2: int) -> int:
-    value = chi_rank2(c1, c2)
-    assert value.denominator == 1, (c1, c2, value)
-    return int(value)
-
-
 def _make_entry(c1: int, c2: int, family: Literal["A", "B"]) -> CatalogEntry:
-    chi = _chi_int(c1, c2)
+    chi = _exact_int(chi_rank2(c1, c2), "chi")
     if c1 >= 1:
         h0: int | None = chi
     elif c1 == 0:
@@ -129,20 +124,18 @@ def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
     (positive twists of the c1 < 0 entries).  Accepts a rank-2
     BundleDescriptor as well, which must be explicitly normalized.
     """
-    if isinstance(entry, BundleDescriptor):
-        if entry.rank != 2:
-            raise ValueError("the section-count oracle applies to rank-2 bundles")
-        if entry.b != 0:
-            raise ValueError("the section-count oracle requires a normalized bundle (b = 0)")
-        c1, c2 = entry.c1, entry.c2
-    else:
-        c1, c2 = entry.c1, entry.c2
+    E = entry.descriptor() if isinstance(entry, CatalogEntry) else entry
+    if E.rank != 2:
+        raise ValueError("the section-count oracle applies to rank-2 bundles")
+    if E.b != 0:
+        raise ValueError("the section-count oracle requires a normalized bundle (b = 0)")
     if n < 0:
         return 0
-    if c1 + n > 0:
-        value = _chi_int(c1 + 2 * n, c2 + 5 * (n * c1 + n * n))
-        assert value >= 0, (c1, c2, n, value)
+    if E.c1 + n > 0:
+        En = twist(E, n, QUINTIC)
+        value = _exact_int(chi_rank2(En.c1, En.c2), "chi")
+        assert value >= 0, (E, n, value)
         return value
-    if n == 0 and c1 == 0:
+    if n == 0 and E.c1 == 0:
         return 1
     return None

@@ -12,6 +12,9 @@ this basis the degree of a codimension-two class (its intersection with H) is
 literally its ell-coefficient, which keeps all the bundle invariants used
 elsewhere in this package integral.
 
+The ring operations are methods of Hypersurface; QUINTIC is X_5, the one
+degree the rank-2 catalog lives on.
+
 All coefficients are exact rationals.  Floats are rejected outright: every
 quantity in this calculus is an exact integer or rational and equality tests
 must be exact.
@@ -27,11 +30,8 @@ from math import comb
 __all__ = [
     "ChowClass",
     "Hypersurface",
+    "QUINTIC",
     "integrate",
-    "mul",
-    "exp_h",
-    "tangent_chern",
-    "todd",
 ]
 
 Rational = int | Fraction
@@ -153,8 +153,9 @@ class Hypersurface:
         c0, c1, c2, c3 = _tangent_h_coefficients(self.r)
         return ChowClass(c0, c1, self.r * c2, self.r * c3)
 
+    @lru_cache(maxsize=None)
     def todd(self) -> ChowClass:
-        """Todd class 1 + c1/2 + (c1^2 + c2)/12 + c1*c2/24 of T_X."""
+        """Todd class 1 + c1/2 + (c1^2 + c2)/12 + c1*c2/24 of T_X, cached per degree."""
         c = self.tangent_chern()
         c1, c2 = c.a1, c.a2
         return ChowClass(
@@ -165,17 +166,4 @@ class Hypersurface:
         )
 
 
-def mul(x: ChowClass, y: ChowClass, X: Hypersurface) -> ChowClass:
-    return X.mul(x, y)
-
-
-def exp_h(n: int, X: Hypersurface) -> ChowClass:
-    return X.exp_h(n)
-
-
-def tangent_chern(X: Hypersurface) -> ChowClass:
-    return X.tangent_chern()
-
-
-def todd(X: Hypersurface) -> ChowClass:
-    return X.todd()
+QUINTIC = Hypersurface(5)

@@ -11,8 +11,8 @@ Subcommands:
 
 Global options: ``--degree r`` (default 5) and ``--format text|json|tsv``
 (default text).  Results go to stdout, errors to stderr.  Exit codes: 0 on
-success, 1 on domain errors (e.g. the table on a degree other than 5), 2 on
-usage or parse errors.
+success, 1 on domain errors (e.g. the table, or a chi/chern/ch query on a
+cat() bundle, on a degree other than 5), 2 on usage or parse errors.
 
 JSON schemas (rationals serialize as lowest-term "p/q" strings, integers as
 bare numbers):
@@ -42,8 +42,8 @@ from .bundles import (
     to_ch,
 )
 from .catalog import CatalogEntry, catalog
-from .chowring import Hypersurface
-from .expr import ExpressionError, evaluate, parse, to_text
+from .chowring import QUINTIC, Hypersurface
+from .expr import Expression, ExpressionError, evaluate, parse, to_text, uses_catalog
 
 __all__ = ["main"]
 
@@ -231,58 +231,31 @@ def render_catalog(entries: tuple[CatalogEntry, ...], fmt: str) -> str:
 
 
 def render_eval(
-    expr_text: str, query: str, result: BundleDescriptor, X: Hypersurface, fmt: str
+    expression: Expression, query: str, result: BundleDescriptor, X: Hypersurface, fmt: str
 ) -> str:
-    canonical = to_text(parse(expr_text))
-    if query == "chi":
-        value = chi_hrr(result, X)
-        if fmt == "json":
-            return _dump(
-                {"query": query, "degree": X.r, "expr": canonical, "value": _rational(value)}
-            )
-        if fmt == "tsv":
-            return f"chi\n{value}"
-        return f"chi = {value}"
-    if query == "rank":
-        if fmt == "json":
-            return _dump(
-                {"query": query, "degree": X.r, "expr": canonical, "value": result.rank}
-            )
-        if fmt == "tsv":
-            return f"rank\n{result.rank}"
-        return f"rank = {result.rank}"
     if query == "chern":
-        if fmt == "json":
-            return _dump(
-                {
-                    "query": query,
-                    "degree": X.r,
-                    "expr": canonical,
-                    "value": {
-                        "rank": result.rank,
-                        "c1": result.c1,
-                        "c2": result.c2,
-                        "c3": result.c3,
-                    },
-                }
-            )
-        if fmt == "tsv":
-            return f"rank\tc1\tc2\tc3\n{result.rank}\t{result.c1}\t{result.c2}\t{result.c3}"
-        return f"rank {result.rank}, c = ({result.c1},{result.c2},{result.c3})"
-    ch = to_ch(result, X)
-    components = (ch.ch0, ch.ch1, ch.ch2, ch.ch3)
+        fields = {"rank": result.rank, "c1": result.c1, "c2": result.c2, "c3": result.c3}
+        text = f"rank {result.rank}, c = ({result.c1},{result.c2},{result.c3})"
+    elif query == "ch":
+        fields = dict(zip(("ch0", "ch1", "ch2", "ch3"), to_ch(result, X).coefficients()))
+        text = "ch = (" + ", ".join(str(v) for v in fields.values()) + ")"
+    else:
+        value = chi_hrr(result, X) if query == "chi" else result.rank
+        fields = {query: value}
+        text = f"{query} = {value}"
     if fmt == "json":
+        values = {name: _rational(v) for name, v in fields.items()}
         return _dump(
             {
                 "query": query,
                 "degree": X.r,
-                "expr": canonical,
-                "value": {f"ch{i}": _rational(v) for i, v in enumerate(components)},
+                "expr": to_text(expression),
+                "value": values[query] if len(values) == 1 else values,
             }
         )
     if fmt == "tsv":
-        return "ch0\tch1\tch2\tch3\n" + "\t".join(str(v) for v in components)
-    return "ch = (" + ", ".join(str(v) for v in components) + ")"
+        return "\t".join(fields) + "\n" + "\t".join(str(v) for v in fields.values())
+    return text
 
 
 # -------------------------------------------------------------------- driver
@@ -301,7 +274,8 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--degree", type=_positive_int, default=5, help="degree r of the hypersurface (default 5)"
+        "--degree", type=_positive_int, default=QUINTIC.r,
+        help="degree r of the hypersurface (default %(default)s)",
     )
     common.add_argument(
         "--format", choices=("text", "json", "tsv"), default="text", help="output format"
@@ -317,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", parents=[common], help="the seven extension cases")
     p_analyze = sub.add_parser("analyze", parents=[common], help="splitting-exclusion reports")
     scope = p_analyze.add_mutually_exclusive_group()
-    scope.add_argument("--case", type=int, choices=range(1, 8), metavar="N")
+    scope.add_argument("--case", type=int, choices=analysis.CASE_INDICES, metavar="N")
     scope.add_argument("--all", action="store_true")
     p_analyze.add_argument(
         "--verbose", action="store_true", help="include Chern-rejected candidate pairs"
@@ -336,20 +310,19 @@ def main(argv: list[str] | None = None) -> int:
             except ExpressionError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            print(render_eval(args.expr, args.query, evaluate(expression, X), X, args.format))
+            if args.query != "rank" and uses_catalog(expression):
+                analysis.require_quintic(X, "cat() in a chi, chern or ch query")
+            print(render_eval(expression, args.query, evaluate(expression, X), X, args.format))
             return 0
         if args.command == "table":
             print(render_table(analysis.extension_cases(X), args.format))
             return 0
         if args.command == "analyze":
-            if args.case is not None:
-                reports = [analysis.analyze_case(args.case, X)]
-            else:
-                reports = [analysis.analyze_case(i, X) for i in range(1, 8)]
+            indices = analysis.CASE_INDICES if args.case is None else [args.case]
+            reports = [analysis.analyze_case(i, X) for i in indices]
             print(render_reports(reports, args.format, args.verbose))
             return 0
-        if X.r != 5:
-            raise UnsupportedDegreeError(f"the catalog requires degree 5, got {X.r}")
+        analysis.require_quintic(X, "the catalog")
         print(render_catalog(catalog(), args.format))
         return 0
     except (

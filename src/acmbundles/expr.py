@@ -13,7 +13,10 @@ Grammar (whitespace insensitive, integers may be negative):
            | "(" expr ")"
 
 Bundle literals are validated while parsing (a rank-2 literal with c3 != 0 is
-rejected, and cat() must name a catalog pair).  Errors carry a 1-based column.
+rejected, and cat() must name a catalog pair).  Neither the parsed tree nor
+the nesting of parentheses may be deeper than MAX_DEPTH, so that printing and
+evaluating a tree stay within the interpreter's recursion limit.  Errors carry
+a 1-based column.
 """
 
 from __future__ import annotations
@@ -36,10 +39,14 @@ __all__ = [
     "Tensor",
     "Sum",
     "ExpressionError",
+    "MAX_DEPTH",
     "parse",
     "to_text",
+    "uses_catalog",
     "evaluate",
 ]
+
+MAX_DEPTH = 64
 
 
 class ExpressionError(ValueError):
@@ -133,10 +140,14 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+Parsed = tuple[Expression, int]  # a tree and its height
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open_groups = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -157,56 +168,69 @@ class _Parser:
         return int(self.expect("int").text)
 
     def parse(self) -> Expression:
-        expr = self.sum()
+        expr, _ = self.sum()
         tail = self.peek()
         if tail.kind != "end":
             raise ExpressionError(f"unexpected trailing {tail.text!r}", tail.column)
         return expr
 
-    def sum(self) -> Expression:
-        node = self.prod()
-        while self.peek().kind == "++":
-            self.advance()
-            node = Sum(node, self.prod())
-        return node
+    def bounded(self, depth: int, token: Token) -> int:
+        if depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ExpressionError(message, token.column)
+        return depth
 
-    def prod(self) -> Expression:
-        node = self.unary()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Tensor(node, self.unary())
-        return node
+    def chain(self, operator: str, operand, build) -> Parsed:
+        # A left-associative chain of binary operators, e.g. "a ++ b ++ c".
+        node, height = operand()
+        while self.peek().kind == operator:
+            token = self.advance()
+            right, right_height = operand()
+            node, height = build(node, right), self.bounded(1 + max(height, right_height), token)
+        return node, height
 
-    def unary(self) -> Expression:
-        node = self.atom()
+    def sum(self) -> Parsed:
+        return self.chain("++", self.prod, Sum)
+
+    def prod(self) -> Parsed:
+        return self.chain("*", self.unary, Tensor)
+
+    def unary(self) -> Parsed:
+        node, height = self.atom()
         while self.peek().kind == "(":
-            self.advance()
+            token = self.advance()
             n = self.int_value()
             self.expect(")")
-            node = Twist(node, n)
-        return node
+            node, height = Twist(node, n), self.bounded(height + 1, token)
+        return node, height
 
-    def atom(self) -> Expression:
+    def group(self, token: Token) -> Parsed:
+        # Bounds the parser's own recursion, which the tree height cannot:
+        # it is only known once the group has been parsed.
+        self.open_groups = self.bounded(self.open_groups + 1, token)
+        parsed = self.sum()
+        self.expect(")")
+        self.open_groups -= 1
+        return parsed
+
+    def atom(self) -> Parsed:
         token = self.peek()
         if token.kind == "(":
             self.advance()
-            node = self.sum()
-            self.expect(")")
-            return node
+            return self.group(token)
         if token.kind == "name":
             self.advance()
             if token.text == "bundle":
-                return self.bundle_literal(token.column)
+                return self.bundle_literal(token.column), 1
             if token.text == "o":
                 self.expect("(")
                 n = self.int_value()
                 self.expect(")")
-                return LineBundle(n)
+                return LineBundle(n), 1
             if token.text == "dual":
                 self.expect("(")
-                inner = self.sum()
-                self.expect(")")
-                return Dual(inner)
+                inner, height = self.group(token)
+                return Dual(inner), self.bounded(height + 1, token)
             if token.text == "cat":
                 self.expect("(")
                 c1 = self.int_value()
@@ -217,7 +241,7 @@ class _Parser:
                     raise ExpressionError(
                         f"unknown catalog pair ({c1},{c2})", token.column
                     )
-                return CatRef(c1, c2)
+                return CatRef(c1, c2), 1
             raise ExpressionError(f"unknown name {token.text!r}", token.column)
         shown = token.text or "end of input"
         raise ExpressionError(f"expected an expression, found {shown!r}", token.column)
@@ -279,6 +303,15 @@ def to_text(expr: Expression) -> str:
             right = f"({right})"
         return f"{to_text(expr.left)} ++ {right}"
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def uses_catalog(expr: Expression) -> bool:
+    """Whether the expression names a catalog bundle, which lives on the quintic."""
+    if isinstance(expr, (Dual, Twist)):
+        return uses_catalog(expr.inner)
+    if isinstance(expr, (Tensor, Sum)):
+        return uses_catalog(expr.left) or uses_catalog(expr.right)
+    return isinstance(expr, CatRef)
 
 
 def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:

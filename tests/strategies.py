@@ -36,3 +36,13 @@ def rank2_descriptors(draw, with_b: bool = False):
     c2 = draw(st.integers(-100, 100))
     b = draw(st.integers(-5, 5)) if with_b else None
     return BundleDescriptor(2, c1, c2, 0, b=b)
+
+
+# Expressions too deep to print or evaluate recursively: each must be
+# rejected by the parser rather than raise RecursionError.
+DEEP_EXPRESSIONS = {
+    "nested_duals": "dual(" * 2000 + "o(1)" + ")" * 2000,
+    "nested_groups": "(" * 2000 + "o(1)" + ")" * 2000,
+    "sum_chain": " ++ ".join(["o(1)"] * 1500),
+    "twist_chain": "o(1)" + "(1)" * 1500,
+}

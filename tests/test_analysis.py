@@ -188,11 +188,16 @@ def test_notes_flag_the_h0_convention_where_it_is_used():
     assert noted == {2, 3, 5}
 
 
+def _sweep():
+    # Every (F, E, m) triple of catalog bundles with m in [-3, 0]: 784 triples.
+    return [(F, E, m) for F in catalog() for E in catalog() for m in range(-3, 1)]
+
+
 def test_chi_consistency_of_survivors():
     # For a pair matching (c1, c2), chi differs from chi(G) by exactly half
     # the c3 discrepancy; for a full Chern match the two agree.
-    for index in range(1, 8):
-        report = analyze_case(index)
+    for F, E, m in _sweep():
+        report = analyze_extension(F, E, m)
         for v in report.verdicts:
             d = v.details
             assert d["chi_sum"] - d["chi_target"] == (d["c3_sum"] - d["c3_target"]) / 2
@@ -209,15 +214,15 @@ def test_chi_target_matches_hrr_of_g():
 
 
 def test_verdicts_do_not_depend_on_enumeration_order():
-    case = extension_cases()[1]
-    baseline = enumerate_split_candidates(case, include_rejected=True)
     entries = list(catalog())
-    for seed in range(3):
+    for seed, (F, E, m) in enumerate(_sweep()):
+        case = build_case(F, E, m)
+        baseline = enumerate_split_candidates(case, include_rejected=True)
         random.Random(seed).shuffle(entries)
         shuffled = enumerate_split_candidates(
             case, include_rejected=True, entries=tuple(entries)
         )
-        assert shuffled == baseline
+        assert shuffled == baseline, (F.pair, E.pair, m)
 
 
 def test_verdict_pairs_are_canonical_and_unique():

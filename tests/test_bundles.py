@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from acmbundles import (
     BundleDescriptor,
-    ChernCharacter,
+    ChowClass,
     Hypersurface,
     NormalizationUnknownError,
     NotBundleClassError,
@@ -59,13 +59,13 @@ def test_descriptor_invariants():
 
 
 def test_to_ch_values():
-    assert to_ch(rk2(0, 0), X5) == ChernCharacter(2, 0, 0, 0)
-    assert to_ch(rk2(4, 30), X5) == ChernCharacter(2, 4, 10, Fraction(-20, 3))
-    assert to_ch(rk2(1, 8), X5) == ChernCharacter(2, 1, Fraction(-11, 2), Fraction(-19, 6))
+    assert to_ch(rk2(0, 0), X5) == ChowClass(2, 0, 0, 0)
+    assert to_ch(rk2(4, 30), X5) == ChowClass(2, 4, 10, Fraction(-20, 3))
+    assert to_ch(rk2(1, 8), X5) == ChowClass(2, 1, Fraction(-11, 2), Fraction(-19, 6))
 
 
 def test_from_ch_round_trip():
-    assert from_ch(ChernCharacter(2, 0, 0, 0), X5) == rk2(0, 0)
+    assert from_ch(ChowClass(2, 0, 0, 0), X5) == rk2(0, 0)
     assert from_ch(to_ch(rk2(4, 30), X5), X5) == rk2(4, 30)
 
 
@@ -76,14 +76,14 @@ def test_tensor_character_is_integral():
 
 def test_from_ch_rejects_synthetic_characters():
     with pytest.raises(NotBundleClassError):
-        from_ch(ChernCharacter(1, 0, Fraction(1, 3), 0), X5)
+        from_ch(ChowClass(1, 0, Fraction(1, 3), 0), X5)
     with pytest.raises(NotBundleClassError):
-        from_ch(ChernCharacter(Fraction(3, 2), 0, 0, 0), X5)
+        from_ch(ChowClass(Fraction(3, 2), 0, 0, 0), X5)
     with pytest.raises(NotBundleClassError):
-        from_ch(ChernCharacter(-1, 0, 0, 0), X5)
+        from_ch(ChowClass(-1, 0, 0, 0), X5)
     with pytest.raises(NotBundleClassError):
         # Integral, but a rank-1 class cannot carry c2 != 0.
-        from_ch(ChernCharacter(1, 0, -3, 0), X5)
+        from_ch(ChowClass(1, 0, -3, 0), X5)
 
 
 def test_dual_rank2_rule():
@@ -172,8 +172,8 @@ def test_chi_is_additive_on_sums(E, F, X):
 
 @given(descriptors(), descriptors(), hypersurfaces())
 def test_ch_is_multiplicative_on_tensors(E, F, X):
-    lhs = to_ch(tensor(E, F, X), X).to_chow()
-    rhs = X.mul(to_ch(E, X).to_chow(), to_ch(F, X).to_chow())
+    lhs = to_ch(tensor(E, F, X), X)
+    rhs = X.mul(to_ch(E, X), to_ch(F, X))
     assert lhs == rhs
 
 

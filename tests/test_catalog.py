@@ -75,9 +75,22 @@ def test_h0_twist_oracle_values():
     assert h0_acm_twist(lookup(2, 13), 0) + h0_acm_twist(lookup(0, 5), 0) == 3
 
 
+def _h0_oracle(c1: int, c2: int, n: int):
+    # The twist written out by hand: E(n) has c1 + 2n and c2 + 5(n c1 + n^2).
+    if n < 0:
+        return 0
+    if c1 + n > 0:
+        return chi_rank2(c1 + 2 * n, c2 + 5 * (n * c1 + n * n))
+    return 1 if n == 0 and c1 == 0 else None
+
+
 def test_h0_twist_oracle_positive_twists_use_chi():
     assert h0_acm_twist(lookup(0, 5), 1) == chi_rank2(2, 10) == 5
     assert h0_acm_twist(lookup(-2, 1), 3) == chi_rank2(4, 16) == 38
+    for e in catalog():
+        for n in range(-3, 4):
+            assert h0_acm_twist(e, n) == _h0_oracle(e.c1, e.c2, n), (e.pair, n)
+            assert h0_acm_twist(e.descriptor(), n) == h0_acm_twist(e, n)
 
 
 def test_h0_twist_oracle_undetermined_cases():

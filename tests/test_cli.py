@@ -1,9 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acmbundles import analyze_case
-from acmbundles.cli import main, report_json
+from acmbundles.cli import QUERIES, main, report_json
+
+from strategies import DEEP_EXPRESSIONS
 
 
 def run(capsys, *argv):
@@ -167,6 +173,22 @@ def test_eval_rank_other_degree(capsys):
     assert out.strip() == "rank = 4"
 
 
+@pytest.mark.parametrize("query", ["chi", "chern", "ch"])
+def test_eval_catalog_queries_require_the_quintic(capsys, query):
+    code, out, err = run(capsys, "eval", "--degree", "3", query, "cat(4,30)")
+    assert code == 1
+    assert out == ""
+    assert "requires degree 5, got 3" in err
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))
+def test_eval_deep_expression_exits_two(capsys, shape):
+    code, out, err = run(capsys, "eval", "chi", DEEP_EXPRESSIONS[shape])
+    assert code == 2
+    assert out == ""
+    assert "nested deeper" in err and "column" in err
+
+
 def test_eval_parse_error_exits_two(capsys):
     code, out, err = run(capsys, "eval", "chi", "bundle(2,1,8,7)")
     assert code == 2
@@ -193,3 +215,53 @@ def test_catalog_requires_degree_five(capsys):
     code, _, err = run(capsys, "catalog", "--degree", "2")
     assert code == 1
     assert "degree" in err
+
+
+_FRAGMENTS = (
+    "o(", "dual(", "cat(", "bundle(", "4,30", "1,8", "0,3", "2,1,8,7",
+    "(", ")", ",", "++", "*", "-", "1", "0", "12", " ", "x",
+)
+_expressions = st.one_of(
+    st.text(max_size=24),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join),
+)
+_words = st.one_of(
+    st.sampled_from(
+        ("eval", "table", "analyze", "catalog", *QUERIES, "--degree", "--format",
+         "--case", "--all", "--verbose", "text", "json", "tsv", "-h")
+    ),
+    st.integers(-2, 9).map(str),
+    _expressions,
+)
+_argvs = st.one_of(
+    st.lists(_words, max_size=6),
+    st.builds(
+        lambda query, text, rest: ["eval", query, text, *rest],
+        st.sampled_from(QUERIES), _expressions, st.lists(_words, max_size=4),
+    ),
+)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends usage errors and -h this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs)
+@example(["eval", "--degree", "3", "chi", "cat(4,30)"])
+@example(["eval", "chi", DEEP_EXPRESSIONS["nested_duals"]])
+@example(["eval", "chi", DEEP_EXPRESSIONS["sum_chain"]])
+@example(["eval", "chi", DEEP_EXPRESSIONS["twist_chain"]])
+def test_cli_contract_holds_for_arbitrary_arguments(argv):
+    # Any other exception escaping main fails the test with its traceback.
+    code, out, err = _call(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from acmbundles import BundleDescriptor, Hypersurface, chi_hrr
 from acmbundles.expr import (
+    MAX_DEPTH,
     BundleLit,
     CatRef,
     Dual,
@@ -15,7 +16,10 @@ from acmbundles.expr import (
     evaluate,
     parse,
     to_text,
+    uses_catalog,
 )
+
+from strategies import DEEP_EXPRESSIONS
 
 X5 = Hypersurface(5)
 
@@ -83,6 +87,34 @@ def test_syntax_errors_carry_one_based_columns():
     with pytest.raises(ExpressionError) as excinfo:
         parse("o(1) o(2)")
     assert excinfo.value.column == 6
+
+
+@pytest.mark.parametrize(
+    "shape, column",
+    [("nested_duals", 321), ("nested_groups", 65), ("sum_chain", 510), ("twist_chain", 194)],
+)
+def test_deep_expressions_are_rejected_at_the_level_past_the_limit(shape, column):
+    with pytest.raises(ExpressionError, match=f"nested deeper than {MAX_DEPTH}") as excinfo:
+        parse(DEEP_EXPRESSIONS[shape])
+    assert excinfo.value.column == column
+
+
+def test_expressions_at_the_depth_limit_parse_print_and_evaluate():
+    for text in (
+        "dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1),
+        "(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH,
+        " ++ ".join(["o(1)"] * MAX_DEPTH),
+        "o(1)" + "(1)" * (MAX_DEPTH - 1),
+    ):
+        ast = parse(text)
+        assert parse(to_text(ast)) == ast
+        evaluate(ast, X5)
+
+
+def test_uses_catalog_finds_nested_references():
+    assert uses_catalog(parse("o(1) ++ dual(cat(1,8))(2)"))
+    assert uses_catalog(parse("bundle(2,0,3) * cat(4,30)"))
+    assert not uses_catalog(parse("o(1) * dual(bundle(2,0,3))(-1) ++ o(2)"))
 
 
 def test_unknown_name():

@@ -265,6 +265,8 @@ def _classify(
     survivors: list[SplitVerdict] = []
     rejected: list[SplitVerdict] = []
     used_convention = False
+    # h0 of F(m) and of E, computed once, at the first candidate that needs them.
+    case_h0 = None
 
     pool = sorted(entries, key=lambda entry: entry.pair)
     for P, Q in combinations_with_replacement(pool, 2):
@@ -303,8 +305,9 @@ def _classify(
                 )
             )
             continue
-        h0_Fm, conv_f = _h0_report(case.F, case.m)
-        h0_E, conv_e = _h0_report(case.E, 0)
+        if case_h0 is None:
+            case_h0 = _h0_report(case.F, case.m), _h0_report(case.E, 0)
+        (h0_Fm, conv_f), (h0_E, conv_e) = case_h0
         h0_P, conv_p = _h0_report(P, 0)
         h0_Q, conv_q = _h0_report(Q, 0)
         used_convention = used_convention or conv_f or conv_e or conv_p or conv_q

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chowring import ChowClass, Hypersurface, integrate
+from .chowring import ChowClass, Hypersurface, Rational, _over, integrate
 
 __all__ = [
     "BundleDescriptor",
@@ -92,31 +92,29 @@ class BundleDescriptor:
 def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
     """Chern character ch0 + ch1 H + ch2 ell + ch3 pt of E (Newton identities)."""
     r, c1, c2, c3 = X.r, E.c1, E.c2, E.c3
-    return ChowClass(
-        E.rank,
-        c1,
-        Fraction(r * c1 * c1 - 2 * c2, 2),
-        Fraction(r * c1**3 - 3 * c1 * c2 + 3 * c3, 6),
+    return _over(
+        6, 6 * E.rank, 6 * c1, 3 * (r * c1 * c1 - 2 * c2), r * c1**3 - 3 * c1 * c2 + 3 * c3
     )
 
 
-def _exact_int(q: Fraction, what: str) -> int:
-    """The integer value of q; a non-integral q is no bundle invariant."""
-    if q.denominator != 1:
-        raise NotBundleClassError(f"{what} is not an integer: {q}")
-    return int(q)
+def _exact_int(num: Rational, what: str, den: int = 1) -> int:
+    """The integer num/den; a non-integral value is no bundle invariant."""
+    if num % den:
+        raise NotBundleClassError(f"{what} is not an integer: {Fraction(num, den)}")
+    return num // den
 
 
 def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
     """Invert the Newton identities; reject non-integral synthetic characters."""
-    if ch.a0.denominator != 1 or ch.a0 <= 0:
-        raise NotBundleClassError(f"rank must be a positive integer, got {ch.a0}")
-    rank = int(ch.a0)
-    c1 = _exact_int(ch.a1, "c1")
-    c2 = _exact_int(Fraction(X.r * c1 * c1, 2) - ch.a2, "c2")
-    c3 = _exact_int(2 * ch.a3 - Fraction(X.r * c1**3, 3) + c1 * c2, "c3")
+    r = X.r
+    d, n0, n1, n2, n3 = ch.scaled
+    if n0 % d or n0 <= 0:
+        raise NotBundleClassError(f"rank must be a positive integer, got {Fraction(n0, d)}")
+    c1 = _exact_int(n1, "c1", d)
+    c2 = _exact_int(r * c1 * c1 * d - 2 * n2, "c2", 2 * d)
+    c3 = _exact_int(6 * n3 - (r * c1**3 - 3 * c1 * c2) * d, "c3", 3 * d)
     try:
-        return BundleDescriptor(rank, c1, c2, c3)
+        return BundleDescriptor(n0 // d, c1, c2, c3)
     except ValueError as exc:
         raise NotBundleClassError(str(exc)) from exc
 
@@ -187,7 +185,7 @@ def chi_rank2(c1: int, c2: int) -> Fraction:
 
     The catalog's section-count oracle applies it to twist(E, n).
     """
-    return Fraction(5 * c1**3, 6) - Fraction(c1 * c2, 2) + Fraction(25 * c1, 6)
+    return Fraction(5 * c1**3 - 3 * c1 * c2 + 25 * c1, 6)
 
 
 def _slope_margin(E: BundleDescriptor) -> int:

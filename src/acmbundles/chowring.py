@@ -15,17 +15,18 @@ elsewhere in this package integral.
 The ring operations are methods of Hypersurface; QUINTIC is X_5, the one
 degree the rank-2 catalog lives on.
 
-All coefficients are exact rationals.  Floats are rejected outright: every
-quantity in this calculus is an exact integer or rational and equality tests
-must be exact.
+All coefficients are exact rationals; floats are rejected, as equality tests
+must be exact.  A ChowClass keeps four integer numerators over one positive
+common denominator in lowest terms, so each ring operation is integer
+arithmetic with one gcd reduction; a0..a3 still read back as Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 __all__ = [
     "ChowClass",
@@ -37,24 +38,31 @@ __all__ = [
 Rational = int | Fraction
 
 
-def _rat(value: Rational) -> Fraction:
+def _rat(value: Rational) -> Rational:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"exact rational required, got {type(value).__name__}")
-    return Fraction(value)
+    return value
 
 
-@dataclass(frozen=True)
+def _coefficient(i: int) -> property:
+    return property(lambda self: Fraction(self.scaled[i + 1], self.scaled[0]))
+
+
 class ChowClass:
-    """A class a0 + a1*H + a2*ell + a3*pt with exact rational coefficients."""
+    """A class a0 + a1*H + a2*ell + a3*pt with exact rational coefficients.
 
-    a0: Fraction = Fraction(0)
-    a1: Fraction = Fraction(0)
-    a2: Fraction = Fraction(0)
-    a3: Fraction = Fraction(0)
+    Immutable; ``scaled`` = (d, n0, n1, n2, n3) with a_i = n_i/d, d > 0 and
+    gcd(d, n0, n1, n2, n3) = 1, so equal classes have equal ``scaled``.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "a1", "a2", "a3"):
-            object.__setattr__(self, name, _rat(getattr(self, name)))
+    __slots__ = ("scaled",)
+
+    def __init__(self, a0: Rational = 0, a1: Rational = 0, a2: Rational = 0, a3: Rational = 0):
+        coeffs = [_rat(a) for a in (a0, a1, a2, a3)]
+        d = lcm(*(a.denominator for a in coeffs))
+        _store(self, (d, *(a.numerator * (d // a.denominator) for a in coeffs)))
+
+    a0, a1, a2, a3 = (_coefficient(i) for i in range(4))
 
     @staticmethod
     def one() -> "ChowClass":
@@ -65,17 +73,32 @@ class ChowClass:
         return ChowClass()
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a0, self.a1, self.a2, self.a3)
+        d, *numerators = self.scaled
+        return tuple(Fraction(n, d) for n in numerators)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (_over, self.scaled)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChowClass):
+            return NotImplemented
+        return self.scaled == other.scaled
+
+    def __hash__(self) -> int:
+        return hash(self.scaled)
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         if not isinstance(other, ChowClass):
             return NotImplemented
-        return ChowClass(
-            self.a0 + other.a0,
-            self.a1 + other.a1,
-            self.a2 + other.a2,
-            self.a3 + other.a3,
-        )
+        d, *x = self.scaled
+        e, *y = other.scaled
+        return _over(d * e, *(a * e + b * d for a, b in zip(x, y)))
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         if not isinstance(other, ChowClass):
@@ -83,16 +106,22 @@ class ChowClass:
         return self + (-other)
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(-self.a0, -self.a1, -self.a2, -self.a3)
+        d, *x = self.scaled
+        return _over(d, *(-a for a in x))
 
     def __mul__(self, scalar: Rational) -> "ChowClass":
         # Products of two classes need the ambient degree r: use Hypersurface.mul.
         if isinstance(scalar, ChowClass):
             raise TypeError("use Hypersurface.mul(x, y) to multiply two classes")
         k = _rat(scalar)
-        return ChowClass(k * self.a0, k * self.a1, k * self.a2, k * self.a3)
+        d, *x = self.scaled
+        return _over(d * k.denominator, *(k.numerator * a for a in x))
 
     __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        fields = (f"a{i}={coeff!r}" for i, coeff in enumerate(self.coefficients()))
+        return f"ChowClass({', '.join(fields)})"
 
     def __str__(self) -> str:
         parts = []
@@ -103,9 +132,20 @@ class ChowClass:
         return " + ".join(parts) if parts else "0"
 
 
+_store = ChowClass.scaled.__set__  # the one write, past the frozen __setattr__
+
+
+def _over(d: int, n0: int, n1: int, n2: int, n3: int) -> ChowClass:
+    """The class (n0 + n1*H + n2*ell + n3*pt)/d for integers n_i and d > 0."""
+    g = gcd(d, n0, n1, n2, n3)
+    x = object.__new__(ChowClass)
+    _store(x, (d // g, n0 // g, n1 // g, n2 // g, n3 // g))
+    return x
+
+
 def integrate(x: ChowClass) -> Fraction:
     """Degree map: the pt-coefficient of a class."""
-    return x.a3
+    return Fraction(x.scaled[4], x.scaled[0])
 
 
 @lru_cache(maxsize=None)
@@ -128,11 +168,14 @@ class Hypersurface:
 
     def mul(self, x: ChowClass, y: ChowClass) -> ChowClass:
         """Graded truncated product under H^2 = r*ell, H.ell = pt."""
-        return ChowClass(
-            x.a0 * y.a0,
-            x.a0 * y.a1 + x.a1 * y.a0,
-            x.a0 * y.a2 + x.a2 * y.a0 + self.r * x.a1 * y.a1,
-            x.a0 * y.a3 + x.a3 * y.a0 + x.a1 * y.a2 + x.a2 * y.a1,
+        d, x0, x1, x2, x3 = x.scaled
+        e, y0, y1, y2, y3 = y.scaled
+        return _over(
+            d * e,
+            x0 * y0,
+            x0 * y1 + x1 * y0,
+            x0 * y2 + x2 * y0 + self.r * x1 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
         )
 
     def exp_h(self, n: int) -> ChowClass:
@@ -141,29 +184,18 @@ class Hypersurface:
         The series 1 + nH + n^2 H^2/2 + n^3 H^3/6 becomes
         (1, n, r n^2/2, r n^3/6) in basis units.
         """
-        return ChowClass(
-            1,
-            n,
-            Fraction(self.r * n * n, 2),
-            Fraction(self.r * n**3, 6),
-        )
+        return _over(6, 6, 6 * n, 3 * self.r * n * n, self.r * n**3)
 
     def tangent_chern(self) -> ChowClass:
         """Total Chern class of the tangent bundle T_X, via (1+H)^5/(1+rH)."""
         c0, c1, c2, c3 = _tangent_h_coefficients(self.r)
-        return ChowClass(c0, c1, self.r * c2, self.r * c3)
+        return _over(1, c0, c1, self.r * c2, self.r * c3)
 
     @lru_cache(maxsize=None)
     def todd(self) -> ChowClass:
         """Todd class 1 + c1/2 + (c1^2 + c2)/12 + c1*c2/24 of T_X, cached per degree."""
-        c = self.tangent_chern()
-        c1, c2 = c.a1, c.a2
-        return ChowClass(
-            1,
-            Fraction(c1, 2),
-            (self.r * c1 * c1 + c2) / 12,
-            c1 * c2 / 24,
-        )
+        _, _, c1, c2, _ = self.tangent_chern().scaled
+        return _over(24, 24, 12 * c1, 2 * (self.r * c1 * c1 + c2), c1 * c2)
 
 
 QUINTIC = Hypersurface(5)

@@ -15,8 +15,8 @@ Grammar (whitespace insensitive, integers may be negative):
 Bundle literals are validated while parsing (a rank-2 literal with c3 != 0 is
 rejected, and cat() must name a catalog pair).  Neither the parsed tree nor
 the nesting of parentheses may be deeper than MAX_DEPTH, so that printing and
-evaluating a tree stay within the interpreter's recursion limit.  Errors carry
-a 1-based column.
+evaluating a tree stay within the interpreter's recursion limit, and an integer
+literal may have at most MAX_DIGITS digits.  Errors carry a 1-based column.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "Sum",
     "ExpressionError",
     "MAX_DEPTH",
+    "MAX_DIGITS",
     "parse",
     "to_text",
     "uses_catalog",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 MAX_DEPTH = 64
+# Below 640, the lowest int/str conversion limit the interpreter accepts.
+MAX_DIGITS = 100
 
 
 class ExpressionError(ValueError):
@@ -165,7 +168,10 @@ class _Parser:
         return self.advance()
 
     def int_value(self) -> int:
-        return int(self.expect("int").text)
+        token = self.expect("int")
+        if len(token.text.lstrip("-")) > MAX_DIGITS:
+            raise ExpressionError(f"integer literal longer than {MAX_DIGITS} digits", token.column)
+        return int(token.text)
 
     def parse(self) -> Expression:
         expr, _ = self.sum()

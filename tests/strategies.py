@@ -46,3 +46,7 @@ DEEP_EXPRESSIONS = {
     "sum_chain": " ++ ".join(["o(1)"] * 1500),
     "twist_chain": "o(1)" + "(1)" * 1500,
 }
+
+# An integer literal past the interpreter's default 4,300-digit limit on
+# int/str conversion: the parser must reject it before calling int().
+HUGE_LITERAL = "o(" + "9" * 5000 + ")"

@@ -5,11 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acmbundles import (
+    QUINTIC,
     BundleDescriptor,
     ChowClass,
     Hypersurface,
     NormalizationUnknownError,
     NotBundleClassError,
+    catalog,
     chi_hrr,
     chi_rank2,
     direct_sum,
@@ -22,7 +24,8 @@ from acmbundles import (
     twist,
 )
 
-from strategies import descriptors, hypersurfaces, rank2_descriptors
+import oracles
+from strategies import chow_classes, descriptors, hypersurfaces, rank2_descriptors
 
 X5 = Hypersurface(5)
 
@@ -223,3 +226,69 @@ def test_stability_needs_normalization_level():
         is_semistable(rk2(1, 8))
     with pytest.raises(NormalizationUnknownError):
         is_stable(rk2(1, 8))
+
+
+@pytest.mark.parametrize(
+    "ch, message",
+    [
+        (ChowClass(1, 0, Fraction(1, 3), 0), "c2 is not an integer: -1/3"),
+        (ChowClass(Fraction(3, 2), 0, 0, 0), "rank must be a positive integer, got 3/2"),
+        (ChowClass(-1, 0, 0, 0), "rank must be a positive integer, got -1"),
+        (ChowClass.zero(), "rank must be a positive integer, got 0"),
+        (ChowClass(1, 0, -3, 0), "a rank-1 bundle has c2 = c3 = 0"),
+        (ChowClass(2, Fraction(1, 2), 0, 0), "c1 is not an integer: 1/2"),
+        (ChowClass(2, 1, Fraction(1, 3), 0), "c2 is not an integer: 13/6"),
+        (ChowClass(2, 1, Fraction(-11, 2), Fraction(1, 7)), "c3 is not an integer: 139/21"),
+        (ChowClass(2, 1, Fraction(-11, 2), 0), "c3 is not an integer: 19/3"),
+        (ChowClass(3, 1, 1, Fraction(1, 2)), "c2 is not an integer: 3/2"),
+    ],
+)
+def test_from_ch_rejection_messages(ch, message):
+    with pytest.raises(NotBundleClassError) as excinfo:
+        from_ch(ch, X5)
+    assert str(excinfo.value) == message
+
+
+def _oracle_outcome(call):
+    try:
+        return call()
+    except NotBundleClassError as exc:
+        return f"NotBundleClassError: {exc}"
+
+
+@given(
+    descriptors(max_rank=8, max_c1=12, max_c=200),
+    descriptors(max_rank=8, max_c1=12, max_c=200),
+    chow_classes(),
+    st.integers(-6, 6),
+    hypersurfaces(max_degree=8),
+)
+def test_kernel_agrees_with_the_fraction_oracle(E, F, x, n, X):
+    r = X.r
+    ch_e, ch_f = to_ch(E, X), to_ch(F, X)
+    assert ch_e.coefficients() == oracles.to_ch(r, E)
+    assert X.mul(ch_e, ch_f).coefficients() == oracles.mul(
+        r, ch_e.coefficients(), ch_f.coefficients()
+    )
+    assert X.mul(x, ch_e).coefficients() == oracles.mul(r, x.coefficients(), ch_e.coefficients())
+    assert X.exp_h(n).coefficients() == oracles.exp_h(r, n)
+    assert X.todd().coefficients() == oracles.todd(r)
+    assert from_ch(ch_e, X) == oracles.from_ch(r, oracles.to_ch(r, E)) == E
+    # x itself mostly fails on its rank; shifting ch(E) by x's ell and pt
+    # parts reaches the c2 and c3 checks.
+    for y in (x, ch_e + ChowClass(0, 0, x.a2, x.a3)):
+        assert _oracle_outcome(lambda: from_ch(y, X)) == _oracle_outcome(
+            lambda: oracles.from_ch(r, y.coefficients())
+        )
+    assert twist(E, n, X) == oracles.twist(r, E, n)
+    assert tensor(E, F, X) == oracles.tensor(r, E, F)
+    assert chi_hrr(E, X) == oracles.chi(r, E)
+
+
+def test_chi_hrr_is_chi_rank2_on_every_catalog_twist():
+    for entry in catalog():
+        for n in range(-3, 4):
+            E = twist(entry.descriptor(), n, QUINTIC)
+            chi = chi_hrr(E, QUINTIC)
+            assert chi == chi_rank2(E.c1, E.c2) == oracles.chi(5, E), (entry.pair, n)
+            assert type(chi) is Fraction and type(chi_rank2(E.c1, E.c2)) is Fraction

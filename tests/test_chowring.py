@@ -1,10 +1,15 @@
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from acmbundles import ChowClass, Hypersurface, integrate
 
+import oracles
 from strategies import chow_classes, hypersurfaces
 
 X5 = Hypersurface(5)
@@ -126,6 +131,77 @@ def test_class_times_class_needs_hypersurface():
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         ChowClass(1.5, 0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1", None])
+def test_floats_bools_and_other_types_are_rejected_everywhere(bad):
+    with pytest.raises(TypeError):
+        ChowClass(bad, 0, 0, 0)
+    with pytest.raises(TypeError):
+        ChowClass(0, 0, 0, a3=bad)
+    with pytest.raises(TypeError):
+        bad * ChowClass.one()
+    with pytest.raises(TypeError):
+        ChowClass.one() * bad
+
+
+def _is_canonical(x):
+    return all(type(v) is int for v in x.scaled) and x.scaled[0] > 0 and gcd(*x.scaled) == 1
+
+
+def test_built_and_computed_classes_are_equal_and_hash_equal():
+    pairs = [
+        (ChowClass(1, -1, Fraction(5, 2), Fraction(-5, 6)), X5.exp_h(-1)),
+        (ChowClass(0, 0, 5, 0), X5.mul(H, H)),
+        (ChowClass(Fraction(4, 2), Fraction(3, 3), 0, 0), ChowClass(1) + ChowClass(1, 1)),
+        (ChowClass.zero(), X5.exp_h(3) - X5.exp_h(3)),
+        (ChowClass(1, 0, Fraction(25, 6), 0), X5.todd()),
+    ]
+    for built, computed in pairs:
+        assert built == computed
+        assert hash(built) == hash(computed)
+        assert built.scaled == computed.scaled
+
+
+@given(chow_classes(), chow_classes(), hypersurfaces(), st.integers(-6, 6))
+def test_operations_keep_the_canonical_form(x, y, X, n):
+    for z in (x, y, X.mul(x, y), x + y, x - y, -x, Fraction(3, 4) * x, X.exp_h(n), X.todd()):
+        assert _is_canonical(z)
+    assert (x == y) == (x.coefficients() == y.coefficients())
+    assert X.mul(x, y).coefficients() == oracles.mul(X.r, x.coefficients(), y.coefficients())
+
+
+def test_coefficients_read_back_as_fractions():
+    x = X5.exp_h(1)
+    assert x.scaled == (6, 6, 6, 15, 5)
+    for value in (*x.coefficients(), x.a0, x.a1, x.a2, x.a3, integrate(x)):
+        assert type(value) is Fraction
+    assert x.coefficients() == (1, 1, Fraction(5, 2), Fraction(5, 6))
+    assert (x.a0, x.a1, x.a2, x.a3) == x.coefficients()
+
+
+def test_classes_are_immutable():
+    x = ChowClass(1, 2, 3, 4)
+    with pytest.raises(FrozenInstanceError):
+        x.a0 = Fraction(5)
+    with pytest.raises(FrozenInstanceError):
+        x.scaled = (1, 0, 0, 0, 0)
+    with pytest.raises(FrozenInstanceError):
+        del x.scaled
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == ChowClass(1, 2, 3, 4)
+
+
+def test_text_forms_and_pickling():
+    x = X5.exp_h(-1)
+    assert str(x) == "1 + -1*H + 5/2*ell + -5/6*pt"
+    assert str(ChowClass.zero()) == "0"
+    assert repr(x) == (
+        "ChowClass(a0=Fraction(1, 1), a1=Fraction(-1, 1), "
+        "a2=Fraction(5, 2), a3=Fraction(-5, 6))"
+    )
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 def test_degree_must_be_positive():

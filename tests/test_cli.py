@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from acmbundles import analyze_case
 from acmbundles.cli import QUERIES, main, report_json
 
-from strategies import DEEP_EXPRESSIONS
+from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL
 
 
 def run(capsys, *argv):
@@ -189,6 +189,13 @@ def test_eval_deep_expression_exits_two(capsys, shape):
     assert "nested deeper" in err and "column" in err
 
 
+def test_eval_overlong_integer_literal_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "chi", HUGE_LITERAL)
+    assert code == 2
+    assert out == ""
+    assert "digits (column 3)" in err
+
+
 def test_eval_parse_error_exits_two(capsys):
     code, out, err = run(capsys, "eval", "chi", "bundle(2,1,8,7)")
     assert code == 2
@@ -258,6 +265,7 @@ def _call(argv):
 @example(["eval", "chi", DEEP_EXPRESSIONS["nested_duals"]])
 @example(["eval", "chi", DEEP_EXPRESSIONS["sum_chain"]])
 @example(["eval", "chi", DEEP_EXPRESSIONS["twist_chain"]])
+@example(["eval", "chi", HUGE_LITERAL])
 def test_cli_contract_holds_for_arbitrary_arguments(argv):
     # Any other exception escaping main fails the test with its traceback.
     code, out, err = _call(argv)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from acmbundles import BundleDescriptor, Hypersurface, chi_hrr
 from acmbundles.expr import (
     MAX_DEPTH,
+    MAX_DIGITS,
     BundleLit,
     CatRef,
     Dual,
@@ -19,7 +20,7 @@ from acmbundles.expr import (
     uses_catalog,
 )
 
-from strategies import DEEP_EXPRESSIONS
+from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL
 
 X5 = Hypersurface(5)
 
@@ -109,6 +110,20 @@ def test_expressions_at_the_depth_limit_parse_print_and_evaluate():
         ast = parse(text)
         assert parse(to_text(ast)) == ast
         evaluate(ast, X5)
+
+
+def test_overlong_integer_literals_are_rejected_with_their_column():
+    with pytest.raises(ExpressionError, match=f"longer than {MAX_DIGITS} digits") as excinfo:
+        parse(HUGE_LITERAL)
+    assert excinfo.value.column == 3
+    with pytest.raises(ExpressionError) as excinfo:
+        parse("bundle(2, 1, -" + "1" * (MAX_DIGITS + 1) + ")")
+    assert excinfo.value.column == 14
+
+
+def test_integer_literals_at_the_digit_limit_parse():
+    nines = "9" * MAX_DIGITS
+    assert parse(f"o(-{nines})") == LineBundle(-int(nines))
 
 
 def test_uses_catalog_finds_nested_references():

@@ -27,7 +27,9 @@ disposed of by the first applicable filter:
 * ``trivial-split``   — the pair is exactly {F(m), E}, which a nontrivial
   extension class rules out;
 * ``h0-mismatch``     — section counts differ: an extension of ACM bundles
-  has h0(G) = h0(F(m)) + h0(E), while a sum has h0(G1) + h0(G2);
+  has h0(G) = h0(F(m)) + h0(E), while a sum has h0(G1) + h0(G2).  Each count
+  is of a normalized entry twisted by n <= 0, so it is read from the catalog:
+  the entry's ``h0`` at n = 0, zero below;
 * ``undecided``       — no numeric filter applies (never happens in the
   seven table cases).
 
@@ -45,7 +47,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, tensor, twist
-from .catalog import CatalogEntry, catalog, h0_acm_twist, lookup
+from .catalog import CatalogEntry, catalog, lookup
 from .chowring import QUINTIC, Hypersurface
 
 __all__ = [
@@ -240,9 +242,11 @@ def ext1_lower_bound(case: ExtensionCase) -> int:
 
 
 def _h0_report(entry: CatalogEntry, n: int) -> tuple[int | None, bool]:
-    # Second component: whether the c1 = 0 section-count convention was used.
-    value = h0_acm_twist(entry, n)
-    return value, entry.c1 == 0 and n == 0
+    # Sections of entry(n) for n <= 0, as the catalog counted them; second
+    # component: whether the c1 = 0 section-count convention was used.
+    if n < 0:
+        return 0, False
+    return entry.h0, entry.c1 == 0
 
 
 def _classify(
@@ -261,12 +265,11 @@ def _classify(
     target_pairs = sorted([(Fm.c1, Fm.c2), (case.E.c1, case.E.c2)])
     target_c1s = {Fm.c1, case.E.c1}
     chi_target = _exact_int(chi_hrr(G, X), "chi")
+    (h0_Fm, conv_f), (h0_E, conv_e) = _h0_report(case.F, case.m), _h0_report(case.E, 0)
 
     survivors: list[SplitVerdict] = []
     rejected: list[SplitVerdict] = []
     used_convention = False
-    # h0 of F(m) and of E, computed once, at the first candidate that needs them.
-    case_h0 = None
 
     pool = sorted(entries, key=lambda entry: entry.pair)
     for P, Q in combinations_with_replacement(pool, 2):
@@ -274,74 +277,37 @@ def _classify(
             continue
         c2_sum = P.c2 + Q.c2 + X.r * P.c1 * Q.c1
         c3_sum = P.c1 * Q.c2 + P.c2 * Q.c1
-        sum_chern = (P.c1 + Q.c1, c2_sum, c3_sum)
-        chi_sum = P.chi + Q.chi
-        base_details = {
+        details = {
             "c2_sum": c2_sum,
             "c2_target": G.c2,
             "c3_sum": c3_sum,
             "c3_target": G.c3,
-            "chi_sum": chi_sum,
+            "chi_sum": P.chi + Q.chi,
             "chi_target": chi_target,
         }
         if c2_sum != G.c2:
-            rejected.append(
-                SplitVerdict(
-                    pair=(P, Q),
-                    sum_chern=sum_chern,
-                    filter=FILTER_CHERN_MISMATCH,
-                    details=base_details
-                    | {"c1_disjoint": not ({P.c1, Q.c1} & target_c1s)},
-                )
-            )
-            continue
-        if sorted([P.pair, Q.pair]) == target_pairs:
-            survivors.append(
-                SplitVerdict(
-                    pair=(P, Q),
-                    sum_chern=sum_chern,
-                    filter=FILTER_TRIVIAL_SPLIT,
-                    details=base_details,
-                )
-            )
-            continue
-        if case_h0 is None:
-            case_h0 = _h0_report(case.F, case.m), _h0_report(case.E, 0)
-        (h0_Fm, conv_f), (h0_E, conv_e) = case_h0
-        h0_P, conv_p = _h0_report(P, 0)
-        h0_Q, conv_q = _h0_report(Q, 0)
-        used_convention = used_convention or conv_f or conv_e or conv_p or conv_q
-        h0_details = base_details | {
-            "h0_F_m": h0_Fm,
-            "h0_E": h0_E,
-            "h0_pair": [h0_P, h0_Q],
-        }
-        if None in (h0_Fm, h0_E, h0_P, h0_Q):
-            verdict = SplitVerdict(
-                pair=(P, Q),
-                sum_chern=sum_chern,
-                filter=FILTER_UNDECIDED,
-                details=h0_details | {"reason": "h0 undetermined"},
-            )
+            kind = FILTER_CHERN_MISMATCH
+            details["c1_disjoint"] = not ({P.c1, Q.c1} & target_c1s)
+        elif sorted([P.pair, Q.pair]) == target_pairs:
+            kind = FILTER_TRIVIAL_SPLIT
         else:
-            lhs = h0_Fm + h0_E
-            rhs = h0_P + h0_Q
-            h0_details |= {"h0_lhs": lhs, "h0_rhs": rhs}
-            if lhs != rhs:
-                verdict = SplitVerdict(
-                    pair=(P, Q),
-                    sum_chern=sum_chern,
-                    filter=FILTER_H0_MISMATCH,
-                    details=h0_details,
-                )
+            h0_P, conv_p = _h0_report(P, 0)
+            h0_Q, conv_q = _h0_report(Q, 0)
+            used_convention = used_convention or conv_f or conv_e or conv_p or conv_q
+            details |= {"h0_F_m": h0_Fm, "h0_E": h0_E, "h0_pair": [h0_P, h0_Q]}
+            kind = FILTER_UNDECIDED
+            if None in (h0_Fm, h0_E, h0_P, h0_Q):
+                details["reason"] = "h0 undetermined"
             else:
-                verdict = SplitVerdict(
-                    pair=(P, Q),
-                    sum_chern=sum_chern,
-                    filter=FILTER_UNDECIDED,
-                    details=h0_details | {"reason": "all numeric filters agree"},
-                )
-        survivors.append(verdict)
+                details |= {"h0_lhs": h0_Fm + h0_E, "h0_rhs": h0_P + h0_Q}
+                if details["h0_lhs"] != details["h0_rhs"]:
+                    kind = FILTER_H0_MISMATCH
+                else:
+                    details["reason"] = "all numeric filters agree"
+        verdict = SplitVerdict(
+            pair=(P, Q), sum_chern=(G.c1, c2_sum, c3_sum), filter=kind, details=details
+        )
+        (rejected if kind == FILTER_CHERN_MISMATCH else survivors).append(verdict)
 
     survivors.sort(key=lambda v: v.pair_key)
     rejected.sort(key=lambda v: v.pair_key)

@@ -16,8 +16,8 @@ identities truncated at codimension three; on this ring
     ch1 = c1,   ch2 = (r c1^2 - 2 c2)/2,   ch3 = (r c1^3 - 3 c1 c2 + 3 c3)/6.
 
 Euler characteristics come from Hirzebruch-Riemann-Roch, chi = integral of
-ch(E).td(X), and for rank-2 bundles on the quintic there is the closed form
-chi = 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
+ch(E).td(X); ``chi_rank2`` is that same computation for a rank-2 bundle on
+the quintic, where it works out to 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chowring import ChowClass, Hypersurface, Rational, _over, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _over, integrate
 
 __all__ = [
     "BundleDescriptor",
@@ -181,11 +181,8 @@ def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:
-    """Closed-form chi for a rank-2 bundle on the quintic threefold (r = 5).
-
-    The catalog's section-count oracle applies it to twist(E, n).
-    """
-    return Fraction(5 * c1**3 - 3 * c1 * c2 + 25 * c1, 6)
+    """Euler characteristic of a rank-2 bundle on the quintic threefold (r = 5)."""
+    return chi_hrr(BundleDescriptor(2, c1, c2), QUINTIC)
 
 
 def _slope_margin(E: BundleDescriptor) -> int:

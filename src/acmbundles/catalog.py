@@ -10,15 +10,16 @@ families:
 Every pair in A arises on a general quintic; the pairs in B are admissible
 but their existence is conditional, and the entries carry that distinction.
 
-Each entry comes with derived statistics: the Euler characteristic from the
-rank-2 closed form, a section count h0 where it is forced by the numerics,
-and stability read off from 2b - c1 with b = 0.  The twist oracle
-``h0_acm_twist`` extends the section count to E(n):
+Each entry comes with derived statistics, each computed by one rule: the
+Euler characteristic through the Riemann-Roch kernel ``chi_hrr``, the
+section count h0 = ``h0_acm_twist(E, 0)``, and stability from
+``is_stable``/``is_semistable`` with b = 0.  The twist oracle
+``h0_acm_twist`` gives the section count of E(n):
 
 * n < 0: zero, because the bundle is normalized;
-* c1 + n > 0 (and n >= 0): chi of the twist, the closed form ``chi_rank2``
-  of ``twist(E, n)`` — the ACM condition kills h1 and h2, and Serre duality
-  with trivial canonical class kills h3 because h0(E(-c1-n)) = 0;
+* c1 + n > 0 (and n >= 0): chi of ``twist(E, n)`` — the ACM condition kills
+  h1 and h2, and Serre duality with trivial canonical class kills h3 because
+  h0(E(-c1-n)) = 0;
 * n = 0 with c1 = 0: one — chi vanishes identically there, but a normalized
   bundle has a section, and counting exactly one reproduces every exclusion
   downstream;
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-from .bundles import BundleDescriptor, _exact_int, chi_rank2, twist
+from .bundles import BundleDescriptor, _exact_int, chi_hrr, is_semistable, is_stable, twist
 from .chowring import QUINTIC
 
 __all__ = ["CatalogEntry", "catalog", "lookup", "h0_acm_twist", "FAMILY_A", "FAMILY_B"]
@@ -75,28 +76,22 @@ class CatalogEntry:
 
     @property
     def semistable(self) -> bool:
-        return self.c1 >= 0
+        return is_semistable(self.descriptor())
 
     def descriptor(self) -> BundleDescriptor:
         return BundleDescriptor(2, self.c1, self.c2, 0, b=0, acm=True)
 
 
 def _make_entry(c1: int, c2: int, family: Literal["A", "B"]) -> CatalogEntry:
-    chi = _exact_int(chi_rank2(c1, c2), "chi")
-    if c1 >= 1:
-        h0: int | None = chi
-    elif c1 == 0:
-        h0 = 1
-    else:
-        h0 = None
+    E = BundleDescriptor(2, c1, c2, 0, b=0, acm=True)
     return CatalogEntry(
         c1=c1,
         c2=c2,
         family=family,
         exists_on_general=True if family == "A" else "conditional",
-        chi=chi,
-        h0=h0,
-        stable=c1 > 0,
+        chi=_exact_int(chi_hrr(E, QUINTIC), "chi"),
+        h0=h0_acm_twist(E, 0),
+        stable=is_stable(E),
     )
 
 
@@ -122,7 +117,8 @@ def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
 
     Returns None where the Euler characteristic cannot pin the count down
     (positive twists of the c1 < 0 entries).  Accepts a rank-2
-    BundleDescriptor as well, which must be explicitly normalized.
+    BundleDescriptor as well, which must be explicitly normalized; a negative
+    chi where the count should be chi raises ValueError.
     """
     E = entry.descriptor() if isinstance(entry, CatalogEntry) else entry
     if E.rank != 2:
@@ -132,9 +128,9 @@ def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
     if n < 0:
         return 0
     if E.c1 + n > 0:
-        En = twist(E, n, QUINTIC)
-        value = _exact_int(chi_rank2(En.c1, En.c2), "chi")
-        assert value >= 0, (E, n, value)
+        value = _exact_int(chi_hrr(twist(E, n, QUINTIC), QUINTIC), "chi")
+        if value < 0:
+            raise ValueError(f"chi = {value} < 0 for {E} twisted by {n}: no normalized ACM bundle")
         return value
     if n == 0 and E.c1 == 0:
         return 1

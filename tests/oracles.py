@@ -3,7 +3,9 @@
 A class here is a plain tuple (a0, a1, a2, a3) of Fractions in the basis
 (1, H, ell, pt) of X_r, and every formula works one coefficient at a time,
 as the library did before ChowClass stored its coefficients over one common
-denominator.  The tests compare the kernel against these formulas.
+denominator.  ``chi_rank2`` is the hand-derived closed form for rank 2 on the
+quintic, which the library now computes through the kernel.  The tests
+compare the kernel against these formulas.
 """
 
 from dataclasses import replace
@@ -79,3 +81,8 @@ def tensor(r, E, F):
 
 def chi(r, E):
     return mul(r, to_ch(r, E), todd(r))[3]
+
+
+def chi_rank2(c1, c2):
+    # 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1 on the quintic.
+    return Fraction(5 * c1**3 - 3 * c1 * c2 + 25 * c1, 6)

@@ -14,6 +14,7 @@ from acmbundles import (
     enumerate_split_candidates,
     ext1_lower_bound,
     extension_cases,
+    h0_acm_twist,
     lookup,
     vanishing_conditions,
 )
@@ -195,7 +196,8 @@ def _sweep():
 
 def test_chi_consistency_of_survivors():
     # For a pair matching (c1, c2), chi differs from chi(G) by exactly half
-    # the c3 discrepancy; for a full Chern match the two agree.
+    # the c3 discrepancy; for a full Chern match the two agree.  Every other
+    # survivor reached the h0 stage, whose counts must be the oracle's.
     for F, E, m in _sweep():
         report = analyze_extension(F, E, m)
         for v in report.verdicts:
@@ -204,6 +206,12 @@ def test_chi_consistency_of_survivors():
             if v.filter == FILTER_TRIVIAL_SPLIT:
                 assert d["c3_sum"] == d["c3_target"]
                 assert d["chi_sum"] == d["chi_target"]
+                assert "h0_pair" not in d
+                continue
+            key = (F.pair, E.pair, m, v.pair_key)
+            assert d["h0_F_m"] == h0_acm_twist(F, m), key
+            assert d["h0_E"] == h0_acm_twist(E, 0), key
+            assert d["h0_pair"] == [h0_acm_twist(member, 0) for member in v.pair], key
 
 
 def test_chi_target_matches_hrr_of_g():

@@ -1,7 +1,9 @@
 import pytest
 
-from acmbundles import BundleDescriptor, catalog, chi_rank2, h0_acm_twist, lookup
+from acmbundles import BundleDescriptor, catalog, h0_acm_twist, is_semistable, is_stable, lookup
 from acmbundles.catalog import FAMILY_A, FAMILY_B
+
+import oracles
 
 
 def test_catalog_has_fourteen_fixed_entries():
@@ -30,6 +32,8 @@ def test_chi_statistics():
     positive_c1 = [e.chi for e in catalog() if e.c1 >= 1]
     assert positive_c1 == [3, 2, 1, 10, 4, 3, 2, 1, 5]
     assert all(chi >= 1 for chi in positive_c1)
+    for e in catalog():
+        assert type(e.chi) is int and e.chi == oracles.chi_rank2(e.c1, e.c2), e.pair
 
 
 def test_h0_statistics():
@@ -47,7 +51,8 @@ def test_stability_partition():
     unstable = [e.pair for e in catalog() if not e.semistable]
     assert unstable == [(-2, 1), (-1, 2)]
     for e in catalog():
-        assert e.stable == (e.c1 >= 1)
+        assert e.stable == (e.c1 >= 1) == is_stable(e.descriptor())
+        assert e.semistable == (e.c1 >= 0) == is_semistable(e.descriptor())
         if e.c1 == 0:
             assert e.semistable and not e.stable
 
@@ -80,13 +85,13 @@ def _h0_oracle(c1: int, c2: int, n: int):
     if n < 0:
         return 0
     if c1 + n > 0:
-        return chi_rank2(c1 + 2 * n, c2 + 5 * (n * c1 + n * n))
+        return oracles.chi_rank2(c1 + 2 * n, c2 + 5 * (n * c1 + n * n))
     return 1 if n == 0 and c1 == 0 else None
 
 
 def test_h0_twist_oracle_positive_twists_use_chi():
-    assert h0_acm_twist(lookup(0, 5), 1) == chi_rank2(2, 10) == 5
-    assert h0_acm_twist(lookup(-2, 1), 3) == chi_rank2(4, 16) == 38
+    assert h0_acm_twist(lookup(0, 5), 1) == oracles.chi_rank2(2, 10) == 5
+    assert h0_acm_twist(lookup(-2, 1), 3) == oracles.chi_rank2(4, 16) == 38
     for e in catalog():
         for n in range(-3, 4):
             assert h0_acm_twist(e, n) == _h0_oracle(e.c1, e.c2, n), (e.pair, n)
@@ -108,3 +113,5 @@ def test_h0_twist_oracle_accepts_normalized_descriptors_only():
         h0_acm_twist(BundleDescriptor(2, 2, 15, 0, b=-1), 0)  # not normalized
     with pytest.raises(ValueError):
         h0_acm_twist(BundleDescriptor(1, 1, 0, 0, b=0), 0)  # wrong rank
+    with pytest.raises(ValueError, match=r"chi = -45 < 0 for .*c2=100.* twisted by 0"):
+        h0_acm_twist(BundleDescriptor(2, 1, 100, 0, b=0), 0)  # no ACM bundle: chi < 0

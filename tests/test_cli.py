@@ -1,6 +1,8 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,11 @@ from acmbundles import analyze_case
 from acmbundles.cli import QUERIES, main, report_json
 
 from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL
+
+# The benchmark's CLI mix and its golden stdout, read from perfbench/.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.append(str(PERFBENCH))
+from workloads import CLI_MIX  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -111,6 +118,13 @@ def test_outputs_are_deterministic(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize("name, argv", CLI_MIX, ids=[name for name, _ in CLI_MIX])
+def test_cli_mix_matches_the_golden_output(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == (PERFBENCH / "golden" / "cli" / f"{name}.out").read_bytes()
 
 
 def test_catalog_tsv(capsys):

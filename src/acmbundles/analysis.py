@@ -17,6 +17,9 @@ this work:
     (4) F=(4,30)  E=(0,5)  m=-1
 
 All chi values are computed through the Riemann-Roch pipeline, never stored.
+Everything here is a statement about the quintic, so no function takes a
+degree: each uses ``QUINTIC``.  ``require_quintic`` is the guard for a caller
+that gets a degree from outside, such as the command line.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
@@ -180,18 +183,14 @@ def require_quintic(X: Hypersurface, what: str) -> None:
 
 
 def build_case(
-    F: CatalogEntry,
-    E: CatalogEntry,
-    m: int,
-    X: Hypersurface = QUINTIC,
-    index: int | None = None,
+    F: CatalogEntry, E: CatalogEntry, m: int, *, index: int | None = None
 ) -> ExtensionCase:
     """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0."""
     if m > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
-    Fm = twist(F.descriptor(), m, X)
-    chi_t = _exact_int(chi_hrr(tensor(Fm, dual(E.descriptor()), X), X), "chi")
-    G = direct_sum(Fm, E.descriptor(), X)
+    Fm = twist(F.descriptor(), m, QUINTIC)
+    chi_t = _exact_int(chi_hrr(tensor(Fm, dual(E.descriptor()), QUINTIC), QUINTIC), "chi")
+    G = direct_sum(Fm, E.descriptor(), QUINTIC)
     return ExtensionCase(
         index=index,
         F=F,
@@ -210,12 +209,11 @@ def _entry(pair: tuple[int, int]) -> CatalogEntry:
     return entry
 
 
-@lru_cache(maxsize=None)
-def extension_cases(X: Hypersurface = QUINTIC) -> tuple[ExtensionCase, ...]:
+@lru_cache(maxsize=1)
+def extension_cases() -> tuple[ExtensionCase, ...]:
     """The seven extension cases, with chi computed through Riemann-Roch."""
-    require_quintic(X, "the extension table")
     return tuple(
-        build_case(_entry(f), _entry(e), m, X, index=i)
+        build_case(_entry(f), _entry(e), m, index=i)
         for i, (f, e, m) in enumerate(_TABLE_ROWS, start=1)
     )
 
@@ -229,7 +227,7 @@ def vanishing_conditions(F: CatalogEntry, E: CatalogEntry, m: int) -> VanishingC
 
 
 def ext1_lower_bound(case: ExtensionCase) -> int:
-    """Lower bound max(0, -chi) for dim Ext^1(E, F(m)).
+    """Lower bound d_lower = max(0, -chi) for dim Ext^1(E, F(m)).
 
     Valid only under the h3-vanishing hypothesis: then
     h1 = h0 + h2 - chi >= -chi.
@@ -238,7 +236,7 @@ def ext1_lower_bound(case: ExtensionCase) -> int:
         raise BoundNotJustifiedError(
             "bound not justified: h3-vanishing hypothesis c1(F) + m > 0 fails"
         )
-    return max(0, -case.chi_tensor)
+    return case.d_lower
 
 
 def _h0_report(entry: CatalogEntry, n: int) -> tuple[int | None, bool]:
@@ -250,9 +248,7 @@ def _h0_report(entry: CatalogEntry, n: int) -> tuple[int | None, bool]:
 
 
 def _classify(
-    case: ExtensionCase,
-    entries: tuple[CatalogEntry, ...],
-    X: Hypersurface,
+    case: ExtensionCase, entries: tuple[CatalogEntry, ...]
 ) -> tuple[list[SplitVerdict], list[SplitVerdict], bool]:
     """Split candidate pairs into Whitney survivors and Chern rejections.
 
@@ -264,7 +260,7 @@ def _classify(
     Fm = case.F_twisted
     target_pairs = sorted([(Fm.c1, Fm.c2), (case.E.c1, case.E.c2)])
     target_c1s = {Fm.c1, case.E.c1}
-    chi_target = _exact_int(chi_hrr(G, X), "chi")
+    chi_target = _exact_int(chi_hrr(G, QUINTIC), "chi")
     (h0_Fm, conv_f), (h0_E, conv_e) = _h0_report(case.F, case.m), _h0_report(case.E, 0)
 
     survivors: list[SplitVerdict] = []
@@ -275,7 +271,7 @@ def _classify(
     for P, Q in combinations_with_replacement(pool, 2):
         if P.c1 + Q.c1 != G.c1:
             continue
-        c2_sum = P.c2 + Q.c2 + X.r * P.c1 * Q.c1
+        c2_sum = P.c2 + Q.c2 + QUINTIC.r * P.c1 * Q.c1
         c3_sum = P.c1 * Q.c2 + P.c2 * Q.c1
         details = {
             "c2_sum": c2_sum,
@@ -318,7 +314,6 @@ def enumerate_split_candidates(
     case: ExtensionCase,
     include_rejected: bool = False,
     entries: tuple[CatalogEntry, ...] | None = None,
-    X: Hypersurface = QUINTIC,
 ) -> list[SplitVerdict]:
     """Verdicts for all candidate decompositions G = G1 + G2.
 
@@ -326,12 +321,12 @@ def enumerate_split_candidates(
     returned; ``include_rejected`` appends the chern-mismatch verdicts for
     the other c1-compatible pairs.
     """
-    survivors, rejected, _ = _classify(case, entries or catalog(), X)
+    survivors, rejected, _ = _classify(case, entries or catalog())
     return survivors + rejected if include_rejected else survivors
 
 
-def _report(case: ExtensionCase, X: Hypersurface) -> CaseReport:
-    survivors, rejected, used_convention = _classify(case, catalog(), X)
+def _report(case: ExtensionCase) -> CaseReport:
+    survivors, rejected, used_convention = _classify(case, catalog())
     rank1_ok = vanishing_conditions(case.F, case.E, case.m).h3_zero
     undecided = any(v.filter == FILTER_UNDECIDED for v in survivors)
     return CaseReport(
@@ -348,25 +343,19 @@ def _report(case: ExtensionCase, X: Hypersurface) -> CaseReport:
     )
 
 
-def analyze_case(index: int, X: Hypersurface = QUINTIC) -> CaseReport:
+def analyze_case(index: int) -> CaseReport:
     """Analyze one of the seven table cases (1-based index)."""
-    cases = extension_cases(X)
+    cases = extension_cases()
     if not 1 <= index <= len(cases):
         raise ValueError(f"case index must be in 1..{len(cases)}, got {index}")
-    return _report(cases[index - 1], X)
+    return _report(cases[index - 1])
 
 
-def analyze_extension(
-    F: CatalogEntry,
-    E: CatalogEntry,
-    m: int,
-    X: Hypersurface = QUINTIC,
-) -> CaseReport:
+def analyze_extension(F: CatalogEntry, E: CatalogEntry, m: int) -> CaseReport:
     """Analyze an arbitrary (F, E, m) extension of catalog bundles.
 
     Unlike the seven table cases this may legitimately come back
     inconclusive, e.g. when a surviving candidate needs a section count the
     numerics cannot determine.
     """
-    require_quintic(X, "the catalog-backed analysis")
-    return _report(build_case(F, E, m, X), X)
+    return _report(build_case(F, E, m))

@@ -117,14 +117,16 @@ def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
 
     Returns None where the Euler characteristic cannot pin the count down
     (positive twists of the c1 < 0 entries).  Accepts a rank-2
-    BundleDescriptor as well, which must be explicitly normalized; a negative
-    chi where the count should be chi raises ValueError.
+    BundleDescriptor as well, which must be explicitly normalized and flagged
+    ACM; a negative chi where the count should be chi raises ValueError.
     """
     E = entry.descriptor() if isinstance(entry, CatalogEntry) else entry
     if E.rank != 2:
         raise ValueError("the section-count oracle applies to rank-2 bundles")
     if E.b != 0:
         raise ValueError("the section-count oracle requires a normalized bundle (b = 0)")
+    if not E.acm:
+        raise ValueError("the section-count oracle requires an ACM bundle (h1 = h2 = 0)")
     if n < 0:
         return 0
     if E.c1 + n > 0:

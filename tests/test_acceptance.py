@@ -44,7 +44,7 @@ def _criterion(number: int, description: str, failures: list) -> None:
 
 def test_criterion_1_table_reproduction():
     failures = []
-    cases = extension_cases(X5)
+    cases = extension_cases()
     chis = [c.chi_tensor for c in cases]
     ms = [c.m for c in cases]
     if chis != [-14, -6, -8, -10, -1, -2, -3]:
@@ -57,7 +57,7 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_extension_chern_classes():
     failures = []
     expected = [(5, 58), (2, 18), (2, 19), (2, 20), (1, 11), (1, 12), (1, 13)]
-    got = [(c.G.c1, c.G.c2) for c in extension_cases(X5)]
+    got = [(c.G.c1, c.G.c2) for c in extension_cases()]
     if got != expected:
         failures.append(got)
     _criterion(2, "extension bundle (c1, c2) for cases (1)-(7)", failures)
@@ -158,7 +158,7 @@ def test_criterion_6_case_analysis_verdicts():
 
 def test_criterion_7_ext_bounds():
     failures = []
-    bounds = [ext1_lower_bound(c) for c in extension_cases(X5)]
+    bounds = [ext1_lower_bound(c) for c in extension_cases()]
     if bounds != [14, 6, 8, 10, 1, 2, 3]:
         failures.append(bounds)
     if not all(b >= 1 for b in bounds):

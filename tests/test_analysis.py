@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import random
 
 import pytest
@@ -5,7 +7,6 @@ import pytest
 from acmbundles import (
     BoundNotJustifiedError,
     Hypersurface,
-    UnsupportedDegreeError,
     analyze_case,
     analyze_extension,
     build_case,
@@ -65,11 +66,6 @@ def test_extension_bundle_is_normalized_acm():
         assert c.G.rank == 4
         assert c.G.b == 0
         assert c.G.acm
-
-
-def test_table_requires_the_quintic():
-    with pytest.raises(UnsupportedDegreeError):
-        extension_cases(Hypersurface(4))
 
 
 def test_vanishing_conditions():
@@ -273,9 +269,42 @@ def test_general_engine_requires_rank1_hypothesis_for_a_conclusion():
     assert [v.filter for v in report.verdicts] == [FILTER_TRIVIAL_SPLIT]
 
 
-def test_general_engine_rejects_other_degrees():
-    with pytest.raises(UnsupportedDegreeError):
-        analyze_extension(lookup(4, 30), lookup(1, 8), 0, Hypersurface(3))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X: extension_cases(X),
+        lambda X: analyze_case(1, X),
+        lambda X: analyze_extension(lookup(4, 30), lookup(1, 8), 0, X),
+        lambda X: build_case(lookup(4, 30), lookup(1, 8), 0, X),
+    ],
+    ids=["extension_cases", "analyze_case", "analyze_extension", "build_case"],
+)
+def test_a_positional_degree_is_a_type_error(call):
+    # The analysis lives on the quintic; a degree has nowhere to bind.
+    with pytest.raises(TypeError):
+        call(Hypersurface(3))
+
+
+def test_no_public_function_takes_a_degree():
+    # Only the guard itself may take a hypersurface; every other public
+    # callable of the quintic-only layers works on QUINTIC.
+    offenders = []
+    # By import path: the package re-exports a function named ``catalog``.
+    for module in map(importlib.import_module, ("acmbundles.analysis", "acmbundles.catalog")):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if name == "require_quintic" or not callable(obj):
+                continue
+            try:
+                parameters = inspect.signature(obj).parameters.values()
+            except ValueError:  # builtin exception constructors
+                continue
+            offenders += [
+                f"{module.__name__}.{name}({p.name})"
+                for p in parameters
+                if p.name == "X" or "Hypersurface" in str(p.annotation)
+            ]
+    assert offenders == []
 
 
 def test_filters_can_exhaust_on_a_synthetic_pool():

@@ -106,12 +106,14 @@ def test_h0_twist_oracle_undetermined_cases():
 
 
 def test_h0_twist_oracle_accepts_normalized_descriptors_only():
-    assert h0_acm_twist(BundleDescriptor(2, 4, 30, 0, b=0), -1) == 0
+    assert h0_acm_twist(BundleDescriptor(2, 4, 30, 0, b=0, acm=True), -1) == 0
     with pytest.raises(ValueError):
         h0_acm_twist(BundleDescriptor(2, 4, 30, 0), 0)  # b unset
     with pytest.raises(ValueError):
         h0_acm_twist(BundleDescriptor(2, 2, 15, 0, b=-1), 0)  # not normalized
     with pytest.raises(ValueError):
         h0_acm_twist(BundleDescriptor(1, 1, 0, 0, b=0), 0)  # wrong rank
+    with pytest.raises(ValueError, match="requires an ACM bundle"):
+        h0_acm_twist(BundleDescriptor(2, 4, 30, 0, b=0), 1)  # not flagged ACM
     with pytest.raises(ValueError, match=r"chi = -45 < 0 for .*c2=100.* twisted by 0"):
-        h0_acm_twist(BundleDescriptor(2, 1, 100, 0, b=0), 0)  # no ACM bundle: chi < 0
+        h0_acm_twist(BundleDescriptor(2, 1, 100, 0, b=0, acm=True), 0)  # no ACM bundle: chi < 0

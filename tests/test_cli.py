@@ -58,11 +58,21 @@ def test_table_json(capsys):
     }
 
 
-def test_table_requires_degree_five(capsys):
-    code, out, err = run(capsys, "table", "--degree", "4")
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["table", "--degree", "4"], "the extension table"),
+        (["analyze", "--case", "2", "--degree", "3"], "the extension table"),
+        (["analyze", "--all", "--degree", "7"], "the extension table"),
+        (["catalog", "--degree", "2"], "the catalog"),
+    ],
+    ids=["table", "analyze-case", "analyze-all", "catalog"],
+)
+def test_table_requires_degree_five(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "degree 5" in err
+    assert err == f"error: {what} requires degree 5, got {argv[-1]}\n"
 
 
 def test_analyze_single_case_text(capsys):

@@ -27,7 +27,6 @@ from .analysis import (
     enumerate_split_candidates,
     ext1_lower_bound,
     extension_cases,
-    vanishing_conditions,
 )
 from .bundles import (
     BundleDescriptor,
@@ -79,7 +78,6 @@ __all__ = [
     "BoundNotJustifiedError",
     "build_case",
     "extension_cases",
-    "vanishing_conditions",
     "ext1_lower_bound",
     "enumerate_split_candidates",
     "analyze_case",

@@ -7,9 +7,9 @@ as extensions
 
 of catalog bundles E by twisted catalog bundles F(m).  Whenever
 chi(F(m) tensor E*) < 0 the extension space Ext^1(E, F(m)) is nonempty: its
-dimension is h1(F(m) tensor E*), and once h3 vanishes the Euler
-characteristic bounds it from below by -chi.  Seven (F, E, m) triples make
-this work:
+dimension is h1(F(m) tensor E*), and once h3 vanishes (``h3_vanishes``:
+c1(F) + m > 0) the Euler characteristic bounds it from below by -chi.  Seven
+(F, E, m) triples make this work:
 
     (1) F=(4,30)  E=(1,8)  m=0      (5) F=(1,8)  E=(0,3)  m=0
     (2) F=(4,30)  E=(0,3)  m=-1     (6) F=(1,8)  E=(0,4)  m=0
@@ -23,10 +23,12 @@ that gets a degree from outside, such as the command line.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
-normalized catalog entries whose c1 values add up to c1(G); each one is
-disposed of by the first applicable filter:
+normalized catalog entries whose c1 values add up to c1(G).  The pairs of a
+pool are built once, each with its ``direct_sum`` (the Whitney sum), and
+grouped by c1 sum; the catalog's table is built on first use.  Each candidate
+is disposed of by the first applicable filter:
 
-* ``chern-mismatch``  — the Whitney sum of (c1, c2) misses (c1(G), c2(G));
+* ``chern-mismatch``  — the direct sum's c2 misses c2(G);
 * ``trivial-split``   — the pair is exactly {F(m), E}, which a nontrivial
   extension class rules out;
 * ``h0-mismatch``     — section counts differ: an extension of ACM bundles
@@ -58,7 +60,6 @@ __all__ = [
     "ExtensionCase",
     "SplitVerdict",
     "CaseReport",
-    "VanishingConditions",
     "UnsupportedDegreeError",
     "BoundNotJustifiedError",
     "CASE_INDICES",
@@ -71,7 +72,6 @@ __all__ = [
     "require_quintic",
     "build_case",
     "extension_cases",
-    "vanishing_conditions",
     "ext1_lower_bound",
     "enumerate_split_candidates",
     "analyze_case",
@@ -113,20 +113,6 @@ class BoundNotJustifiedError(ValueError):
 
 
 @dataclass(frozen=True)
-class VanishingConditions:
-    """Arithmetic vanishing hypotheses for the extension space of (F, E, m).
-
-    ``h3_zero``: c1(F) + m > 0, equivalently h0(F*(-m)) = 0 by normalization,
-    which forces h3(F(m) tensor E*) = 0.
-    ``ideal_vanishing``: c1(E) - c1(F) - m < 0, equivalently
-    h0(F*(c1(E) - m)) = 0 by normalization.
-    """
-
-    h3_zero: bool
-    ideal_vanishing: bool
-
-
-@dataclass(frozen=True)
 class ExtensionCase:
     """One (F, E, m) extension datum with its derived invariants."""
 
@@ -142,6 +128,11 @@ class ExtensionCase:
     @property
     def g_chern(self) -> tuple[int, int, int]:
         return self.G.chern_tuple()
+
+    @property
+    def h3_vanishes(self) -> bool:
+        """c1(F) + m > 0, so h0(F*(-m)) = 0 by normalization and h3(F(m) tensor E*) = 0."""
+        return self.F.c1 + self.m > 0
 
 
 @dataclass(frozen=True)
@@ -218,21 +209,13 @@ def extension_cases() -> tuple[ExtensionCase, ...]:
     )
 
 
-def vanishing_conditions(F: CatalogEntry, E: CatalogEntry, m: int) -> VanishingConditions:
-    """Evaluate both vanishing hypotheses for normalized F and E."""
-    return VanishingConditions(
-        h3_zero=F.c1 + m > 0,
-        ideal_vanishing=E.c1 - F.c1 - m < 0,
-    )
-
-
 def ext1_lower_bound(case: ExtensionCase) -> int:
     """Lower bound d_lower = max(0, -chi) for dim Ext^1(E, F(m)).
 
     Valid only under the h3-vanishing hypothesis: then
     h1 = h0 + h2 - chi >= -chi.
     """
-    if not vanishing_conditions(case.F, case.E, case.m).h3_zero:
+    if not case.h3_vanishes:
         raise BoundNotJustifiedError(
             "bound not justified: h3-vanishing hypothesis c1(F) + m > 0 fails"
         )
@@ -247,18 +230,41 @@ def _h0_report(entry: CatalogEntry, n: int) -> tuple[int | None, bool]:
     return entry.h0, entry.c1 == 0
 
 
-def _classify(
-    case: ExtensionCase, entries: tuple[CatalogEntry, ...]
-) -> tuple[list[SplitVerdict], list[SplitVerdict], bool]:
-    """Split candidate pairs into Whitney survivors and Chern rejections.
+_PairTable = dict[int, list[tuple[CatalogEntry, CatalogEntry, BundleDescriptor]]]
 
-    Returns (survivors, rejected, used_h0_convention); both verdict lists are
-    sorted by the (c1, c2) pairs of their members, so the outcome does not
-    depend on the order of ``entries``.
+
+def _pairs(entries: tuple[CatalogEntry, ...]) -> _PairTable:
+    """Unordered pairs (P, Q, P + Q) of ``entries`` by c1 sum, in ``pair_key`` order.
+
+    Sorting the pool gives P.pair <= Q.pair; sorting the pairs matters only
+    when the pool repeats a (c1, c2).
+    """
+    pool = sorted(entries, key=lambda entry: entry.pair)
+    table: _PairTable = {}
+    for P, Q in sorted(combinations_with_replacement(pool, 2), key=lambda pq: [e.pair for e in pq]):
+        S = direct_sum(P.descriptor(), Q.descriptor(), QUINTIC)
+        table.setdefault(S.c1, []).append((P, Q, S))
+    return table
+
+
+@lru_cache(maxsize=1)
+def _catalog_pairs() -> _PairTable:
+    """The catalog's pair table, built on first use."""
+    return _pairs(catalog())
+
+
+def _classify(
+    case: ExtensionCase, pairs: _PairTable
+) -> tuple[list[SplitVerdict], list[SplitVerdict], bool]:
+    """Split the pairs of c1 sum c1(G) into Whitney survivors and Chern rejections.
+
+    Returns (survivors, rejected, used_h0_convention); both verdict lists keep
+    the table's ``pair_key`` order, whatever the order of the pool.
     """
     G = case.G
     Fm = case.F_twisted
-    target_pairs = sorted([(Fm.c1, Fm.c2), (case.E.c1, case.E.c2)])
+    f_pair, e_pair = (Fm.c1, Fm.c2), case.E.pair
+    trivial_key = (min(f_pair, e_pair), max(f_pair, e_pair))
     target_c1s = {Fm.c1, case.E.c1}
     chi_target = _exact_int(chi_hrr(G, QUINTIC), "chi")
     (h0_Fm, conv_f), (h0_E, conv_e) = _h0_report(case.F, case.m), _h0_report(case.E, 0)
@@ -267,24 +273,19 @@ def _classify(
     rejected: list[SplitVerdict] = []
     used_convention = False
 
-    pool = sorted(entries, key=lambda entry: entry.pair)
-    for P, Q in combinations_with_replacement(pool, 2):
-        if P.c1 + Q.c1 != G.c1:
-            continue
-        c2_sum = P.c2 + Q.c2 + QUINTIC.r * P.c1 * Q.c1
-        c3_sum = P.c1 * Q.c2 + P.c2 * Q.c1
+    for P, Q, S in pairs.get(G.c1, ()):
         details = {
-            "c2_sum": c2_sum,
+            "c2_sum": S.c2,
             "c2_target": G.c2,
-            "c3_sum": c3_sum,
+            "c3_sum": S.c3,
             "c3_target": G.c3,
             "chi_sum": P.chi + Q.chi,
             "chi_target": chi_target,
         }
-        if c2_sum != G.c2:
+        if S.c2 != G.c2:
             kind = FILTER_CHERN_MISMATCH
             details["c1_disjoint"] = not ({P.c1, Q.c1} & target_c1s)
-        elif sorted([P.pair, Q.pair]) == target_pairs:
+        elif (P.pair, Q.pair) == trivial_key:
             kind = FILTER_TRIVIAL_SPLIT
         else:
             h0_P, conv_p = _h0_report(P, 0)
@@ -300,13 +301,9 @@ def _classify(
                     kind = FILTER_H0_MISMATCH
                 else:
                     details["reason"] = "all numeric filters agree"
-        verdict = SplitVerdict(
-            pair=(P, Q), sum_chern=(G.c1, c2_sum, c3_sum), filter=kind, details=details
-        )
+        verdict = SplitVerdict(pair=(P, Q), sum_chern=S.chern_tuple(), filter=kind, details=details)
         (rejected if kind == FILTER_CHERN_MISMATCH else survivors).append(verdict)
 
-    survivors.sort(key=lambda v: v.pair_key)
-    rejected.sort(key=lambda v: v.pair_key)
     return survivors, rejected, used_convention
 
 
@@ -319,24 +316,25 @@ def enumerate_split_candidates(
 
     By default only the pairs passing the Whitney (c1, c2) comparison are
     returned; ``include_rejected`` appends the chern-mismatch verdicts for
-    the other c1-compatible pairs.
+    the other c1-compatible pairs.  Candidates come from the catalog unless
+    an ``entries`` pool is given; an empty pool has no candidates.
     """
-    survivors, rejected, _ = _classify(case, entries or catalog())
+    pairs = _catalog_pairs() if entries is None else _pairs(entries)
+    survivors, rejected, _ = _classify(case, pairs)
     return survivors + rejected if include_rejected else survivors
 
 
 def _report(case: ExtensionCase) -> CaseReport:
-    survivors, rejected, used_convention = _classify(case, catalog())
-    rank1_ok = vanishing_conditions(case.F, case.E, case.m).h3_zero
+    survivors, rejected, used_convention = _classify(case, _catalog_pairs())
     undecided = any(v.filter == FILTER_UNDECIDED for v in survivors)
     return CaseReport(
         case=case,
-        rank1_hypothesis_ok=rank1_ok,
+        rank1_hypothesis_ok=case.h3_vanishes,
         verdicts=tuple(survivors),
         rejected=tuple(rejected),
         conclusion=(
             CONCLUSION_INDECOMPOSABLE
-            if rank1_ok and not undecided
+            if case.h3_vanishes and not undecided
             else CONCLUSION_INCONCLUSIVE
         ),
         notes=(NOTE_H0_CONVENTION,) if used_convention else (),

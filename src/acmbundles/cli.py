@@ -102,16 +102,11 @@ def report_json(report: CaseReport, verbose: bool = False) -> dict[str, Any]:
     return out
 
 
+_CATALOG_FIELDS = ("c1", "c2", "family", "exists_on_general", "chi", "h0", "stable")
+
+
 def entry_json(entry: CatalogEntry) -> dict[str, Any]:
-    return {
-        "c1": entry.c1,
-        "c2": entry.c2,
-        "family": entry.family,
-        "exists_on_general": entry.exists_on_general,
-        "chi": entry.chi,
-        "h0": entry.h0,
-        "stable": entry.stable,
-    }
+    return {name: getattr(entry, name) for name in _CATALOG_FIELDS}
 
 
 def _dump(obj: Any) -> str:
@@ -228,10 +223,10 @@ def render_catalog(entries: tuple[CatalogEntry, ...], fmt: str) -> str:
         h0 = "undetermined" if e.h0 is None else str(e.h0)
         stable = "true" if e.stable else "false"
         rows.append((str(e.c1), str(e.c2), e.family, exists, str(e.chi), h0, stable))
-    header = ("c1", "c2", "family", "exists_on_general", "chi", "h0", "stable")
+    header = _CATALOG_FIELDS
     if fmt == "tsv":
         return "\n".join(["\t".join(header)] + ["\t".join(row) for row in rows])
-    widths = [max(len(header[i]), max(len(row[i]) for row in rows)) for i in range(7)]
+    widths = [max(len(header[i]), max(len(row[i]) for row in rows)) for i in range(len(header))]
     fmt_row = lambda row: "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
     return "\n".join([fmt_row(header)] + [fmt_row(row) for row in rows])
 

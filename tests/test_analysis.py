@@ -17,7 +17,6 @@ from acmbundles import (
     extension_cases,
     h0_acm_twist,
     lookup,
-    vanishing_conditions,
 )
 from acmbundles.analysis import (
     CONCLUSION_INCONCLUSIVE,
@@ -69,14 +68,18 @@ def test_extension_bundle_is_normalized_acm():
 
 
 def test_vanishing_conditions():
-    F, E = lookup(4, 30), lookup(1, 8)
-    check = vanishing_conditions(F, E, 0)
-    assert check.h3_zero and check.ideal_vanishing
-    check = vanishing_conditions(lookup(4, 30), lookup(0, 3), -1)
-    assert check.h3_zero and check.ideal_vanishing
-    assert not vanishing_conditions(lookup(1, 4), lookup(0, 3), -1).h3_zero
-    for c in extension_cases():
-        assert vanishing_conditions(c.F, c.E, c.m).h3_zero
+    # The h3 premise on every sweep triple: the report's rank-1 hypothesis
+    # and the Ext^1 bound both read ``h3_vanishes``, which is c1(F) + m > 0.
+    for F, E, m in _sweep():
+        case = build_case(F, E, m)
+        key = (F.pair, E.pair, m)
+        assert analyze_extension(F, E, m).rank1_hypothesis_ok == case.h3_vanishes, key
+        assert case.h3_vanishes == (F.c1 + m > 0), key
+        if case.h3_vanishes:
+            assert ext1_lower_bound(case) == max(0, -case.chi_tensor), key
+        else:
+            with pytest.raises(BoundNotJustifiedError):
+                ext1_lower_bound(case)
 
 
 def test_ext1_lower_bounds():
@@ -230,13 +233,38 @@ def test_verdicts_do_not_depend_on_enumeration_order():
 
 
 def test_verdict_pairs_are_canonical_and_unique():
-    for index in range(1, 8):
-        report = analyze_case(index)
+    reports = [analyze_case(index) for index in range(1, 8)]
+    reports += [analyze_extension(F, E, m) for F, E, m in _sweep()]
+    for report in reports:
+        for verdicts in (report.verdicts, report.rejected):
+            keys = [v.pair_key for v in verdicts]
+            assert keys == sorted(keys)
         seen = set()
-        for v in list(report.verdicts) + list(report.rejected):
+        for v in report.verdicts + report.rejected:
             assert v.pair_key[0] <= v.pair_key[1]
             assert v.pair_key not in seen
             seen.add(v.pair_key)
+            # Whitney: total Chern classes multiply in the ring, not through direct_sum.
+            product = QUINTIC.mul(*(member.descriptor().total_chern() for member in v.pair))
+            assert v.sum_chern == (product.a1, product.a2, product.a3), v.pair_key
+
+
+def test_an_empty_pool_has_no_candidates():
+    case = extension_cases()[0]
+    assert enumerate_split_candidates(case, include_rejected=True, entries=()) == []
+
+
+def test_a_pool_that_repeats_a_pair_keeps_pair_key_order():
+    # With (0,3) twice in the pool, combinations of the sorted pool yield
+    # {(0,3),(0,4)}, {(0,3),(0,5)} before {(0,3)',(0,4)}: the pairs need a sort.
+    case = build_case(lookup(0, 3), lookup(0, 3), 0)
+    verdicts = enumerate_split_candidates(
+        case, include_rejected=True, entries=catalog() + (lookup(0, 3),)
+    )
+    for rejected in (False, True):
+        keys = [v.pair_key for v in verdicts if (v.filter == FILTER_CHERN_MISMATCH) == rejected]
+        assert keys == sorted(keys)
+    assert len(verdicts) == len(enumerate_split_candidates(case, include_rejected=True)) + 4
 
 
 def test_analyze_case_index_validation():

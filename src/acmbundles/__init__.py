@@ -12,22 +12,11 @@ The package has four library layers and a CLI:
   splitting-exclusion engine certifying rank-4 extensions indecomposable;
 * :mod:`acmbundles.cli` / :mod:`acmbundles.expr` — command line and a small
   expression language for bundle arithmetic.
+
+Only the analysis names are loaded on first access; ``acmbundles.catalog`` is
+the function, not the submodule.
 """
 
-from .analysis import (
-    BoundNotJustifiedError,
-    CaseReport,
-    ExtensionCase,
-    QUINTIC,
-    SplitVerdict,
-    UnsupportedDegreeError,
-    analyze_case,
-    analyze_extension,
-    build_case,
-    enumerate_split_candidates,
-    ext1_lower_bound,
-    extension_cases,
-)
 from .bundles import (
     BundleDescriptor,
     NormalizationUnknownError,
@@ -44,14 +33,30 @@ from .bundles import (
     twist,
 )
 from .catalog import CatalogEntry, catalog, h0_acm_twist, lookup
-from .chowring import ChowClass, Hypersurface, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, UnsupportedDegreeError, integrate
 
 __version__ = "0.1.0"
+
+# Bound on first access by ``__getattr__``.
+_ANALYSIS = (
+    "ExtensionCase",
+    "SplitVerdict",
+    "CaseReport",
+    "BoundNotJustifiedError",
+    "build_case",
+    "extension_cases",
+    "ext1_lower_bound",
+    "enumerate_split_candidates",
+    "analyze_case",
+    "analyze_extension",
+)
 
 __all__ = [
     "__version__",
     "ChowClass",
     "Hypersurface",
+    "QUINTIC",
+    "UnsupportedDegreeError",
     "integrate",
     "BundleDescriptor",
     "NotBundleClassError",
@@ -70,16 +75,13 @@ __all__ = [
     "catalog",
     "lookup",
     "h0_acm_twist",
-    "QUINTIC",
-    "ExtensionCase",
-    "SplitVerdict",
-    "CaseReport",
-    "UnsupportedDegreeError",
-    "BoundNotJustifiedError",
-    "build_case",
-    "extension_cases",
-    "ext1_lower_bound",
-    "enumerate_split_candidates",
-    "analyze_case",
-    "analyze_extension",
+    *_ANALYSIS,
 ]
+
+
+def __getattr__(name: str):
+    if name not in _ANALYSIS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import analysis
+
+    return getattr(analysis, name)

@@ -18,8 +18,10 @@ c1(F) + m > 0) the Euler characteristic bounds it from below by -chi.  Seven
 
 All chi values are computed through the Riemann-Roch pipeline, never stored.
 Everything here is a statement about the quintic, so no function takes a
-degree: each uses ``QUINTIC``.  ``require_quintic`` is the guard for a caller
-that gets a degree from outside, such as the command line.
+degree: each uses ``QUINTIC``.  ``require_quintic`` (re-exported from
+``chowring``) guards a caller that gets a degree from outside; the table rows
+and ``CASE_INDICES`` live in ``catalog``.  The records are immutable value
+classes, not dataclasses.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
@@ -47,13 +49,12 @@ is informative exactly for the c1-disjoint ones).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, tensor, twist
-from .catalog import CatalogEntry, catalog, lookup
-from .chowring import QUINTIC, Hypersurface
+from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, catalog, lookup
+from .chowring import QUINTIC, UnsupportedDegreeError, _Record, require_quintic
 
 __all__ = [
     "QUINTIC",
@@ -91,29 +92,11 @@ NOTE_H0_CONVENTION = (
     "every exclusion recorded here also holds under the alternative convention h0 = 0."
 )
 
-_TABLE_ROWS: tuple[tuple[tuple[int, int], tuple[int, int], int], ...] = (
-    ((4, 30), (1, 8), 0),
-    ((4, 30), (0, 3), -1),
-    ((4, 30), (0, 4), -1),
-    ((4, 30), (0, 5), -1),
-    ((1, 8), (0, 3), 0),
-    ((1, 8), (0, 4), 0),
-    ((1, 8), (0, 5), 0),
-)
-
-CASE_INDICES = range(1, len(_TABLE_ROWS) + 1)
-
-
-class UnsupportedDegreeError(ValueError):
-    """The catalog-backed analysis only exists on the quintic."""
-
-
 class BoundNotJustifiedError(ValueError):
     """The Ext^1 lower bound needs the h3-vanishing hypothesis."""
 
 
-@dataclass(frozen=True)
-class ExtensionCase:
+class ExtensionCase(_Record):
     """One (F, E, m) extension datum with its derived invariants."""
 
     index: int | None
@@ -135,8 +118,7 @@ class ExtensionCase:
         return self.F.c1 + self.m > 0
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
+class SplitVerdict(_Record):
     """One candidate decomposition {G1, G2} and the filter that disposed of it."""
 
     pair: tuple[CatalogEntry, CatalogEntry]
@@ -149,8 +131,7 @@ class SplitVerdict:
         return (self.pair[0].pair, self.pair[1].pair)
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(_Record):
     """Full analysis of one extension case.
 
     ``verdicts`` holds the Whitney (c1, c2) survivors; ``rejected`` holds the
@@ -165,12 +146,6 @@ class CaseReport:
     rejected: tuple[SplitVerdict, ...]
     conclusion: str
     notes: tuple[str, ...] = ()
-
-
-def require_quintic(X: Hypersurface, what: str) -> None:
-    """The one degree guard for everything that rests on the quintic catalog."""
-    if X != QUINTIC:
-        raise UnsupportedDegreeError(f"{what} requires degree {QUINTIC.r}, got {X.r}")
 
 
 def build_case(

@@ -8,7 +8,7 @@ ACM flag asserting vanishing intermediate cohomology.  Both are cohomological
 facts; the arithmetic here propagates them only along operations where the
 result is forced (twists shift b, duals of rank <= 2 bundles shift it through
 self-duality, direct sums take the maximum) and drops them otherwise rather
-than guessing.
+than guessing.  Descriptors are immutable value classes, not dataclasses.
 
 Conversion between Chern classes and the Chern character uses the Newton
 identities truncated at codimension three; on this ring
@@ -22,10 +22,9 @@ the quintic, where it works out to 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _over, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _over, _Record, integrate
 
 __all__ = [
     "BundleDescriptor",
@@ -52,8 +51,7 @@ class NormalizationUnknownError(ValueError):
     """An operation needed the normalization level b, which is not set."""
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
+class BundleDescriptor(_Record):
     """Rank plus integer Chern classes (c1, c2, c3), with optional b and ACM flag."""
 
     rank: int
@@ -63,7 +61,7 @@ class BundleDescriptor:
     b: int | None = None
     acm: bool = False
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for name in ("rank", "c1", "c2", "c3"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -141,7 +139,8 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
     if n == 0:
         return E
     bare = from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
-    return replace(bare, b=None if E.b is None else E.b + n, acm=E.acm)
+    b = None if E.b is None else E.b + n
+    return BundleDescriptor(bare.rank, bare.c1, bare.c2, bare.c3, b=b, acm=E.acm)
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:

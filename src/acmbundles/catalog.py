@@ -8,7 +8,8 @@ families:
     B = {(2,11), (2,12), (2,13), (2,14), (3,20)}
 
 Every pair in A arises on a general quintic; the pairs in B are admissible
-but their existence is conditional, and the entries carry that distinction.
+but their existence is conditional, and the entries (immutable value classes,
+not dataclasses) carry that distinction.
 
 Each entry comes with derived statistics, each computed by one rule: the
 Euler characteristic through the Riemann-Roch kernel ``chi_hrr``, the
@@ -28,14 +29,15 @@ section count h0 = ``h0_acm_twist(E, 0)``, and stability from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, is_semistable, is_stable, twist
-from .chowring import QUINTIC
+from .chowring import QUINTIC, _Record
 
-__all__ = ["CatalogEntry", "catalog", "lookup", "h0_acm_twist", "FAMILY_A", "FAMILY_B"]
+__all__ = [
+    "CatalogEntry", "catalog", "lookup", "h0_acm_twist", "FAMILY_A", "FAMILY_B", "CASE_INDICES"
+]
 
 FAMILY_A: tuple[tuple[int, int], ...] = (
     (-2, 1),
@@ -57,9 +59,22 @@ FAMILY_B: tuple[tuple[int, int], ...] = (
     (3, 20),
 )
 
+# The (F, E, m) rows of the extension table that ``analysis`` builds; here, so
+# that the command line can name the cases without importing the analysis.
+_TABLE_ROWS: tuple[tuple[tuple[int, int], tuple[int, int], int], ...] = (
+    ((4, 30), (1, 8), 0),
+    ((4, 30), (0, 3), -1),
+    ((4, 30), (0, 4), -1),
+    ((4, 30), (0, 5), -1),
+    ((1, 8), (0, 3), 0),
+    ((1, 8), (0, 4), 0),
+    ((1, 8), (0, 5), 0),
+)
 
-@dataclass(frozen=True)
-class CatalogEntry:
+CASE_INDICES = range(1, len(_TABLE_ROWS) + 1)
+
+
+class CatalogEntry(_Record):
     """One admissible (c1, c2) pair with derived statistics; always b = 0."""
 
     c1: int

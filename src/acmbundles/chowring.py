@@ -19,11 +19,15 @@ All coefficients are exact rationals; floats are rejected, as equality tests
 must be exact.  A ChowClass keeps four integer numerators over one positive
 common denominator in lowest terms, so each ring operation is integer
 arithmetic with one gcd reduction; a0..a3 still read back as Fractions.
+
+``_Record`` is the base of the package's value classes (Hypersurface, the
+descriptors, catalog entries, analysis records, expression nodes): immutable,
+but not dataclasses, so ``dataclasses.fields``, ``replace`` and ``asdict`` do
+not apply.  ``require_quintic`` guards everything that needs the quintic.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -32,7 +36,9 @@ __all__ = [
     "ChowClass",
     "Hypersurface",
     "QUINTIC",
+    "UnsupportedDegreeError",
     "integrate",
+    "require_quintic",
 ]
 
 Rational = int | Fraction
@@ -42,6 +48,58 @@ def _rat(value: Rational) -> Rational:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"exact rational required, got {type(value).__name__}")
     return value
+
+
+def _frozen(verb: str, name: str) -> AttributeError:
+    from dataclasses import FrozenInstanceError  # only on this error path
+
+    return FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class _Record:
+    """Base of an immutable value class whose fields are its class annotations.
+
+    Trailing fields may have class-level defaults.  A subclass gets an
+    ``__init__`` over its fields that calls ``_validate``, and the repr,
+    equality (within one class), hash and frozenness of a frozen dataclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
+        namespace = {"_cls": cls}
+        exec(
+            f"def __init__(self, {params}):\n"
+            f" self.__dict__.update({', '.join(f'{n}={n}' for n in names)})\n"
+            " self._validate()\n"
+            f"def _values(self):\n return ({''.join(f'self.{n}, ' for n in names)})",
+            namespace,
+        )
+        cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _validate(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        fields = (f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen("assign to", name)
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen("delete", name)
 
 
 def _coefficient(i: int) -> property:
@@ -76,11 +134,7 @@ class ChowClass:
         d, *numerators = self.scaled
         return tuple(Fraction(n, d) for n in numerators)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
 
     def __reduce__(self):
         return (_over, self.scaled)
@@ -156,13 +210,12 @@ def _tangent_h_coefficients(r: int) -> tuple[int, int, int, int]:
     )
 
 
-@dataclass(frozen=True)
-class Hypersurface:
+class Hypersurface(_Record):
     """A smooth degree-r hypersurface threefold X_r in P^4 (default: the quintic)."""
 
     r: int = 5
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
             raise ValueError(f"degree must be a positive integer, got {self.r!r}")
 
@@ -199,3 +252,13 @@ class Hypersurface:
 
 
 QUINTIC = Hypersurface(5)
+
+
+class UnsupportedDegreeError(ValueError):
+    """The catalog-backed analysis only exists on the quintic."""
+
+
+def require_quintic(X: Hypersurface, what: str) -> None:
+    """The one degree guard for everything that rests on the quintic catalog."""
+    if X != QUINTIC:
+        raise UnsupportedDegreeError(f"{what} requires degree {QUINTIC.r}, got {X.r}")

@@ -34,14 +34,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import analysis
-from .analysis import CaseReport, ExtensionCase, SplitVerdict
 from .bundles import BundleDescriptor, chi_hrr, to_ch
-from .catalog import CatalogEntry, catalog
-from .chowring import QUINTIC, Hypersurface
-from .expr import Expression, ExpressionError, evaluate, parse, to_text, uses_catalog
+from .catalog import CASE_INDICES, CatalogEntry, catalog
+from .chowring import QUINTIC, Hypersurface, require_quintic
+
+if TYPE_CHECKING:
+    from .analysis import CaseReport, ExtensionCase, SplitVerdict
+    from .expr import Expression
 
 __all__ = ["main"]
 
@@ -146,6 +147,8 @@ def render_table(cases: tuple[ExtensionCase, ...], fmt: str) -> str:
 
 
 def _verdict_text(verdict: SplitVerdict) -> str:
+    from . import analysis
+
     a, b = verdict.pair_key
     head = f"{{{_pair_text(a)}, {_pair_text(b)}}}: {verdict.filter}"
     d = verdict.details
@@ -234,6 +237,8 @@ def render_catalog(entries: tuple[CatalogEntry, ...], fmt: str) -> str:
 def render_eval(
     expression: Expression, query: str, result: BundleDescriptor, X: Hypersurface, fmt: str
 ) -> str:
+    from .expr import to_text
+
     if query == "chern":
         fields = {"rank": result.rank, "c1": result.c1, "c2": result.c2, "c3": result.c3}
         text = f"rank {result.rank}, c = ({result.c1},{result.c2},{result.c3})"
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", parents=[common], help="the seven extension cases")
     p_analyze = sub.add_parser("analyze", parents=[common], help="splitting-exclusion reports")
     scope = p_analyze.add_mutually_exclusive_group()
-    scope.add_argument("--case", type=int, choices=analysis.CASE_INDICES, metavar="N")
+    scope.add_argument("--case", type=int, choices=CASE_INDICES, metavar="N")
     scope.add_argument("--all", action="store_true")
     p_analyze.add_argument(
         "--verbose", action="store_true", help="include Chern-rejected candidate pairs"
@@ -306,26 +311,31 @@ def main(argv: list[str] | None = None) -> int:
     try:
         X = Hypersurface(args.degree)
         if args.command in QUINTIC_ONLY:
-            analysis.require_quintic(X, QUINTIC_ONLY[args.command])
+            require_quintic(X, QUINTIC_ONLY[args.command])
+        # Each subcommand imports only the layers it uses.
         if args.command == "eval":
+            from .expr import ExpressionError, evaluate, parse, uses_catalog
+
             try:
                 expression = parse(args.expr)
             except ExpressionError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             if args.query != "rank" and uses_catalog(expression):
-                analysis.require_quintic(X, "cat() in a chi, chern or ch query")
+                require_quintic(X, "cat() in a chi, chern or ch query")
             print(render_eval(expression, args.query, evaluate(expression, X), X, args.format))
             return 0
+        if args.command == "catalog":
+            print(render_catalog(catalog(), args.format))
+            return 0
+        from . import analysis
+
         if args.command == "table":
             print(render_table(analysis.extension_cases(), args.format))
             return 0
-        if args.command == "analyze":
-            indices = analysis.CASE_INDICES if args.case is None else [args.case]
-            reports = [analysis.analyze_case(i) for i in indices]
-            print(render_reports(reports, args.format, args.verbose))
-            return 0
-        print(render_catalog(catalog(), args.format))
+        indices = CASE_INDICES if args.case is None else [args.case]
+        reports = [analysis.analyze_case(i) for i in indices]
+        print(render_reports(reports, args.format, args.verbose))
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

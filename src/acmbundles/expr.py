@@ -17,17 +17,17 @@ rejected, and cat() must name a catalog pair).  Neither the parsed tree nor
 the nesting of parentheses may be deeper than MAX_DEPTH, so that printing and
 evaluating a tree stay within the interpreter's recursion limit, and an integer
 literal may have at most MAX_DIGITS digits.  Errors carry a 1-based column.
+The tree nodes are immutable value classes, not dataclasses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
 from .catalog import lookup
-from .chowring import Hypersurface
+from .chowring import Hypersurface, _Record
 
 __all__ = [
     "Expression",
@@ -57,48 +57,40 @@ class ExpressionError(ValueError):
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
-        self.message = message
         self.column = column
 
 
-@dataclass(frozen=True)
-class BundleLit:
+class BundleLit(_Record):
     rank: int
     c1: int
     c2: int
     c3: int = 0
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class LineBundle(_Record):
     n: int
 
 
-@dataclass(frozen=True)
-class CatRef:
+class CatRef(_Record):
     c1: int
     c2: int
 
 
-@dataclass(frozen=True)
-class Dual:
+class Dual(_Record):
     inner: "Expression"
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(_Record):
     inner: "Expression"
     n: int
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(_Record):
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_Record):
     left: "Expression"
     right: "Expression"
 

@@ -8,7 +8,6 @@ quintic, which the library now computes through the kernel.  The tests
 compare the kernel against these formulas.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -68,7 +67,8 @@ def twist(r, E, n):
     if n == 0:
         return E
     bare = from_ch(r, mul(r, to_ch(r, E), exp_h(r, n)))
-    return replace(bare, b=None if E.b is None else E.b + n, acm=E.acm)
+    b = None if E.b is None else E.b + n
+    return BundleDescriptor(bare.rank, bare.c1, bare.c2, bare.c3, b=b, acm=E.acm)
 
 
 def tensor(r, E, F):

@@ -1,0 +1,156 @@
+"""The record classes behave as the frozen dataclasses they replaced.
+
+Each record is compared with a frozen dataclass twin built here with the same
+name, fields and defaults: the same arguments must give the same repr and
+hash, and the record must equal only records of its own class.
+"""
+
+import pickle
+from dataclasses import FrozenInstanceError, field, make_dataclass
+
+import pytest
+
+from acmbundles import BundleDescriptor, Hypersurface, analyze_case, extension_cases, lookup
+from acmbundles.analysis import CaseReport, ExtensionCase, SplitVerdict
+from acmbundles.catalog import CatalogEntry
+from acmbundles.expr import BundleLit, CatRef, Dual, LineBundle, Sum, Tensor, Twist
+
+REQUIRED = object()
+
+
+def values(record, names):
+    return tuple(getattr(record, name) for name in names)
+
+
+_ENTRY = lookup(1, 8)
+_CASE = extension_cases()[0]
+_REPORT = analyze_case(1)
+_VERDICT = _REPORT.verdicts[0]
+_CASE_FIELDS = ("index", "F", "E", "m", "chi_tensor", "d_lower", "F_twisted", "G")
+_ENTRY_FIELDS = ("c1", "c2", "family", "exists_on_general", "chi", "h0", "stable")
+
+# (class, ((field, default or REQUIRED), ...), example arguments, hashable)
+SPECS = [
+    (Hypersurface, (("r", 5),), (3,), True),
+    (
+        BundleDescriptor,
+        (("rank", REQUIRED), ("c1", REQUIRED), ("c2", 0), ("c3", 0), ("b", None), ("acm", False)),
+        (2, 1, 8, 0, 0, True),
+        True,
+    ),
+    (
+        CatalogEntry,
+        tuple((name, REQUIRED) for name in _ENTRY_FIELDS),
+        values(_ENTRY, _ENTRY_FIELDS),
+        True,
+    ),
+    (
+        ExtensionCase,
+        tuple((name, REQUIRED) for name in _CASE_FIELDS),
+        values(_CASE, _CASE_FIELDS),
+        True,
+    ),
+    (
+        SplitVerdict,
+        (("pair", REQUIRED), ("sum_chern", REQUIRED), ("filter", REQUIRED), ("details", REQUIRED)),
+        values(_VERDICT, ("pair", "sum_chern", "filter", "details")),
+        False,
+    ),
+    (
+        CaseReport,
+        (("case", REQUIRED), ("rank1_hypothesis_ok", REQUIRED), ("verdicts", REQUIRED),
+         ("rejected", REQUIRED), ("conclusion", REQUIRED), ("notes", ())),
+        values(_REPORT, ("case", "rank1_hypothesis_ok", "verdicts", "rejected", "conclusion", "notes")),
+        False,
+    ),
+    (BundleLit, (("rank", REQUIRED), ("c1", REQUIRED), ("c2", REQUIRED), ("c3", 0)), (2, 1, 8, 0), True),
+    (LineBundle, (("n", REQUIRED),), (-3,), True),
+    (CatRef, (("c1", REQUIRED), ("c2", REQUIRED)), (1, 8), True),
+    (Dual, (("inner", REQUIRED),), (LineBundle(2),), True),
+    (Twist, (("inner", REQUIRED), ("n", REQUIRED)), (CatRef(0, 3), -1), True),
+    (Tensor, (("left", REQUIRED), ("right", REQUIRED)), (LineBundle(1), CatRef(1, 8)), True),
+    (Sum, (("left", REQUIRED), ("right", REQUIRED)), (LineBundle(1), CatRef(1, 8)), True),
+]
+IDS = [cls.__name__ for cls, *_ in SPECS]
+
+
+def twin(cls, fields):
+    return make_dataclass(
+        cls.__name__,
+        [(name, object) if default is REQUIRED else (name, object, field(default=default))
+         for name, default in fields],
+        frozen=True,
+    )
+
+
+@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS)
+def test_a_record_matches_its_frozen_dataclass_twin(cls, fields, args, hashable):
+    names = [name for name, _ in fields]
+    Twin = twin(cls, fields)
+    record, copy, other = cls(*args), Twin(*args), Twin(*args)
+    assert repr(record) == repr(copy)
+    assert record == cls(*args) == cls(**dict(zip(names, args)))
+    assert copy == other  # the twin is a dataclass of the same shape
+    assert record != copy and copy != record
+    assert record != args
+    if hashable:
+        assert hash(record) == hash(copy) == hash(cls(*args))
+    else:
+        for value in (record, copy):
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(value)
+
+
+@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS)
+def test_a_record_builds_from_its_required_fields_with_the_twin_defaults(cls, fields, args, hashable):
+    required = [value for (_, default), value in zip(fields, args) if default is REQUIRED]
+    assert repr(cls(*required)) == repr(twin(cls, fields)(*required))
+    with pytest.raises(TypeError):
+        cls(*args, "one too many")
+    with pytest.raises(TypeError):
+        cls(*args, **{fields[0][0]: args[0]})
+
+
+@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS)
+def test_a_record_is_frozen_and_pickles(cls, fields, args, hashable):
+    record = cls(*args)
+    for name in [name for name, _ in fields] + ["extra"]:
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert repr(record) == repr(cls(*args))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is cls and back == record and repr(back) == repr(record)
+
+
+def test_records_of_different_classes_with_equal_fields_differ():
+    a, b = LineBundle(1), CatRef(1, 8)
+    assert Sum(a, b) != Tensor(a, b)
+    assert Sum(a, b) == Sum(LineBundle(1), CatRef(1, 8))
+    assert BundleDescriptor(2, 1, 8) != (2, 1, 8, 0, None, False)
+    assert LineBundle(3) != Hypersurface(3)
+    assert len({Sum(a, b), Tensor(a, b), Sum(a, b)}) == 2
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BundleDescriptor(2.0, 1), "rank must be an integer, got 2.0"),
+        (lambda: BundleDescriptor(2, True), "c1 must be an integer, got True"),
+        (lambda: BundleDescriptor(2, 1, "8"), "c2 must be an integer, got '8'"),
+        (lambda: BundleDescriptor(0, 1), "rank must be positive, got 0"),
+        (lambda: BundleDescriptor(1, 1, 2), "a rank-1 bundle has c2 = c3 = 0"),
+        (lambda: BundleDescriptor(2, 1, 8, 1), "a rank-2 bundle has c3 = 0"),
+        (lambda: BundleDescriptor(2, 1, 8, b=0.5), "b must be an integer or None, got 0.5"),
+        (lambda: BundleDescriptor(2, 1, 8, b=False), "b must be an integer or None, got False"),
+        (lambda: Hypersurface(0), "degree must be a positive integer, got 0"),
+        (lambda: Hypersurface(True), "degree must be a positive integer, got True"),
+        (lambda: Hypersurface("5"), "degree must be a positive integer, got '5'"),
+    ],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

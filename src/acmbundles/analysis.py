@@ -26,9 +26,10 @@ classes, not dataclasses.
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
 normalized catalog entries whose c1 values add up to c1(G).  The pairs of a
-pool are built once, each with its ``direct_sum`` (the Whitney sum), and
-grouped by c1 sum; the catalog's table is built on first use.  Each candidate
-is disposed of by the first applicable filter:
+pool are built once, grouped by c1 sum, each with its ``direct_sum`` (the
+Whitney sum), c1 values and chi sum; the catalog's table is built on first
+use, and F(m) is twisted once per (entry, m) in a bounded cache.  Each
+candidate is disposed of by the first applicable filter:
 
 * ``chern-mismatch``  — the direct sum's c2 misses c2(G);
 * ``trivial-split``   — the pair is exactly {F(m), E}, which a nontrivial
@@ -53,7 +54,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, tensor, twist
-from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, catalog, lookup
+from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog, lookup
 from .chowring import QUINTIC, UnsupportedDegreeError, _Record, require_quintic
 
 __all__ = [
@@ -154,7 +155,7 @@ def build_case(
     """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0."""
     if m > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
-    Fm = twist(F.descriptor(), m, QUINTIC)
+    Fm = _twisted(F.c1, F.c2, m)
     chi_t = _exact_int(chi_hrr(tensor(Fm, dual(E.descriptor()), QUINTIC), QUINTIC), "chi")
     G = direct_sum(Fm, E.descriptor(), QUINTIC)
     return ExtensionCase(
@@ -167,6 +168,12 @@ def build_case(
         F_twisted=Fm,
         G=G,
     )
+
+
+@lru_cache(maxsize=64, typed=True)
+def _twisted(c1: int, c2: int, m: int) -> BundleDescriptor:
+    # F(m) for F = (c1, c2): the sweep's 56 fit; any other m evicts, never grows it.
+    return twist(_descriptor(c1, c2), m, QUINTIC)
 
 
 def _entry(pair: tuple[int, int]) -> CatalogEntry:
@@ -205,11 +212,13 @@ def _h0_report(entry: CatalogEntry, n: int) -> tuple[int | None, bool]:
     return entry.h0, entry.c1 == 0
 
 
-_PairTable = dict[int, list[tuple[CatalogEntry, CatalogEntry, BundleDescriptor]]]
+# A pool's pair: (P, Q), its key, the Chern classes of the Whitney sum P + Q and
+# again its c2 and c3, {c1(P), c1(Q)} and chi(P) + chi(Q).
+_PairTable = dict[int, list[tuple]]
 
 
 def _pairs(entries: tuple[CatalogEntry, ...]) -> _PairTable:
-    """Unordered pairs (P, Q, P + Q) of ``entries`` by c1 sum, in ``pair_key`` order.
+    """Unordered pairs of ``entries`` by c1 sum, in ``pair_key`` order, with their static facts.
 
     Sorting the pool gives P.pair <= Q.pair; sorting the pairs matters only
     when the pool repeats a (c1, c2).
@@ -218,7 +227,9 @@ def _pairs(entries: tuple[CatalogEntry, ...]) -> _PairTable:
     table: _PairTable = {}
     for P, Q in sorted(combinations_with_replacement(pool, 2), key=lambda pq: [e.pair for e in pq]):
         S = direct_sum(P.descriptor(), Q.descriptor(), QUINTIC)
-        table.setdefault(S.c1, []).append((P, Q, S))
+        table.setdefault(S.c1, []).append(
+            ((P, Q), (P.pair, Q.pair), S.chern_tuple(), S.c2, S.c3, frozenset((P.c1, Q.c1)), P.chi + Q.chi)
+        )
     return table
 
 
@@ -237,6 +248,7 @@ def _classify(
     the table's ``pair_key`` order, whatever the order of the pool.
     """
     G = case.G
+    c2_target, c3_target = G.c2, G.c3
     Fm = case.F_twisted
     f_pair, e_pair = (Fm.c1, Fm.c2), case.E.pair
     trivial_key = (min(f_pair, e_pair), max(f_pair, e_pair))
@@ -248,21 +260,23 @@ def _classify(
     rejected: list[SplitVerdict] = []
     used_convention = False
 
-    for P, Q, S in pairs.get(G.c1, ()):
+    for pair, key, sum_chern, c2_sum, c3_sum, c1s, chi_sum in pairs.get(G.c1, ()):
         details = {
-            "c2_sum": S.c2,
-            "c2_target": G.c2,
-            "c3_sum": S.c3,
-            "c3_target": G.c3,
-            "chi_sum": P.chi + Q.chi,
+            "c2_sum": c2_sum,
+            "c2_target": c2_target,
+            "c3_sum": c3_sum,
+            "c3_target": c3_target,
+            "chi_sum": chi_sum,
             "chi_target": chi_target,
         }
-        if S.c2 != G.c2:
-            kind = FILTER_CHERN_MISMATCH
-            details["c1_disjoint"] = not ({P.c1, Q.c1} & target_c1s)
-        elif (P.pair, Q.pair) == trivial_key:
+        if c2_sum != c2_target:
+            details["c1_disjoint"] = c1s.isdisjoint(target_c1s)
+            rejected.append(SplitVerdict(pair, sum_chern, FILTER_CHERN_MISMATCH, details))
+            continue
+        if key == trivial_key:
             kind = FILTER_TRIVIAL_SPLIT
         else:
+            P, Q = pair
             h0_P, conv_p = _h0_report(P, 0)
             h0_Q, conv_q = _h0_report(Q, 0)
             used_convention = used_convention or conv_f or conv_e or conv_p or conv_q
@@ -276,8 +290,7 @@ def _classify(
                     kind = FILTER_H0_MISMATCH
                 else:
                     details["reason"] = "all numeric filters agree"
-        verdict = SplitVerdict(pair=(P, Q), sum_chern=S.chern_tuple(), filter=kind, details=details)
-        (rejected if kind == FILTER_CHERN_MISMATCH else survivors).append(verdict)
+        survivors.append(SplitVerdict(pair, sum_chern, kind, details))
 
     return survivors, rejected, used_convention
 

@@ -10,6 +10,10 @@ result is forced (twists shift b, duals of rank <= 2 bundles shift it through
 self-duality, direct sums take the maximum) and drops them otherwise rather
 than guessing.  Descriptors are immutable value classes, not dataclasses.
 
+Only the public constructor and ``from_ch`` validate.  ``dual``, ``direct_sum``
+and the last step of ``twist`` skip it: negation, Whitney sums (rank >= 2;
+c3 = 0 for two line bundles) and re-flagging keep valid descriptors valid.
+
 Conversion between Chern classes and the Chern character uses the Newton
 identities truncated at codimension three; on this ring
 
@@ -87,6 +91,13 @@ class BundleDescriptor(_Record):
         return ChowClass(1, self.c1, self.c2, self.c3)
 
 
+def _closed(rank: int, c1: int, c2: int, c3: int, b: int | None, acm: bool) -> BundleDescriptor:
+    # Unvalidated: only for results of operations closed on valid descriptors.
+    E = object.__new__(BundleDescriptor)
+    E.__dict__.update(rank=rank, c1=c1, c2=c2, c3=c3, b=b, acm=acm)
+    return E
+
+
 def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
     """Chern character ch0 + ch1 H + ch2 ell + ch3 pt of E (Newton identities)."""
     r, c1, c2, c3 = X.r, E.c1, E.c2, E.c3
@@ -97,6 +108,8 @@ def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
 
 def _exact_int(num: Rational, what: str, den: int = 1) -> int:
     """The integer num/den; a non-integral value is no bundle invariant."""
+    if isinstance(num, Fraction):
+        num, den = num.numerator, num.denominator * den
     if num % den:
         raise NotBundleClassError(f"{what} is not an integer: {Fraction(num, den)}")
     return num // den
@@ -131,7 +144,7 @@ def dual(E: BundleDescriptor) -> BundleDescriptor:
         b = E.b - E.c1
     else:
         b = None
-    return BundleDescriptor(E.rank, -E.c1, E.c2, -E.c3, b=b, acm=E.acm)
+    return _closed(E.rank, -E.c1, E.c2, -E.c3, b, E.acm)
 
 
 def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
@@ -140,7 +153,7 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
         return E
     bare = from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
     b = None if E.b is None else E.b + n
-    return BundleDescriptor(bare.rank, bare.c1, bare.c2, bare.c3, b=b, acm=E.acm)
+    return _closed(bare.rank, bare.c1, bare.c2, bare.c3, b, E.acm)
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
@@ -159,13 +172,13 @@ def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Bun
         b = None
     else:
         b = max(E.b, F.b)
-    return BundleDescriptor(
+    return _closed(
         E.rank + F.rank,
         E.c1 + F.c1,
         E.c2 + F.c2 + r * E.c1 * F.c1,
         E.c3 + F.c3 + E.c1 * F.c2 + E.c2 * F.c1,
-        b=b,
-        acm=E.acm and F.acm,
+        b,
+        E.acm and F.acm,
     )
 
 

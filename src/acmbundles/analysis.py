@@ -27,17 +27,18 @@ The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
 normalized catalog entries whose c1 values add up to c1(G).  The pairs of a
 pool are built once, grouped by c1 sum, each with its ``direct_sum`` (the
-Whitney sum), c1 values and chi sum; the catalog's table is built on first
-use, and F(m) is twisted once per (entry, m) in a bounded cache.  Each
+Whitney sum), c1 values, chi sum, the h0 of both entries and whether either
+has c1 = 0 (the section-count convention flag); the catalog's table is built
+on first use, and F(m) is twisted once per (entry, m) in a bounded cache.  Each
 candidate is disposed of by the first applicable filter:
 
 * ``chern-mismatch``  — the direct sum's c2 misses c2(G);
 * ``trivial-split``   — the pair is exactly {F(m), E}, which a nontrivial
   extension class rules out;
 * ``h0-mismatch``     — section counts differ: an extension of ACM bundles
-  has h0(G) = h0(F(m)) + h0(E), while a sum has h0(G1) + h0(G2).  Each count
-  is of a normalized entry twisted by n <= 0, so it is read from the catalog:
-  the entry's ``h0`` at n = 0, zero below;
+  has h0(G) = h0(F(m)) + h0(E), while a sum has h0(G1) + h0(G2).  Every count
+  is the catalog's ``h0`` (each entry is normalized, so F(m) has none for
+  m < 0); the pair's two counts come with its row of the pair table;
 * ``undecided``       — no numeric filter applies (never happens in the
   seven table cases).
 
@@ -54,7 +55,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, tensor, twist
-from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog, lookup
+from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog
 from .chowring import QUINTIC, UnsupportedDegreeError, _Record, require_quintic
 
 __all__ = [
@@ -176,17 +177,12 @@ def _twisted(c1: int, c2: int, m: int) -> BundleDescriptor:
     return twist(_descriptor(c1, c2), m, QUINTIC)
 
 
-def _entry(pair: tuple[int, int]) -> CatalogEntry:
-    entry = lookup(*pair)
-    assert entry is not None, pair
-    return entry
-
-
 @lru_cache(maxsize=1)
 def extension_cases() -> tuple[ExtensionCase, ...]:
     """The seven extension cases, with chi computed through Riemann-Roch."""
+    by_pair = {entry.pair: entry for entry in catalog()}
     return tuple(
-        build_case(_entry(f), _entry(e), m, index=i)
+        build_case(by_pair[f], by_pair[e], m, index=i)
         for i, (f, e, m) in enumerate(_TABLE_ROWS, start=1)
     )
 
@@ -204,16 +200,9 @@ def ext1_lower_bound(case: ExtensionCase) -> int:
     return case.d_lower
 
 
-def _h0_report(entry: CatalogEntry, n: int) -> tuple[int | None, bool]:
-    # Sections of entry(n) for n <= 0, as the catalog counted them; second
-    # component: whether the c1 = 0 section-count convention was used.
-    if n < 0:
-        return 0, False
-    return entry.h0, entry.c1 == 0
-
-
 # A pool's pair: (P, Q), its key, the Chern classes of the Whitney sum P + Q and
-# again its c2 and c3, {c1(P), c1(Q)} and chi(P) + chi(Q).
+# again its c2 and c3, {c1(P), c1(Q)}, chi(P) + chi(Q), (h0(P), h0(Q)) and
+# whether either entry has c1 = 0, so that its h0 rests on the c1 = 0 convention.
 _PairTable = dict[int, list[tuple]]
 
 
@@ -228,7 +217,8 @@ def _pairs(entries: tuple[CatalogEntry, ...]) -> _PairTable:
     for P, Q in sorted(combinations_with_replacement(pool, 2), key=lambda pq: [e.pair for e in pq]):
         S = direct_sum(P.descriptor(), Q.descriptor(), QUINTIC)
         table.setdefault(S.c1, []).append(
-            ((P, Q), (P.pair, Q.pair), S.chern_tuple(), S.c2, S.c3, frozenset((P.c1, Q.c1)), P.chi + Q.chi)
+            ((P, Q), (P.pair, Q.pair), S.chern_tuple(), S.c2, S.c3, frozenset((P.c1, Q.c1)),
+             P.chi + Q.chi, (P.h0, Q.h0), 0 in (P.c1, Q.c1))
         )
     return table
 
@@ -254,13 +244,14 @@ def _classify(
     trivial_key = (min(f_pair, e_pair), max(f_pair, e_pair))
     target_c1s = {Fm.c1, case.E.c1}
     chi_target = _exact_int(chi_hrr(G, QUINTIC), "chi")
-    (h0_Fm, conv_f), (h0_E, conv_e) = _h0_report(case.F, case.m), _h0_report(case.E, 0)
+    h0_Fm, h0_E = case.F.h0 if case.m == 0 else 0, case.E.h0
+    case_convention = (case.m == 0 and case.F.c1 == 0) or case.E.c1 == 0
 
     survivors: list[SplitVerdict] = []
     rejected: list[SplitVerdict] = []
     used_convention = False
 
-    for pair, key, sum_chern, c2_sum, c3_sum, c1s, chi_sum in pairs.get(G.c1, ()):
+    for pair, key, sum_chern, c2_sum, c3_sum, c1s, chi_sum, h0s, pair_convention in pairs.get(G.c1, ()):
         details = {
             "c2_sum": c2_sum,
             "c2_target": c2_target,
@@ -276,16 +267,13 @@ def _classify(
         if key == trivial_key:
             kind = FILTER_TRIVIAL_SPLIT
         else:
-            P, Q = pair
-            h0_P, conv_p = _h0_report(P, 0)
-            h0_Q, conv_q = _h0_report(Q, 0)
-            used_convention = used_convention or conv_f or conv_e or conv_p or conv_q
-            details |= {"h0_F_m": h0_Fm, "h0_E": h0_E, "h0_pair": [h0_P, h0_Q]}
+            used_convention = used_convention or case_convention or pair_convention
+            details |= {"h0_F_m": h0_Fm, "h0_E": h0_E, "h0_pair": list(h0s)}
             kind = FILTER_UNDECIDED
-            if None in (h0_Fm, h0_E, h0_P, h0_Q):
+            if None in (h0_Fm, h0_E, *h0s):
                 details["reason"] = "h0 undetermined"
             else:
-                details |= {"h0_lhs": h0_Fm + h0_E, "h0_rhs": h0_P + h0_Q}
+                details |= {"h0_lhs": h0_Fm + h0_E, "h0_rhs": sum(h0s)}
                 if details["h0_lhs"] != details["h0_rhs"]:
                     kind = FILTER_H0_MISMATCH
                 else:

@@ -12,8 +12,9 @@ this basis the degree of a codimension-two class (its intersection with H) is
 literally its ell-coefficient, which keeps all the bundle invariants used
 elsewhere in this package integral.
 
-The ring operations are methods of Hypersurface; QUINTIC is X_5, the one
-degree the rank-2 catalog lives on.
+The ring operations are methods of Hypersurface; QUINTIC is X_5 (the field
+default), the one degree the rank-2 catalog lives on.  ``todd`` is memoised
+in a dict keyed by the integer degree r, so chi never hashes a Hypersurface.
 
 All coefficients are exact rationals; floats are rejected, as equality tests
 must be exact.  A ChowClass keeps four integer numerators over one positive
@@ -29,8 +30,7 @@ not apply.  ``require_quintic`` guards everything that needs the quintic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 __all__ = [
     "ChowClass",
@@ -202,12 +202,8 @@ def integrate(x: ChowClass) -> Fraction:
     return Fraction(x.scaled[4], x.scaled[0])
 
 
-@lru_cache(maxsize=None)
-def _tangent_h_coefficients(r: int) -> tuple[int, int, int, int]:
-    # Coefficients of (1+H)^5 / (1+rH) in powers of H, truncated at H^3.
-    return tuple(
-        sum(comb(5, k - j) * (-r) ** j for j in range(k + 1)) for k in range(4)
-    )
+# The Todd class of X_r for each degree r that has asked for it.
+_TODD: dict[int, ChowClass] = {}
 
 
 class Hypersurface(_Record):
@@ -240,18 +236,19 @@ class Hypersurface(_Record):
         return _over(6, 6, 6 * n, 3 * self.r * n * n, self.r * n**3)
 
     def tangent_chern(self) -> ChowClass:
-        """Total Chern class of the tangent bundle T_X, via (1+H)^5/(1+rH)."""
-        c0, c1, c2, c3 = _tangent_h_coefficients(self.r)
-        return _over(1, c0, c1, self.r * c2, self.r * c3)
+        """Total Chern class of the tangent bundle T_X: (1+H)^5/(1+rH) up to H^3."""
+        r = self.r
+        return _over(1, 1, 5 - r, r * (10 - 5 * r + r * r), r * (10 - 10 * r + 5 * r * r - r**3))
 
-    @lru_cache(maxsize=None)
     def todd(self) -> ChowClass:
-        """Todd class 1 + c1/2 + (c1^2 + c2)/12 + c1*c2/24 of T_X, cached per degree."""
-        _, _, c1, c2, _ = self.tangent_chern().scaled
-        return _over(24, 24, 12 * c1, 2 * (self.r * c1 * c1 + c2), c1 * c2)
+        """Todd class 1 + c1/2 + (c1^2 + c2)/12 + c1*c2/24 of T_X, memoised per degree r."""
+        if self.r not in _TODD:
+            _, _, c1, c2, _ = self.tangent_chern().scaled
+            _TODD[self.r] = _over(24, 24, 12 * c1, 2 * (self.r * c1 * c1 + c2), c1 * c2)
+        return _TODD[self.r]
 
 
-QUINTIC = Hypersurface(5)
+QUINTIC = Hypersurface()
 
 
 class UnsupportedDegreeError(ValueError):

@@ -12,12 +12,14 @@ Grammar (whitespace insensitive, integers may be negative):
            | "cat(" int "," int ")"        catalog reference
            | "(" expr ")"
 
-Bundle literals are validated while parsing (a rank-2 literal with c3 != 0 is
-rejected, and cat() must name a catalog pair).  Neither the parsed tree nor
-the nesting of parentheses may be deeper than MAX_DEPTH, so that printing and
-evaluating a tree stay within the interpreter's recursion limit, and an integer
-literal may have at most MAX_DIGITS digits.  Errors carry a 1-based column.
-The tree nodes are immutable value classes, not dataclasses.
+o, cat and bundle read their integers through one argument reader, checked
+against one arity table.  Bundle literals are validated while parsing (a
+rank-2 literal with c3 != 0 is rejected, and cat() must name a catalog pair).
+Neither the parsed tree nor the nesting of parentheses may be deeper than
+MAX_DEPTH, so that printing and evaluating a tree stay within the
+interpreter's recursion limit, and an integer literal may have at most
+MAX_DIGITS digits.  Errors carry a 1-based column.  The tree nodes are
+immutable value classes, not dataclasses.
 """
 
 from __future__ import annotations
@@ -122,20 +124,23 @@ def _tokenize(text: str) -> list[Token]:
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
-        if match.lastgroup == "name":
-            tokens.append(Token("name", match.group(), pos + 1))
-        elif match.lastgroup == "int":
-            tokens.append(Token("int", match.group(), pos + 1))
-        elif match.lastgroup == "pp":
-            tokens.append(Token("++", "++", pos + 1))
-        elif match.lastgroup == "sym":
-            tokens.append(Token(match.group(), match.group(), pos + 1))
+        group, lexeme = match.lastgroup, match.group()
+        if group != "space":
+            # A name or an integer is its group; an operator is its own text.
+            tokens.append(Token(group if group in ("name", "int") else lexeme, lexeme, pos + 1))
         pos = match.end()
     tokens.append(Token("end", "", len(text) + 1))
     return tokens
 
 
 Parsed = tuple[Expression, int]  # a tree and its height
+
+# Constructor name -> (fewest, most) integer arguments and how to name them.
+_ARITY = {
+    "o": (1, 1, "n"),
+    "cat": (2, 2, "c1 and c2"),
+    "bundle": (3, 4, "rank, c1, c2 and optional c3"),
+}
 
 
 class _Parser:
@@ -203,8 +208,9 @@ class _Parser:
         return node, height
 
     def group(self, token: Token) -> Parsed:
-        # Bounds the parser's own recursion, which the tree height cannot:
-        # it is only known once the group has been parsed.
+        # "(" expr ")", opened by ``token``.  Bounds the parser's own recursion,
+        # which the tree height cannot: it is only known once the group is parsed.
+        self.expect("(")
         self.open_groups = self.bounded(self.open_groups + 1, token)
         parsed = self.sum()
         self.expect(")")
@@ -214,55 +220,43 @@ class _Parser:
     def atom(self) -> Parsed:
         token = self.peek()
         if token.kind == "(":
-            self.advance()
             return self.group(token)
         if token.kind == "name":
             self.advance()
-            if token.text == "bundle":
-                return self.bundle_literal(token.column), 1
-            if token.text == "o":
-                self.expect("(")
-                n = self.int_value()
-                self.expect(")")
-                return LineBundle(n), 1
             if token.text == "dual":
-                self.expect("(")
                 inner, height = self.group(token)
                 return Dual(inner), self.bounded(height + 1, token)
+            if token.text not in _ARITY:
+                raise ExpressionError(f"unknown name {token.text!r}", token.column)
+            values = self.arguments(token)
+            if token.text == "o":
+                return LineBundle(*values), 1
             if token.text == "cat":
-                self.expect("(")
-                c1 = self.int_value()
-                self.expect(",")
-                c2 = self.int_value()
-                self.expect(")")
-                if lookup(c1, c2) is None:
-                    raise ExpressionError(
-                        f"unknown catalog pair ({c1},{c2})", token.column
-                    )
-                return CatRef(c1, c2), 1
-            raise ExpressionError(f"unknown name {token.text!r}", token.column)
+                if lookup(*values) is None:
+                    message = f"unknown catalog pair ({values[0]},{values[1]})"
+                    raise ExpressionError(message, token.column)
+                return CatRef(*values), 1
+            try:
+                BundleDescriptor(*values)
+            except ValueError as exc:
+                raise ExpressionError(f"invalid bundle literal: {exc}", token.column) from exc
+            return BundleLit(*values), 1
         shown = token.text or "end of input"
         raise ExpressionError(f"expected an expression, found {shown!r}", token.column)
 
-    def bundle_literal(self, column: int) -> BundleLit:
+    def arguments(self, name: Token) -> list[int]:
+        """The list "(" int {"," int} ")" after a constructor, checked against its arity."""
+        fewest, most, takes = _ARITY[name.text]
         self.expect("(")
         values = [self.int_value()]
         while self.peek().kind == ",":
             self.advance()
             values.append(self.int_value())
         self.expect(")")
-        if len(values) not in (3, 4):
-            raise ExpressionError(
-                f"bundle() takes rank, c1, c2 and optional c3; got {len(values)} values",
-                column,
-            )
-        rank, c1, c2 = values[:3]
-        c3 = values[3] if len(values) == 4 else 0
-        try:
-            BundleDescriptor(rank, c1, c2, c3)
-        except ValueError as exc:
-            raise ExpressionError(f"invalid bundle literal: {exc}", column) from exc
-        return BundleLit(rank, c1, c2, c3)
+        if not fewest <= len(values) <= most:
+            message = f"{name.text}() takes {takes}; got {len(values)} values"
+            raise ExpressionError(message, name.column)
+        return values
 
 
 def parse(text: str) -> Expression:

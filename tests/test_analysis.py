@@ -186,6 +186,16 @@ def test_h0_exclusions_are_convention_independent():
 def test_notes_flag_the_h0_convention_where_it_is_used():
     noted = {i for i in range(1, 8) if analyze_case(i).notes}
     assert noted == {2, 3, 5}
+    # Over the sweep: noted exactly when an h0 comparison read the count of
+    # a c1 = 0 entry at twist 0 (E, F when m = 0, or either entry of the pair).
+    for F, E, m in _sweep():
+        report = analyze_extension(F, E, m)
+        compared = [v for v in report.verdicts if v.filter != FILTER_TRIVIAL_SPLIT]
+        read = [E, F] if m == 0 else [E]
+        uses = bool(compared) and any(
+            entry.c1 == 0 for entry in read + [p for v in compared for p in v.pair]
+        )
+        assert bool(report.notes) == uses, (F.pair, E.pair, m)
 
 
 def _sweep():

@@ -1,7 +1,7 @@
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -90,6 +90,17 @@ def test_todd_degree_one_is_p3():
 @pytest.mark.parametrize("r, chi", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 0), (6, -4)])
 def test_integrated_todd_is_chi_of_structure_sheaf(r, chi):
     assert integrate(Hypersurface(r).todd()) == chi
+
+
+def test_tangent_chern_and_todd_for_every_degree_up_to_50():
+    for r in range(1, 51):
+        # (1+H)^5/(1+rH) by series division: c_k = C(5,k) - r*c_(k-1).
+        c = [1]
+        for k in range(1, 4):
+            c.append(comb(5, k) - r * c[-1])
+        X = Hypersurface(r)
+        assert X.tangent_chern() == ChowClass(c[0], c[1], r * c[2], r * c[3]), r
+        assert X.todd().coefficients() == oracles.todd(r), r
 
 
 @given(chow_classes(), chow_classes(), hypersurfaces())

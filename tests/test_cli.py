@@ -227,6 +227,15 @@ def test_eval_parse_error_exits_two(capsys):
     assert "c3" in err and "column" in err
 
 
+@pytest.mark.parametrize("text", ["o(1,2)", "cat(1)", "cat(4,30,1)", "bundle(2,1)", "bundle(1,1,0,0,0)"])
+def test_eval_arity_error_exits_two_without_a_traceback(capsys, text):
+    code, out, err = run(capsys, "eval", "chi", text)
+    assert code == 2
+    assert out == ""
+    assert "() takes " in err and "(column 1)" in err
+    assert "Traceback" not in err
+
+
 def test_eval_unknown_catalog_pair_exits_two(capsys):
     code, _, err = run(capsys, "eval", "chi", "cat(3,19)")
     assert code == 2

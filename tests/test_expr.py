@@ -91,6 +91,23 @@ def test_syntax_errors_carry_one_based_columns():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("o(1,2)", "o() takes n; got 2 values"),
+        ("cat(1)", "cat() takes c1 and c2; got 1 values"),
+        ("cat(4,30,1)", "cat() takes c1 and c2; got 3 values"),
+        ("bundle(2,1)", "bundle() takes rank, c1, c2 and optional c3; got 2 values"),
+        ("bundle(1,1,0,0,0)", "bundle() takes rank, c1, c2 and optional c3; got 5 values"),
+    ],
+)
+def test_arity_errors_name_the_arguments_at_the_constructor_column(text, message):
+    with pytest.raises(ExpressionError) as excinfo:
+        parse("o(0) ++ " + text)
+    assert excinfo.value.column == 9
+    assert str(excinfo.value) == f"{message} (column 9)"
+
+
+@pytest.mark.parametrize(
     "shape, column",
     [("nested_duals", 321), ("nested_groups", 65), ("sum_chain", 510), ("twist_chain", 194)],
 )

@@ -24,6 +24,7 @@ from acmbundles import (
     QUINTIC,
     BundleDescriptor,
     ChowClass,
+    Hypersurface,
     NotBundleClassError,
     analyze_extension,
     build_case,
@@ -197,3 +198,18 @@ def test_a_catalog_entry_keeps_no_memo():
         assert entry.descriptor() is copy.descriptor()
     with pytest.raises(ValueError, match="c1 must be an integer, got True"):
         CatalogEntry(True, 4, "A", True, 0, 0, False).descriptor()
+
+
+def test_a_sweep_pass_hashes_no_hypersurface(monkeypatch):
+    # The Todd class is memoised by the integer degree, not by the variety.
+    hashed = []
+    original = Hypersurface.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Hypersurface, "__hash__", counting_hash)
+    for F, E, m in _sweep():
+        analyze_extension(F, E, m)
+    assert len(hashed) == 0

@@ -14,12 +14,14 @@ Global options: ``--degree r`` (default 5) and ``--format text|json|tsv``
 the quintic: ``main`` checks their degree once, before dispatch, and the
 analysis functions they call take no degree.  ``eval`` works on any degree,
 except that a chi, chern or ch query on a cat() bundle needs degree 5.
-Results go to stdout, errors to stderr.  Exit codes: 0 on success, 1 on
-domain errors (e.g. any of those degree checks failing), 2 on usage or
-parse errors.
+Results go to stdout, from one place in ``main``, errors to stderr.  Exit
+codes: 0 on success, 1 on domain errors (e.g. any of those degree checks
+failing) or a stdout closed before the output is written (stderr stays
+empty), 2 on usage or parse errors.
 
-JSON schemas (rationals serialize as lowest-term "p/q" strings, integers as
-bare numbers):
+Each record's fields are named once, in its JSON form; text and TSV cells
+come from that form through one rule, ``_cell``.  JSON schemas (rationals
+serialize as lowest-term "p/q" strings, integers as bare numbers):
 
 * extension case: {case, F: [c1,c2], E: [c1,c2], m, chi, d_min, G: [c1,c2,c3]}
 * split verdict:  {pair: [[c1,c2],[c1,c2]], sum_chern: [c1,c2,c3], filter, details}
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
@@ -62,8 +65,13 @@ def _rational(q: Fraction | int) -> int | str:
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _pair_text(pair: tuple[int, int]) -> str:
-    return f"({pair[0]},{pair[1]})"
+def _cell(value: Any) -> str:
+    """A JSON value as a text or TSV cell: a list as (a,b,...), a bool as true/false."""
+    if isinstance(value, (list, tuple)):
+        return "(" + ",".join(map(_cell, value)) + ")"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 # ---------------------------------------------------------------- JSON forms
@@ -103,41 +111,27 @@ def report_json(report: CaseReport, verbose: bool = False) -> dict[str, Any]:
     return out
 
 
-_CATALOG_FIELDS = ("c1", "c2", "family", "exists_on_general", "chi", "h0", "stable")
-
-
 def entry_json(entry: CatalogEntry) -> dict[str, Any]:
-    return {name: getattr(entry, name) for name in _CATALOG_FIELDS}
+    return dict(zip(entry._fields, entry._values()))
 
 
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, indent=2)
+def _tsv(header: str, rows: Any) -> str:
+    return "\n".join([header] + ["\t".join(map(_cell, row)) for row in rows])
 
 
 # ----------------------------------------------------------------- renderers
 
 
 def render_table(cases: tuple[ExtensionCase, ...], fmt: str) -> str:
+    records = [case_json(c) for c in cases]
     if fmt == "json":
-        return _dump([case_json(c) for c in cases])
+        return json.dumps(records, indent=2)
     if fmt == "tsv":
-        lines = ["case\tF\tE\tm\tchi\td_min\tG_c1\tG_c2\tG_c3"]
-        for c in cases:
-            g = c.g_chern
-            lines.append(
-                f"{c.index}\t{_pair_text(c.F.pair)}\t{_pair_text(c.E.pair)}"
-                f"\t{c.m}\t{c.chi_tensor}\t{c.d_lower}\t{g[0]}\t{g[1]}\t{g[2]}"
-            )
-        return "\n".join(lines)
-    lines = [
-        f"{'case':<6}{'F':<9}{'E':<8}{'m':>3}  {'chi':>4}  {'d_min':>5}  G (c1,c2,c3)"
-    ]
-    for c in cases:
-        g = c.g_chern
-        lines.append(
-            f"{c.index:<6}{_pair_text(c.F.pair):<9}{_pair_text(c.E.pair):<8}"
-            f"{c.m:>3}  {c.chi_tensor:>4}  {c.d_lower:>5}  ({g[0]},{g[1]},{g[2]})"
-        )
+        rows = [[*head, *g] for *head, g in map(dict.values, records)]
+        return _tsv("case\tF\tE\tm\tchi\td_min\tG_c1\tG_c2\tG_c3", rows)
+    row = "{:<6}{:<9}{:<8}{:>3}  {:>4}  {:>5}  {}".format
+    lines = [row("case", "F", "E", "m", "chi", "d_min", "G (c1,c2,c3)")]
+    lines.extend(row(*map(_cell, record.values())) for record in records)
     lines.append("")
     lines.append(
         "d_min = max(0, -chi) bounds dim Ext^1(E, F(m)) from below; "
@@ -146,92 +140,73 @@ def render_table(cases: tuple[ExtensionCase, ...], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _verdict_text(verdict: SplitVerdict) -> str:
+def _verdict_text(verdict: dict[str, Any]) -> str:
     from . import analysis
 
-    a, b = verdict.pair_key
-    head = f"{{{_pair_text(a)}, {_pair_text(b)}}}: {verdict.filter}"
-    d = verdict.details
-    if verdict.filter == analysis.FILTER_CHERN_MISMATCH:
+    d, kind = verdict["details"], verdict["filter"]
+    if kind == analysis.FILTER_CHERN_MISMATCH:
         where = "disjoint from" if d["c1_disjoint"] else "overlapping"
-        return (
-            f"{head} (c2 sum {d['c2_sum']} != {d['c2_target']}; "
-            f"c1 values {where} those of F(m) and E)"
+        reason = (
+            f"c2 sum {d['c2_sum']} != {d['c2_target']}; "
+            f"c1 values {where} those of F(m) and E"
         )
-    if verdict.filter == analysis.FILTER_TRIVIAL_SPLIT:
-        return f"{head} (equals {{F(m), E}}; a nontrivial extension class forbids it)"
-    if verdict.filter == analysis.FILTER_H0_MISMATCH:
-        return (
-            f"{head} (h0(F(m)) + h0(E) = {d['h0_lhs']} != {d['h0_rhs']}"
-            f" = h0(G1) + h0(G2))"
-        )
-    return f"{head} ({d.get('reason', 'no filter applied')})"
+    elif kind == analysis.FILTER_TRIVIAL_SPLIT:
+        reason = "equals {F(m), E}; a nontrivial extension class forbids it"
+    elif kind == analysis.FILTER_H0_MISMATCH:
+        reason = f"h0(F(m)) + h0(E) = {d['h0_lhs']} != {d['h0_rhs']} = h0(G1) + h0(G2)"
+    else:
+        reason = d.get("reason", "no filter applied")
+    return "{" + ", ".join(map(_cell, verdict["pair"])) + f"}}: {kind} ({reason})"
 
 
 def render_reports(reports: list[CaseReport], fmt: str, verbose: bool) -> str:
+    records = [report_json(r, verbose) for r in reports]
     if fmt == "json":
-        payload: Any = [report_json(r, verbose) for r in reports]
-        if len(payload) == 1:
-            payload = payload[0]
-        return _dump(payload)
+        return json.dumps(records[0] if len(records) == 1 else records, indent=2)
     if fmt == "tsv":
-        lines = ["case\tG1\tG2\tsum_c1\tsum_c2\tsum_c3\tfilter\tconclusion"]
-        for r in reports:
-            idx = r.case.index
-            shown = list(r.verdicts) + (list(r.rejected) if verbose else [])
-            if not shown:
-                lines.append(f"{idx}\t-\t-\t-\t-\t-\tnone\t{r.conclusion}")
-            for v in shown:
-                a, b = v.pair_key
-                s = v.sum_chern
-                lines.append(
-                    f"{idx}\t{_pair_text(a)}\t{_pair_text(b)}"
-                    f"\t{s[0]}\t{s[1]}\t{s[2]}\t{v.filter}\t{r.conclusion}"
-                )
-        return "\n".join(lines)
+        rows = []
+        for record in records:
+            shown = record["verdicts"] + record.get("rejected", [])
+            cells = [[*v["pair"], *v["sum_chern"], v["filter"]] for v in shown]
+            for c in cells or [["-"] * 5 + ["none"]]:
+                rows.append([record["case"]["case"], *c, record["conclusion"]])
+        return _tsv("case\tG1\tG2\tsum_c1\tsum_c2\tsum_c3\tfilter\tconclusion", rows)
     blocks = []
-    for r in reports:
-        c = r.case
-        g = c.g_chern
+    for record in records:
+        (_, index), *fields = record["case"].items()
         lines = [
-            f"case ({c.index}): F={_pair_text(c.F.pair)}, E={_pair_text(c.E.pair)}, "
-            f"m={c.m}, chi={c.chi_tensor}, d_min={c.d_lower}, G=({g[0]},{g[1]},{g[2]})",
+            f"case ({index}): " + ", ".join(f"{name}={_cell(value)}" for name, value in fields),
             "  rank-1 summand hypothesis c1(F) + m > 0: "
-            + ("holds" if r.rank1_hypothesis_ok else "fails"),
-            "  candidate decompositions (Whitney (c1,c2) survivors):",
+            + ("holds" if record["rank1_hypothesis_ok"] else "fails"),
         ]
-        if r.verdicts:
-            lines.extend(f"    {_verdict_text(v)}" for v in r.verdicts)
-        else:
-            lines.append("    (none)")
-        if verbose:
-            lines.append("  chern-rejected pairs:")
-            if r.rejected:
-                lines.extend(f"    {_verdict_text(v)}" for v in r.rejected)
-            else:
-                lines.append("    (none)")
-        for note in r.notes:
-            lines.append(f"  note: {note}")
-        lines.append(f"  conclusion: {r.conclusion}")
+        # "rejected" is in the record only under --verbose.
+        for key, heading in (
+            ("verdicts", "candidate decompositions (Whitney (c1,c2) survivors)"),
+            ("rejected", "chern-rejected pairs"),
+        ):
+            if key in record:
+                lines.append(f"  {heading}:")
+                lines.extend([f"    {_verdict_text(v)}" for v in record[key]] or ["    (none)"])
+        lines.extend(f"  note: {note}" for note in record["notes"])
+        lines.append(f"  conclusion: {record['conclusion']}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 
 
 def render_catalog(entries: tuple[CatalogEntry, ...], fmt: str) -> str:
+    records = [entry_json(e) for e in entries]
     if fmt == "json":
-        return _dump([entry_json(e) for e in entries])
-    rows = []
-    for e in entries:
-        exists = "true" if e.exists_on_general is True else e.exists_on_general
-        h0 = "undetermined" if e.h0 is None else str(e.h0)
-        stable = "true" if e.stable else "false"
-        rows.append((str(e.c1), str(e.c2), e.family, exists, str(e.chi), h0, stable))
-    header = _CATALOG_FIELDS
+        return json.dumps(records, indent=2)
+    rows = [list(CatalogEntry._fields)] + [
+        ["undetermined" if value is None else _cell(value) for value in record.values()]
+        for record in records
+    ]
     if fmt == "tsv":
-        return "\n".join(["\t".join(header)] + ["\t".join(row) for row in rows])
-    widths = [max(len(header[i]), max(len(row[i]) for row in rows)) for i in range(len(header))]
-    fmt_row = lambda row: "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-    return "\n".join([fmt_row(header)] + [fmt_row(row) for row in rows])
+        return _tsv("\t".join(rows[0]), rows[1:])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows
+    )
 
 
 def render_eval(
@@ -241,7 +216,7 @@ def render_eval(
 
     if query == "chern":
         fields = {"rank": result.rank, "c1": result.c1, "c2": result.c2, "c3": result.c3}
-        text = f"rank {result.rank}, c = ({result.c1},{result.c2},{result.c3})"
+        text = f"rank {result.rank}, c = {_cell((result.c1, result.c2, result.c3))}"
     elif query == "ch":
         fields = dict(zip(("ch0", "ch1", "ch2", "ch3"), to_ch(result, X).coefficients()))
         text = "ch = (" + ", ".join(str(v) for v in fields.values()) + ")"
@@ -251,16 +226,17 @@ def render_eval(
         text = f"{query} = {value}"
     if fmt == "json":
         values = {name: _rational(v) for name, v in fields.items()}
-        return _dump(
+        return json.dumps(
             {
                 "query": query,
                 "degree": X.r,
                 "expr": to_text(expression),
                 "value": values[query] if len(values) == 1 else values,
-            }
+            },
+            indent=2,
         )
     if fmt == "tsv":
-        return "\t".join(fields) + "\n" + "\t".join(str(v) for v in fields.values())
+        return _tsv("\t".join(fields), [fields.values()])
     return text
 
 
@@ -323,23 +299,29 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             if args.query != "rank" and uses_catalog(expression):
                 require_quintic(X, "cat() in a chi, chern or ch query")
-            print(render_eval(expression, args.query, evaluate(expression, X), X, args.format))
-            return 0
-        if args.command == "catalog":
-            print(render_catalog(catalog(), args.format))
-            return 0
-        from . import analysis
+            text = render_eval(expression, args.query, evaluate(expression, X), X, args.format)
+        elif args.command == "catalog":
+            text = render_catalog(catalog(), args.format)
+        else:
+            from . import analysis
 
-        if args.command == "table":
-            print(render_table(analysis.extension_cases(), args.format))
-            return 0
-        indices = CASE_INDICES if args.case is None else [args.case]
-        reports = [analysis.analyze_case(i) for i in indices]
-        print(render_reports(reports, args.format, args.verbose))
-        return 0
+            if args.command == "table":
+                text = render_table(analysis.extension_cases(), args.format)
+            else:
+                indices = CASE_INDICES if args.case is None else [args.case]
+                reports = [analysis.analyze_case(i) for i in indices]
+                text = render_reports(reports, args.format, args.verbose)
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the
+        # interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

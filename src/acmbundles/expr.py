@@ -12,9 +12,9 @@ Grammar (whitespace insensitive, integers may be negative):
            | "cat(" int "," int ")"        catalog reference
            | "(" expr ")"
 
-o, cat and bundle read their integers through one argument reader, checked
-against one arity table.  Bundle literals are validated while parsing (a
-rank-2 literal with c3 != 0 is rejected, and cat() must name a catalog pair).
+o, cat, bundle and the postfix twist read their integers through one reader
+checked against one arity table.  Bundle literals are validated while parsing
+(a rank-2 literal with c3 != 0 is rejected, and cat() must name a catalog pair).
 Neither the parsed tree nor the nesting of parentheses may be deeper than
 MAX_DEPTH, so that printing and evaluating a tree stay within the
 interpreter's recursion limit, and an integer literal may have at most
@@ -140,6 +140,7 @@ _ARITY = {
     "o": (1, 1, "n"),
     "cat": (2, 2, "c1 and c2"),
     "bundle": (3, 4, "rank, c1, c2 and optional c3"),
+    "twist": (1, 1, "n"),  # the postfix twist e(n), not a name the grammar accepts
 }
 
 
@@ -201,9 +202,8 @@ class _Parser:
     def unary(self) -> Parsed:
         node, height = self.atom()
         while self.peek().kind == "(":
-            token = self.advance()
-            n = self.int_value()
-            self.expect(")")
+            token = self.peek()
+            (n,) = self.arguments("twist", token)
             node, height = Twist(node, n), self.bounded(height + 1, token)
         return node, height
 
@@ -226,9 +226,9 @@ class _Parser:
             if token.text == "dual":
                 inner, height = self.group(token)
                 return Dual(inner), self.bounded(height + 1, token)
-            if token.text not in _ARITY:
+            if token.text not in _ARITY or token.text == "twist":
                 raise ExpressionError(f"unknown name {token.text!r}", token.column)
-            values = self.arguments(token)
+            values = self.arguments(token.text, token)
             if token.text == "o":
                 return LineBundle(*values), 1
             if token.text == "cat":
@@ -244,9 +244,9 @@ class _Parser:
         shown = token.text or "end of input"
         raise ExpressionError(f"expected an expression, found {shown!r}", token.column)
 
-    def arguments(self, name: Token) -> list[int]:
-        """The list "(" int {"," int} ")" after a constructor, checked against its arity."""
-        fewest, most, takes = _ARITY[name.text]
+    def arguments(self, name: str, at: Token) -> list[int]:
+        """The list "(" int {"," int} ")" after ``name``; an arity error is reported at ``at``."""
+        fewest, most, takes = _ARITY[name]
         self.expect("(")
         values = [self.int_value()]
         while self.peek().kind == ",":
@@ -254,8 +254,8 @@ class _Parser:
             values.append(self.int_value())
         self.expect(")")
         if not fewest <= len(values) <= most:
-            message = f"{name.text}() takes {takes}; got {len(values)} values"
-            raise ExpressionError(message, name.column)
+            message = f"{name}() takes {takes}; got {len(values)} values"
+            raise ExpressionError(message, at.column)
         return values
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,7 +16,8 @@ from acmbundles.cli import QUERIES, main, report_json
 from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL
 
 # The benchmark's CLI mix and its golden stdout, read from perfbench/.
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 sys.path.append(str(PERFBENCH))
 from workloads import CLI_MIX  # noqa: E402
 
@@ -234,6 +237,36 @@ def test_eval_arity_error_exits_two_without_a_traceback(capsys, text):
     assert out == ""
     assert "() takes " in err and "(column 1)" in err
     assert "Traceback" not in err
+
+
+def test_eval_postfix_twist_arity_error_exits_two_without_a_traceback(capsys):
+    code, out, err = run(capsys, "eval", "chi", "o(1)(1,2)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: twist() takes n; got 2 values (column 5)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table"], ["analyze", "--all", "--verbose", "--format", "json"]],
+    ids=["table", "analyze-all-verbose-json"],
+)
+def test_a_closed_stdout_exits_one_with_nothing_on_stderr(argv):
+    # The reader closes the pipe before the command writes, as "| head -c 0"
+    # would.  stdout stays block-buffered, as by default, so a write that
+    # main does not flush would only fail in the interpreter's exit flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "acmbundles", *argv],
+        cwd=ROOT,
+        env=dict(env, PYTHONPATH=str(ROOT / "src")),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_eval_unknown_catalog_pair_exits_two(capsys):

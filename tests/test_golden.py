@@ -1,5 +1,9 @@
 """Byte-for-byte golden outputs of the CLI and its renderers.
 
+    PYTHONPATH=src python3 tests/test_golden.py   # rewrites tests/golden/
+
+Rewrite the files only in a change whose stated purpose is to change output.
+
 ``perfbench/golden/cli/`` pins the nine commands of the benchmark's CLI mix
 (``test_cli.py`` checks them); the files in ``tests/golden/`` pin the rest:
 every other format of ``table``, ``catalog`` and ``analyze --all``, the
@@ -67,3 +71,17 @@ def test_rendering_outside_the_table_matches_its_golden(name):
     assert [r.case.index for r in reports] == [None, None, None]
     text = RENDERINGS[name](reports) + "\n"
     assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    import io
+    from contextlib import redirect_stdout
+
+    for name, argv in CLI_CASES:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(list(argv)) == 0, argv
+        (GOLDEN / f"{name}.out").write_bytes(out.getvalue().encode())
+    for name, render in RENDERINGS.items():
+        (GOLDEN / f"{name}.out").write_bytes((render(extension_reports()) + "\n").encode())
+    print(f"wrote {len(CLI_CASES) + len(RENDERINGS)} files in {GOLDEN}")

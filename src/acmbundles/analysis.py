@@ -5,10 +5,10 @@ as extensions
 
     0 -> F(m) -> G -> E -> 0,    m <= 0,
 
-of catalog bundles E by twisted catalog bundles F(m).  Whenever
-chi(F(m) tensor E*) < 0 the extension space Ext^1(E, F(m)) is nonempty: its
-dimension is h1(F(m) tensor E*), and once h3 vanishes (``h3_vanishes``:
-c1(F) + m > 0) the Euler characteristic bounds it from below by -chi.  Seven
+of catalog bundles E by twisted catalog bundles F(m).  The Euler pairing
+chi(E, F(m)) = hom - ext^1 + ext^2 - ext^3 (``euler_pairing``) bounds ext^1
+from below by -chi, and so makes Ext^1(E, F(m)) nonempty when chi < 0, only
+once ext^3 = h3(F(m) tensor E*) vanishes (``h3_vanishes``: c1(F) + m > 0).  Seven
 (F, E, m) triples make this work:
 
     (1) F=(4,30)  E=(1,8)  m=0      (5) F=(1,8)  E=(0,3)  m=0
@@ -54,7 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, tensor, twist
+from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, euler_pairing, twist
 from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog
 from .chowring import QUINTIC, UnsupportedDegreeError, _Record, require_quintic
 
@@ -157,7 +157,7 @@ def build_case(
     if m > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm = _twisted(F.c1, F.c2, m)
-    chi_t = _exact_int(chi_hrr(tensor(Fm, dual(E.descriptor()), QUINTIC), QUINTIC), "chi")
+    chi_t = _exact_int(euler_pairing(E.descriptor(), Fm, QUINTIC), "chi")
     G = direct_sum(Fm, E.descriptor(), QUINTIC)
     return ExtensionCase(
         index=index,

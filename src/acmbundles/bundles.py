@@ -19,9 +19,10 @@ identities truncated at codimension three; on this ring
 
     ch1 = c1,   ch2 = (r c1^2 - 2 c2)/2,   ch3 = (r c1^3 - 3 c1 c2 + 3 c3)/6.
 
-Euler characteristics come from Hirzebruch-Riemann-Roch, chi = integral of
-ch(E).td(X); ``chi_rank2`` is that same computation for a rank-2 bundle on
-the quintic, where it works out to 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
+Euler characteristics come from Hirzebruch-Riemann-Roch, chi(E) = chi(O_X, E)
+= integral of ch(E).td(X), and so does the Euler pairing chi(E, F) = sum
+(-1)^i ext^i(E, F) = integral of ch(E*).ch(F).td(X), with no tensor built.
+``chi_rank2`` is chi of a rank-2 bundle on the quintic: 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "direct_sum",
     "chi_hrr",
     "chi_rank2",
+    "euler_pairing",
     "is_semistable",
     "is_stable",
 ]
@@ -185,11 +187,16 @@ def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Bun
 def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
     """Euler characteristic by Hirzebruch-Riemann-Roch: integral of ch(E).td(X).
 
-    The value is an exact rational; it is an integer whenever the descriptor
-    satisfies the parity constraint of an honest bundle class (in particular
-    for every bundle appearing in the catalog and analysis modules).
+    This is the Euler pairing chi(O_X, E), taken as one product.  The exact
+    value is an integer whenever the descriptor satisfies the parity constraint
+    of an honest bundle class (so for every catalog and analysis bundle).
     """
     return integrate(X.mul(to_ch(E, X), X.todd()))
+
+
+def euler_pairing(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Fraction:
+    """chi(E, F) = sum (-1)^i ext^i(E, F), by Riemann-Roch the integral of ch(E*).ch(F).td(X)."""
+    return integrate(X.mul(X.mul(to_ch(dual(E), X), to_ch(F, X)), X.todd()))
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:
@@ -198,10 +205,10 @@ def chi_rank2(c1: int, c2: int) -> Fraction:
 
 
 def _slope_margin(E: BundleDescriptor) -> int:
+    if E.rank != 2:
+        raise ValueError("the section-based stability test applies to rank-2 bundles")
     if E.b is None:
-        raise NormalizationUnknownError(
-            "normalization level b is not set; cannot test stability"
-        )
+        raise NormalizationUnknownError("normalization level b is not set; cannot test stability")
     return 2 * E.b - E.c1
 
 

@@ -12,11 +12,15 @@ from acmbundles import (
     build_case,
     catalog,
     chi_hrr,
+    dual,
     enumerate_split_candidates,
+    euler_pairing,
     ext1_lower_bound,
     extension_cases,
     h0_acm_twist,
     lookup,
+    tensor,
+    twist,
 )
 from acmbundles.analysis import (
     CONCLUSION_INCONCLUSIVE,
@@ -221,6 +225,18 @@ def test_chi_consistency_of_survivors():
             assert d["h0_F_m"] == h0_acm_twist(F, m), key
             assert d["h0_E"] == h0_acm_twist(E, 0), key
             assert d["h0_pair"] == [h0_acm_twist(member, 0) for member in v.pair], key
+
+
+def test_chi_tensor_is_the_euler_pairing_on_every_sweep_triple():
+    # chi(E, F(m)) = chi(F(m) tensor E*); the tensor route is the reference.
+    for F, E, m in _sweep():
+        case = build_case(F, E, m)
+        Fm = twist(F.descriptor(), m, QUINTIC)
+        assert case.F_twisted == Fm
+        reference = chi_hrr(tensor(Fm, dual(E.descriptor()), QUINTIC), QUINTIC)
+        assert euler_pairing(E.descriptor(), Fm, QUINTIC) == case.chi_tensor == reference, (
+            F.pair, E.pair, m
+        )
 
 
 def test_chi_target_matches_hrr_of_g():

@@ -16,6 +16,7 @@ from acmbundles import (
     chi_rank2,
     direct_sum,
     dual,
+    euler_pairing,
     from_ch,
     is_semistable,
     is_stable,
@@ -190,6 +191,24 @@ def test_serre_duality_for_chi(E, X):
     assert chi_hrr(twist(dual(E), X.r - 5, X), X) == -chi_hrr(E, X)
 
 
+@given(descriptors(), descriptors(), hypersurfaces(8))
+def test_euler_pairing_serre_duality(E, F, X):
+    # Ext^i(E, F) is dual to Ext^(3-i)(F, E tensor K_X), and K_X = O_X(r - 5).
+    assert euler_pairing(E, F, X) == -euler_pairing(F, twist(E, X.r - 5, X), X)
+
+
+@given(descriptors(), descriptors(), hypersurfaces(8))
+def test_euler_pairing_is_chi_of_the_tensor_with_the_dual(E, F, X):
+    # The route the pairing replaces: chi(E, F) = chi(F tensor E*).
+    assert euler_pairing(E, F, X) == chi_hrr(tensor(F, dual(E), X), X)
+
+
+@given(descriptors(), hypersurfaces(8))
+def test_chi_is_the_euler_pairing_with_the_structure_sheaf(F, X):
+    assert euler_pairing(O, F, X) == chi_hrr(F, X)
+    assert euler_pairing(F, O, X) == chi_hrr(dual(F), X)
+
+
 def test_chi_of_structure_sheaf_on_the_quintic():
     assert chi_hrr(O, X5) == 0
 
@@ -227,6 +246,18 @@ def test_stability_needs_normalization_level():
         is_semistable(rk2(1, 8))
     with pytest.raises(NormalizationUnknownError):
         is_stable(rk2(1, 8))
+
+
+@pytest.mark.parametrize(
+    "E",
+    [BundleDescriptor(1, 3, b=3), BundleDescriptor(4, 2, 10, 0, b=0), BundleDescriptor(3, 1, 4, 1)],
+)
+def test_stability_predicates_apply_only_to_rank_two(E):
+    # Every line bundle is stable; the rank-2 criterion 2b - c1 < 0 says otherwise for O(3).
+    for predicate in (is_stable, is_semistable):
+        with pytest.raises(ValueError, match="rank-2 bundles") as info:
+            predicate(E)
+        assert not isinstance(info.value, NormalizationUnknownError)
 
 
 @pytest.mark.parametrize(

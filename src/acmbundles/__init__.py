@@ -47,7 +47,6 @@ _ANALYSIS = (
     "build_case",
     "extension_cases",
     "ext1_lower_bound",
-    "enumerate_split_candidates",
     "analyze_case",
     "analyze_extension",
 )

@@ -25,12 +25,12 @@ classes, not dataclasses.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
-normalized catalog entries whose c1 values add up to c1(G).  The pairs of a
-pool are built once, grouped by c1 sum, each with its ``direct_sum`` (the
-Whitney sum), c1 values, chi sum, the h0 of both entries and whether either
-has c1 = 0 (the section-count convention flag); the catalog's table is built
-on first use, and F(m) is twisted once per (entry, m) in a bounded cache.  Each
-candidate is disposed of by the first applicable filter:
+normalized catalog entries whose c1 values add up to c1(G).  The catalog's
+pairs are built once, on first use, grouped by c1 sum, each with its
+``direct_sum`` (the Whitney sum), c1 values, chi sum, the h0 of both entries
+and whether either has c1 = 0 (the section-count convention flag); F(m) is
+twisted once per (entry, m) in a bounded cache.  ``_classify`` disposes of
+each candidate by the first applicable filter and builds the case report:
 
 * ``chern-mismatch``  — the direct sum's c2 misses c2(G);
 * ``trivial-split``   — the pair is exactly {F(m), E}, which a nontrivial
@@ -76,7 +76,6 @@ __all__ = [
     "build_case",
     "extension_cases",
     "ext1_lower_bound",
-    "enumerate_split_candidates",
     "analyze_case",
     "analyze_extension",
 ]
@@ -154,6 +153,8 @@ def build_case(
     F: CatalogEntry, E: CatalogEntry, m: int, *, index: int | None = None
 ) -> ExtensionCase:
     """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"extension twist m must be an integer, got {m!r}")
     if m > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm = _twisted(F.c1, F.c2, m)
@@ -200,21 +201,18 @@ def ext1_lower_bound(case: ExtensionCase) -> int:
     return case.d_lower
 
 
-# A pool's pair: (P, Q), its key, the Chern classes of the Whitney sum P + Q and
+# A catalog pair: (P, Q), its key, the Chern classes of the Whitney sum P + Q and
 # again its c2 and c3, {c1(P), c1(Q)}, chi(P) + chi(Q), (h0(P), h0(Q)) and
 # whether either entry has c1 = 0, so that its h0 rests on the c1 = 0 convention.
-_PairTable = dict[int, list[tuple]]
+@lru_cache(maxsize=1)
+def _catalog_pairs() -> dict[int, list[tuple]]:
+    """The catalog's unordered pairs by c1 sum, in ``pair_key`` order, with their static facts.
 
-
-def _pairs(entries: tuple[CatalogEntry, ...]) -> _PairTable:
-    """Unordered pairs of ``entries`` by c1 sum, in ``pair_key`` order, with their static facts.
-
-    Sorting the pool gives P.pair <= Q.pair; sorting the pairs matters only
-    when the pool repeats a (c1, c2).
+    The catalog's pairs are distinct, so combinations of the sorted catalog
+    come in ``pair_key`` order.
     """
-    pool = sorted(entries, key=lambda entry: entry.pair)
-    table: _PairTable = {}
-    for P, Q in sorted(combinations_with_replacement(pool, 2), key=lambda pq: [e.pair for e in pq]):
+    table: dict[int, list[tuple]] = {}
+    for P, Q in combinations_with_replacement(sorted(catalog(), key=lambda entry: entry.pair), 2):
         S = direct_sum(P.descriptor(), Q.descriptor(), QUINTIC)
         table.setdefault(S.c1, []).append(
             ((P, Q), (P.pair, Q.pair), S.chern_tuple(), S.c2, S.c3, frozenset((P.c1, Q.c1)),
@@ -223,19 +221,11 @@ def _pairs(entries: tuple[CatalogEntry, ...]) -> _PairTable:
     return table
 
 
-@lru_cache(maxsize=1)
-def _catalog_pairs() -> _PairTable:
-    """The catalog's pair table, built on first use."""
-    return _pairs(catalog())
+def _classify(case: ExtensionCase) -> CaseReport:
+    """Dispose of each catalog pair of c1 sum c1(G) and report the case.
 
-
-def _classify(
-    case: ExtensionCase, pairs: _PairTable
-) -> tuple[list[SplitVerdict], list[SplitVerdict], bool]:
-    """Split the pairs of c1 sum c1(G) into Whitney survivors and Chern rejections.
-
-    Returns (survivors, rejected, used_h0_convention); both verdict lists keep
-    the table's ``pair_key`` order, whatever the order of the pool.
+    Whitney survivors become the verdicts and Chern rejections the
+    ``rejected`` list, both in the pair table's ``pair_key`` order.
     """
     G = case.G
     c2_target, c3_target = G.c2, G.c3
@@ -249,9 +239,9 @@ def _classify(
 
     survivors: list[SplitVerdict] = []
     rejected: list[SplitVerdict] = []
-    used_convention = False
+    used_convention = undecided = False
 
-    for pair, key, sum_chern, c2_sum, c3_sum, c1s, chi_sum, h0s, pair_convention in pairs.get(G.c1, ()):
+    for pair, key, sum_chern, c2_sum, c3_sum, c1s, chi_sum, h0s, pair_convention in _catalog_pairs().get(G.c1, ()):
         details = {
             "c2_sum": c2_sum,
             "c2_target": c2_target,
@@ -278,31 +268,9 @@ def _classify(
                     kind = FILTER_H0_MISMATCH
                 else:
                     details["reason"] = "all numeric filters agree"
+            undecided = undecided or kind == FILTER_UNDECIDED
         survivors.append(SplitVerdict(pair, sum_chern, kind, details))
 
-    return survivors, rejected, used_convention
-
-
-def enumerate_split_candidates(
-    case: ExtensionCase,
-    include_rejected: bool = False,
-    entries: tuple[CatalogEntry, ...] | None = None,
-) -> list[SplitVerdict]:
-    """Verdicts for all candidate decompositions G = G1 + G2.
-
-    By default only the pairs passing the Whitney (c1, c2) comparison are
-    returned; ``include_rejected`` appends the chern-mismatch verdicts for
-    the other c1-compatible pairs.  Candidates come from the catalog unless
-    an ``entries`` pool is given; an empty pool has no candidates.
-    """
-    pairs = _catalog_pairs() if entries is None else _pairs(entries)
-    survivors, rejected, _ = _classify(case, pairs)
-    return survivors + rejected if include_rejected else survivors
-
-
-def _report(case: ExtensionCase) -> CaseReport:
-    survivors, rejected, used_convention = _classify(case, _catalog_pairs())
-    undecided = any(v.filter == FILTER_UNDECIDED for v in survivors)
     return CaseReport(
         case=case,
         rank1_hypothesis_ok=case.h3_vanishes,
@@ -322,7 +290,7 @@ def analyze_case(index: int) -> CaseReport:
     cases = extension_cases()
     if not 1 <= index <= len(cases):
         raise ValueError(f"case index must be in 1..{len(cases)}, got {index}")
-    return _report(cases[index - 1])
+    return _classify(cases[index - 1])
 
 
 def analyze_extension(F: CatalogEntry, E: CatalogEntry, m: int) -> CaseReport:
@@ -332,4 +300,4 @@ def analyze_extension(F: CatalogEntry, E: CatalogEntry, m: int) -> CaseReport:
     inconclusive, e.g. when a surviving candidate needs a section count the
     numerics cannot determine.
     """
-    return _report(build_case(F, E, m))
+    return _classify(build_case(F, E, m))

@@ -81,10 +81,6 @@ class BundleDescriptor(_Record):
         if self.b is not None and (not isinstance(self.b, int) or isinstance(self.b, bool)):
             raise ValueError(f"b must be an integer or None, got {self.b!r}")
 
-    @property
-    def normalized(self) -> bool:
-        return self.b == 0
-
     def chern_tuple(self) -> tuple[int, int, int]:
         return (self.c1, self.c2, self.c3)
 

@@ -1,6 +1,6 @@
 import importlib
 import inspect
-import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +13,6 @@ from acmbundles import (
     catalog,
     chi_hrr,
     dual,
-    enumerate_split_candidates,
     euler_pairing,
     ext1_lower_bound,
     extension_cases,
@@ -30,8 +29,8 @@ from acmbundles.analysis import (
     FILTER_TRIVIAL_SPLIT,
     FILTER_UNDECIDED,
     QUINTIC,
+    _catalog_pairs,
 )
-from acmbundles.catalog import CatalogEntry
 
 
 def test_table_rows():
@@ -246,18 +245,6 @@ def test_chi_target_matches_hrr_of_g():
         )
 
 
-def test_verdicts_do_not_depend_on_enumeration_order():
-    entries = list(catalog())
-    for seed, (F, E, m) in enumerate(_sweep()):
-        case = build_case(F, E, m)
-        baseline = enumerate_split_candidates(case, include_rejected=True)
-        random.Random(seed).shuffle(entries)
-        shuffled = enumerate_split_candidates(
-            case, include_rejected=True, entries=tuple(entries)
-        )
-        assert shuffled == baseline, (F.pair, E.pair, m)
-
-
 def test_verdict_pairs_are_canonical_and_unique():
     reports = [analyze_case(index) for index in range(1, 8)]
     reports += [analyze_extension(F, E, m) for F, E, m in _sweep()]
@@ -275,22 +262,22 @@ def test_verdict_pairs_are_canonical_and_unique():
             assert v.sum_chern == (product.a1, product.a2, product.a3), v.pair_key
 
 
-def test_an_empty_pool_has_no_candidates():
-    case = extension_cases()[0]
-    assert enumerate_split_candidates(case, include_rejected=True, entries=()) == []
-
-
-def test_a_pool_that_repeats_a_pair_keeps_pair_key_order():
-    # With (0,3) twice in the pool, combinations of the sorted pool yield
-    # {(0,3),(0,4)}, {(0,3),(0,5)} before {(0,3)',(0,4)}: the pairs need a sort.
-    case = build_case(lookup(0, 3), lookup(0, 3), 0)
-    verdicts = enumerate_split_candidates(
-        case, include_rejected=True, entries=catalog() + (lookup(0, 3),)
-    )
-    for rejected in (False, True):
-        keys = [v.pair_key for v in verdicts if (v.filter == FILTER_CHERN_MISMATCH) == rejected]
-        assert keys == sorted(keys)
-    assert len(verdicts) == len(enumerate_split_candidates(case, include_rejected=True)) + 4
+def test_the_pair_table_holds_each_catalog_pair_once_by_c1_sum_in_key_order():
+    # The catalog's pairs are distinct, so combinations of the sorted catalog
+    # need no second sort; check that premise on all 105 unordered pairs.
+    table = _catalog_pairs()
+    keys = []
+    for c1_sum, rows in table.items():
+        group = [row[1] for row in rows]
+        assert group == sorted(group), c1_sum
+        for (P, Q), key, *_ in rows:
+            assert key == (P.pair, Q.pair) and P.pair <= Q.pair
+            assert P.c1 + Q.c1 == c1_sum, key
+        keys += group
+    pairs = sorted(entry.pair for entry in catalog())
+    expected = {(p, q) for i, p in enumerate(pairs) for q in pairs[i:]}
+    assert len(keys) == len(set(keys)) == len(expected) == 105
+    assert set(keys) == expected
 
 
 def test_analyze_case_index_validation():
@@ -303,6 +290,13 @@ def test_analyze_case_index_validation():
 def test_build_case_rejects_positive_twists():
     with pytest.raises(ValueError):
         build_case(lookup(4, 30), lookup(1, 8), 1)
+
+
+@pytest.mark.parametrize("m", [False, -1.0, Fraction(-1)], ids=repr)
+@pytest.mark.parametrize("call", [build_case, analyze_extension], ids=lambda f: f.__name__)
+def test_a_twist_that_is_not_an_int_is_rejected(call, m):
+    with pytest.raises(ValueError, match="extension twist m must be an integer"):
+        call(lookup(4, 30), lookup(1, 8), m)
 
 
 def test_general_engine_reports_undetermined_h0_honestly():
@@ -362,14 +356,11 @@ def test_no_public_function_takes_a_degree():
 
 
 def test_filters_can_exhaust_on_a_synthetic_pool():
-    # A synthetic pool pair matching every numeric invariant of case (1)
-    # must come back undecided rather than spuriously excluded.
-    fake = (
-        CatalogEntry(2, 6, "B", "conditional", 9, 9, True),
-        CatalogEntry(3, 22, "B", "conditional", 2, 2, True),
-    )
-    case = extension_cases()[0]
-    verdicts = enumerate_split_candidates(case, entries=fake)
-    assert [v.filter for v in verdicts] == [FILTER_UNDECIDED]
-    assert verdicts[0].details["reason"] == "all numeric filters agree"
-    assert verdicts[0].details["h0_lhs"] == verdicts[0].details["h0_rhs"] == 11
+    # F = (0,3), E = (0,5), m = 0: the survivor {(0,4),(0,4)} matches every
+    # numeric invariant, so it must come back undecided, not excluded.
+    report = analyze_extension(lookup(0, 3), lookup(0, 5), 0)
+    assert report.conclusion == CONCLUSION_INCONCLUSIVE
+    undecided = [v for v in report.verdicts if v.filter == FILTER_UNDECIDED]
+    assert [v.pair_key for v in undecided] == [((0, 4), (0, 4))]
+    assert undecided[0].details["reason"] == "all numeric filters agree"
+    assert undecided[0].details["h0_lhs"] == undecided[0].details["h0_rhs"] == 2

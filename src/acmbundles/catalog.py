@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, is_semistable, is_stable, twist
-from .chowring import QUINTIC, _Record
+from .chowring import QUINTIC, _integer, _Record
 
 __all__ = [
     "CatalogEntry", "catalog", "lookup", "h0_acm_twist", "FAMILY_A", "FAMILY_B", "CASE_INDICES"
@@ -128,6 +128,8 @@ def catalog() -> tuple[CatalogEntry, ...]:
 
 def lookup(c1: int, c2: int) -> CatalogEntry | None:
     """The catalog entry with the given Chern classes, or None."""
+    _integer(c1, "c1")
+    _integer(c2, "c2")
     for entry in catalog():
         if entry.c1 == c1 and entry.c2 == c2:
             return entry
@@ -142,6 +144,7 @@ def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
     BundleDescriptor as well, which must be explicitly normalized and flagged
     ACM; a negative chi where the count should be chi raises ValueError.
     """
+    _integer(n, "twist n")
     E = entry.descriptor() if isinstance(entry, CatalogEntry) else entry
     if E.rank != 2:
         raise ValueError("the section-count oracle applies to rank-2 bundles")

@@ -21,10 +21,12 @@ must be exact.  A ChowClass keeps four integer numerators over one positive
 common denominator in lowest terms, so each ring operation is integer
 arithmetic with one gcd reduction; a0..a3 still read back as Fractions.
 
-``_Record`` is the base of the package's value classes (Hypersurface, the
-descriptors, catalog entries, analysis records, expression nodes): immutable,
-but not dataclasses, so ``dataclasses.fields``, ``replace`` and ``asdict`` do
-not apply.  ``require_quintic`` guards everything that needs the quintic.
+``_Record`` is the base of the package's value classes (ChowClass,
+Hypersurface, the descriptors, catalog entries, analysis records, expression
+nodes): immutable, but not dataclasses, so ``dataclasses.fields``, ``replace``
+and ``asdict`` do not apply.  A subclass that defines its own ``__init__``
+keeps it; ChowClass does, and keeps its one field in a slot.
+``require_quintic`` guards everything that needs the quintic.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ def _rat(value: Rational) -> Rational:
     return value
 
 
+def _integer(value: object, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _frozen(verb: str, name: str) -> AttributeError:
     from dataclasses import FrozenInstanceError  # only on this error path
 
@@ -60,10 +68,12 @@ class _Record:
     """Base of an immutable value class whose fields are its class annotations.
 
     Trailing fields may have class-level defaults.  A subclass gets an
-    ``__init__`` over its fields that calls ``_validate``, and the repr,
-    equality (within one class), hash and frozenness of a frozen dataclass.
+    ``__init__`` over its fields that calls ``_validate`` (unless it defines
+    its own), and the repr, equality (within one class), hash and frozenness
+    of a frozen dataclass.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
@@ -77,8 +87,10 @@ class _Record:
             f"def _values(self):\n return ({''.join(f'self.{n}, ' for n in names)})",
             namespace,
         )
-        cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._values = namespace["_values"]
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _validate(self) -> None:
         pass
@@ -106,7 +118,7 @@ def _coefficient(i: int) -> property:
     return property(lambda self: Fraction(self.scaled[i + 1], self.scaled[0]))
 
 
-class ChowClass:
+class ChowClass(_Record):
     """A class a0 + a1*H + a2*ell + a3*pt with exact rational coefficients.
 
     Immutable; ``scaled`` = (d, n0, n1, n2, n3) with a_i = n_i/d, d > 0 and
@@ -114,6 +126,7 @@ class ChowClass:
     """
 
     __slots__ = ("scaled",)
+    scaled: tuple[int, int, int, int, int]
 
     def __init__(self, a0: Rational = 0, a1: Rational = 0, a2: Rational = 0, a3: Rational = 0):
         coeffs = [_rat(a) for a in (a0, a1, a2, a3)]
@@ -122,30 +135,12 @@ class ChowClass:
 
     a0, a1, a2, a3 = (_coefficient(i) for i in range(4))
 
-    @staticmethod
-    def one() -> "ChowClass":
-        return ChowClass(1)
-
-    @staticmethod
-    def zero() -> "ChowClass":
-        return ChowClass()
-
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         d, *numerators = self.scaled
         return tuple(Fraction(n, d) for n in numerators)
 
-    __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
-
     def __reduce__(self):
         return (_over, self.scaled)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.scaled == other.scaled
-
-    def __hash__(self) -> int:
-        return hash(self.scaled)
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         if not isinstance(other, ChowClass):

@@ -8,6 +8,7 @@ import random
 
 from acmbundles import (
     BundleDescriptor,
+    ChowClass,
     Hypersurface,
     analyze_case,
     chi_hrr,
@@ -184,7 +185,7 @@ def test_criterion_8_property_suites():
         n, m = rng.randint(-5, 5), rng.randint(-5, 5)
 
         s = direct_sum(E, F, X)
-        whitney = X.mul(E.total_chern(), F.total_chern())
+        whitney = X.mul(ChowClass(1, *E.chern_tuple()), ChowClass(1, *F.chern_tuple()))
         if (s.c1, s.c2, s.c3) != (whitney.a1, whitney.a2, whitney.a3):
             failures.append(("whitney", trial))
         if chi_hrr(s, X) != chi_hrr(E, X) + chi_hrr(F, X):

@@ -6,6 +6,7 @@ import pytest
 
 from acmbundles import (
     BoundNotJustifiedError,
+    ChowClass,
     Hypersurface,
     analyze_case,
     analyze_extension,
@@ -258,7 +259,8 @@ def test_verdict_pairs_are_canonical_and_unique():
             assert v.pair_key not in seen
             seen.add(v.pair_key)
             # Whitney: total Chern classes multiply in the ring, not through direct_sum.
-            product = QUINTIC.mul(*(member.descriptor().total_chern() for member in v.pair))
+            P, Q = (ChowClass(1, *member.descriptor().chern_tuple()) for member in v.pair)
+            product = QUINTIC.mul(P, Q)
             assert v.sum_chern == (product.a1, product.a2, product.a3), v.pair_key
 
 
@@ -299,6 +301,25 @@ def test_a_twist_that_is_not_an_int_is_rejected(call, m):
         call(lookup(4, 30), lookup(1, 8), m)
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0, Fraction(1)], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda n: twist(lookup(4, 30).descriptor(), n, QUINTIC), "twist n"),
+        # c1 = -2: the oracle answers without calling twist for these n.
+        (lambda n: h0_acm_twist(lookup(-2, 1), n), "twist n"),
+        (lambda c1: lookup(c1, 4), "c1"),
+        (lambda c2: lookup(0, c2), "c2"),
+        (analyze_case, "case index"),
+    ],
+    ids=["twist", "h0_acm_twist", "lookup-c1", "lookup-c2", "analyze_case"],
+)
+def test_an_integer_argument_that_is_not_an_int_is_rejected(call, name, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
 def test_general_engine_reports_undetermined_h0_honestly():
     # F(-1) = (2,15) plus E = (-1,2) gives G = (1,7,-11); the surviving
     # candidate {(0,3),(1,4)} needs h0 of the c1 < 0 bundle E, which the
@@ -334,14 +355,13 @@ def test_a_positional_degree_is_a_type_error(call):
 
 
 def test_no_public_function_takes_a_degree():
-    # Only the guard itself may take a hypersurface; every other public
-    # callable of the quintic-only layers works on QUINTIC.
+    # Every public callable of the quintic-only layers works on QUINTIC.
     offenders = []
     # By import path: the package re-exports a function named ``catalog``.
     for module in map(importlib.import_module, ("acmbundles.analysis", "acmbundles.catalog")):
         for name in module.__all__:
             obj = getattr(module, name)
-            if name == "require_quintic" or not callable(obj):
+            if not callable(obj):
                 continue
             try:
                 parameters = inspect.signature(obj).parameters.values()

@@ -1,3 +1,4 @@
+import copy
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acmbundles import ChowClass, Hypersurface, integrate
+from acmbundles import BundleDescriptor, ChowClass, Hypersurface, integrate
+from acmbundles.chowring import _over
 
 import oracles
 from strategies import chow_classes, hypersurfaces
@@ -120,12 +122,12 @@ def test_mul_distributive(x, y, z, X):
 
 @given(chow_classes(), hypersurfaces())
 def test_one_is_neutral(x, X):
-    assert X.mul(ChowClass.one(), x) == x
+    assert X.mul(ChowClass(1), x) == x
 
 
 @given(chow_classes())
 def test_additive_inverse(x):
-    assert x - x == ChowClass.zero()
+    assert x - x == ChowClass()
 
 
 def test_scalar_multiplication():
@@ -136,7 +138,7 @@ def test_scalar_multiplication():
 
 def test_class_times_class_needs_hypersurface():
     with pytest.raises(TypeError):
-        ChowClass.one() * ChowClass.one()
+        ChowClass(1) * ChowClass(1)
 
 
 def test_floats_are_rejected():
@@ -151,9 +153,9 @@ def test_floats_bools_and_other_types_are_rejected_everywhere(bad):
     with pytest.raises(TypeError):
         ChowClass(0, 0, 0, a3=bad)
     with pytest.raises(TypeError):
-        bad * ChowClass.one()
+        bad * ChowClass(1)
     with pytest.raises(TypeError):
-        ChowClass.one() * bad
+        ChowClass(1) * bad
 
 
 def _is_canonical(x):
@@ -165,7 +167,7 @@ def test_built_and_computed_classes_are_equal_and_hash_equal():
         (ChowClass(1, -1, Fraction(5, 2), Fraction(-5, 6)), X5.exp_h(-1)),
         (ChowClass(0, 0, 5, 0), X5.mul(H, H)),
         (ChowClass(Fraction(4, 2), Fraction(3, 3), 0, 0), ChowClass(1) + ChowClass(1, 1)),
-        (ChowClass.zero(), X5.exp_h(3) - X5.exp_h(3)),
+        (ChowClass(), X5.exp_h(3) - X5.exp_h(3)),
         (ChowClass(1, 0, Fraction(25, 6), 0), X5.todd()),
     ]
     for built, computed in pairs:
@@ -207,12 +209,59 @@ def test_classes_are_immutable():
 def test_text_forms_and_pickling():
     x = X5.exp_h(-1)
     assert str(x) == "1 + -1*H + 5/2*ell + -5/6*pt"
-    assert str(ChowClass.zero()) == "0"
+    assert str(ChowClass()) == "0"
     assert repr(x) == (
         "ChowClass(a0=Fraction(1, 1), a1=Fraction(-1, 1), "
         "a2=Fraction(5, 2), a3=Fraction(-5, 6))"
     )
     assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_a_class_keeps_its_one_slot_and_no_instance_dict():
+    for x in (ChowClass(1, 2, 3, 4), X5.exp_h(2), X5.todd()):
+        assert not hasattr(x, "__dict__")
+
+
+def test_the_constructor_takes_coefficients_not_fields():
+    assert ChowClass(1, 2, 3, 4) == _over(1, 1, 2, 3, 4)
+    assert ChowClass(a3=Fraction(1, 2)).scaled == (2, 0, 0, 0, 1)
+    assert ChowClass() == _over(1, 0, 0, 0, 0)
+
+
+# Written by pickle.dumps(ChowClass(1, 1/2, 3, -5/6), protocol=p) for p = 0..5,
+# before ChowClass moved onto the record base; the pickling form must not move.
+PICKLES = (
+    b"cacmbundles.chowring\n_over\np0\n(I6\nI6\nI3\nI18\nI-5\ntp1\nRp2\n.",
+    b"cacmbundles.chowring\n_over\nq\x00(K\x06K\x06K\x03K\x12J\xfb\xff\xff\xfftq\x01Rq\x02.",
+    b"\x80\x02cacmbundles.chowring\n_over\nq\x00(K\x06K\x06K\x03K\x12J\xfb\xff\xff\xfftq\x01Rq\x02.",
+    b"\x80\x03cacmbundles.chowring\n_over\nq\x00(K\x06K\x06K\x03K\x12J\xfb\xff\xff\xfftq\x01Rq\x02.",
+    b"\x80\x04\x953\x00\x00\x00\x00\x00\x00\x00\x8c\x13acmbundles.chowring\x94\x8c\x05_over\x94\x93\x94"
+    b"(K\x06K\x06K\x03K\x12J\xfb\xff\xff\xfft\x94R\x94.",
+    b"\x80\x05\x953\x00\x00\x00\x00\x00\x00\x00\x8c\x13acmbundles.chowring\x94\x8c\x05_over\x94\x93\x94"
+    b"(K\x06K\x06K\x03K\x12J\xfb\xff\xff\xfft\x94R\x94.",
+)
+
+
+@pytest.mark.parametrize("protocol", range(len(PICKLES)))
+def test_pickle_bytes_are_unchanged_and_load(protocol):
+    x = ChowClass(1, Fraction(1, 2), 3, Fraction(-5, 6))
+    assert pickle.dumps(x, protocol=protocol) == PICKLES[protocol]
+    back = pickle.loads(PICKLES[protocol])
+    assert type(back) is ChowClass and back == x and back.scaled == (6, 6, 3, 18, -5)
+
+
+def test_equality_is_only_with_a_class_and_equal_classes_hash_equal():
+    x, y = ChowClass(1, 2, 3, 4), X5.exp_h(1) - X5.exp_h(1) + ChowClass(1, 2, 3, 4)
+    assert x == y and hash(x) == hash(y)
+    assert x != x.scaled and x.scaled != x
+    assert x != Hypersurface(5) and ChowClass(5) != Hypersurface(5)
+    assert x != BundleDescriptor(1, 2) and len({x, y, ChowClass(1)}) == 2
+
+
+def test_copies_round_trip():
+    x = X5.todd()
+    for twin in (copy.copy(x), copy.deepcopy(x)):
+        assert type(twin) is ChowClass and twin == x and twin.scaled == x.scaled
 
 
 def test_degree_must_be_positive():

@@ -22,14 +22,12 @@ def values(record, names):
     return tuple(getattr(record, name) for name in names)
 
 
-_ENTRY = lookup(1, 8)
-_CASE = extension_cases()[0]
-_REPORT = analyze_case(1)
-_VERDICT = _REPORT.verdicts[0]
 _CASE_FIELDS = ("index", "F", "E", "m", "chi_tensor", "d_lower", "F_twisted", "G")
 _ENTRY_FIELDS = ("c1", "c2", "family", "exists_on_general", "chi", "h0", "stable")
 
-# (class, ((field, default or REQUIRED), ...), example arguments, hashable)
+# (class, ((field, default or REQUIRED), ...), example arguments, hashable).
+# Arguments drawn from the analysis are built by the ``args`` fixture, when a
+# test runs, so a fault there fails named tests instead of collection.
 SPECS = [
     (Hypersurface, (("r", 5),), (3,), True),
     (
@@ -41,26 +39,28 @@ SPECS = [
     (
         CatalogEntry,
         tuple((name, REQUIRED) for name in _ENTRY_FIELDS),
-        values(_ENTRY, _ENTRY_FIELDS),
+        lambda: values(lookup(1, 8), _ENTRY_FIELDS),
         True,
     ),
     (
         ExtensionCase,
         tuple((name, REQUIRED) for name in _CASE_FIELDS),
-        values(_CASE, _CASE_FIELDS),
+        lambda: values(extension_cases()[0], _CASE_FIELDS),
         True,
     ),
     (
         SplitVerdict,
         (("pair", REQUIRED), ("sum_chern", REQUIRED), ("filter", REQUIRED), ("details", REQUIRED)),
-        values(_VERDICT, ("pair", "sum_chern", "filter", "details")),
+        lambda: values(analyze_case(1).verdicts[0], ("pair", "sum_chern", "filter", "details")),
         False,
     ),
     (
         CaseReport,
         (("case", REQUIRED), ("rank1_hypothesis_ok", REQUIRED), ("verdicts", REQUIRED),
          ("rejected", REQUIRED), ("conclusion", REQUIRED), ("notes", ())),
-        values(_REPORT, ("case", "rank1_hypothesis_ok", "verdicts", "rejected", "conclusion", "notes")),
+        lambda: values(
+            analyze_case(1), ("case", "rank1_hypothesis_ok", "verdicts", "rejected", "conclusion", "notes")
+        ),
         False,
     ),
     (BundleLit, (("rank", REQUIRED), ("c1", REQUIRED), ("c2", REQUIRED), ("c3", 0)), (2, 1, 8, 0), True),
@@ -74,6 +74,11 @@ SPECS = [
 IDS = [cls.__name__ for cls, *_ in SPECS]
 
 
+@pytest.fixture
+def args(request):
+    return request.param() if callable(request.param) else request.param
+
+
 def twin(cls, fields):
     return make_dataclass(
         cls.__name__,
@@ -83,7 +88,7 @@ def twin(cls, fields):
     )
 
 
-@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS)
+@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_matches_its_frozen_dataclass_twin(cls, fields, args, hashable):
     names = [name for name, _ in fields]
     Twin = twin(cls, fields)
@@ -101,7 +106,7 @@ def test_a_record_matches_its_frozen_dataclass_twin(cls, fields, args, hashable)
                 hash(value)
 
 
-@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS)
+@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_builds_from_its_required_fields_with_the_twin_defaults(cls, fields, args, hashable):
     required = [value for (_, default), value in zip(fields, args) if default is REQUIRED]
     assert repr(cls(*required)) == repr(twin(cls, fields)(*required))
@@ -111,7 +116,7 @@ def test_a_record_builds_from_its_required_fields_with_the_twin_defaults(cls, fi
         cls(*args, **{fields[0][0]: args[0]})
 
 
-@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS)
+@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_is_frozen_and_pickles(cls, fields, args, hashable):
     record = cls(*args)
     for name in [name for name, _ in fields] + ["extra"]:

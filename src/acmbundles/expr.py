@@ -1,6 +1,7 @@
 """A small expression language for bundle arithmetic.
 
-Grammar (whitespace insensitive, integers may be negative):
+Grammar (whitespace insensitive, integers are ASCII digits and may be
+negative):
 
     expr  := sum
     sum   := prod { "++" prod }            direct sum, left associative
@@ -18,14 +19,19 @@ checked against one arity table.  Bundle literals are validated while parsing
 Neither the parsed tree nor the nesting of parentheses may be deeper than
 MAX_DEPTH, so that printing and evaluating a tree stay within the
 interpreter's recursion limit, and an integer literal may have at most
-MAX_DIGITS digits.  Errors carry a 1-based column.  The tree nodes are
-immutable value classes, not dataclasses.
+MAX_DIGITS digits.  The tree nodes are immutable value classes, not
+dataclasses.
+
+The whole text is tokenized, in one scan of one pattern, before any syntax
+error is raised.  The parser reads the token texts by position and keeps no
+positions: errors carry a 1-based column, which the error path finds by
+scanning the text again.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Union
+from typing import Union
 
 from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
 from .catalog import lookup
@@ -100,38 +106,10 @@ class Sum(_Record):
 Expression = Union[BundleLit, LineBundle, CatRef, Dual, Twist, Tensor, Sum]
 
 
-class Token(NamedTuple):
-    kind: str  # "name" | "int" | "++" | "(" | ")" | "," | "*" | "end"
-    text: str
-    column: int
-
-
-_TOKEN_RE = re.compile(
-    r"""(?P<space>\s+)
-      | (?P<name>[A-Za-z_]+)
-      | (?P<int>-?\d+)
-      | (?P<pp>\+\+)
-      | (?P<sym>[(),*])
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
-        group, lexeme = match.lastgroup, match.group()
-        if group != "space":
-            # A name or an integer is its group; an operator is its own text.
-            tokens.append(Token(group if group in ("name", "int") else lexeme, lexeme, pos + 1))
-        pos = match.end()
-    tokens.append(Token("end", "", len(text) + 1))
-    return tokens
-
+# One alternation, the most frequent tokens first.  A token is group 1; a
+# character that starts no token matches the catch-all and leaves group 1
+# empty.  Whitespace matches neither, so a scan steps over it.
+_TOKEN_RE = re.compile(r"([(),]|[0-9]+|[A-Za-z_]+|-[0-9]+|\+\+|\*)|\S")
 
 Parsed = tuple[Expression, int]  # a tree and its height
 
@@ -145,52 +123,56 @@ _ARITY = {
 
 
 class _Parser:
+    """Recursive descent over the token texts; ``pos`` indexes the next one.
+
+    The token after the last is "", the end of input.
+    """
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        if "" in self.tokens:  # a character that starts no token
+            column = self.column(self.tokens.index(""))
+            raise ExpressionError(f"unexpected character {text[column - 1]!r}", column)
+        self.tokens.append("")
         self.pos = 0
         self.open_groups = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def column(self, index: int) -> int:
+        starts = [match.start() for match in _TOKEN_RE.finditer(self.text)]
+        return starts[index] + 1 if index < len(starts) else len(self.text) + 1
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
+    def error(self, message: str, index: int) -> ExpressionError:
+        return ExpressionError(message, self.column(index))
+
+    def expected(self, what: str) -> ExpressionError:
+        found = self.tokens[self.pos] or "end of input"
+        return self.error(f"expected {what}, found {found!r}", self.pos)
+
+    def expect(self, token: str) -> None:
+        if self.tokens[self.pos] != token:
+            raise self.expected(repr(token))
         self.pos += 1
-        return token
-
-    def expect(self, kind: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            shown = token.text or "end of input"
-            raise ExpressionError(f"expected {kind!r}, found {shown!r}", token.column)
-        return self.advance()
-
-    def int_value(self) -> int:
-        token = self.expect("int")
-        if len(token.text.lstrip("-")) > MAX_DIGITS:
-            raise ExpressionError(f"integer literal longer than {MAX_DIGITS} digits", token.column)
-        return int(token.text)
 
     def parse(self) -> Expression:
         expr, _ = self.sum()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ExpressionError(f"unexpected trailing {tail.text!r}", tail.column)
+        if self.tokens[self.pos]:
+            raise self.error(f"unexpected trailing {self.tokens[self.pos]!r}", self.pos)
         return expr
 
-    def bounded(self, depth: int, token: Token) -> int:
+    def bounded(self, depth: int, index: int) -> int:
         if depth > MAX_DEPTH:
-            message = f"expression nested deeper than {MAX_DEPTH} levels"
-            raise ExpressionError(message, token.column)
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", index)
         return depth
 
     def chain(self, operator: str, operand, build) -> Parsed:
         # A left-associative chain of binary operators, e.g. "a ++ b ++ c".
         node, height = operand()
-        while self.peek().kind == operator:
-            token = self.advance()
+        while self.tokens[self.pos] == operator:
+            at = self.pos
+            self.pos += 1
             right, right_height = operand()
-            node, height = build(node, right), self.bounded(1 + max(height, right_height), token)
+            node, height = build(node, right), self.bounded(1 + max(height, right_height), at)
         return node, height
 
     def sum(self) -> Parsed:
@@ -201,61 +183,69 @@ class _Parser:
 
     def unary(self) -> Parsed:
         node, height = self.atom()
-        while self.peek().kind == "(":
-            token = self.peek()
-            (n,) = self.arguments("twist", token)
-            node, height = Twist(node, n), self.bounded(height + 1, token)
+        while self.tokens[self.pos] == "(":
+            at = self.pos
+            (n,) = self.arguments("twist", at)
+            node, height = Twist(node, n), self.bounded(height + 1, at)
         return node, height
 
-    def group(self, token: Token) -> Parsed:
-        # "(" expr ")", opened by ``token``.  Bounds the parser's own recursion,
-        # which the tree height cannot: it is only known once the group is parsed.
+    def group(self, at: int) -> Parsed:
+        # "(" expr ")", opened by token ``at``.  Bounds the parser's own
+        # recursion, which the tree height cannot: it is only known once the
+        # group is parsed.
         self.expect("(")
-        self.open_groups = self.bounded(self.open_groups + 1, token)
+        self.open_groups = self.bounded(self.open_groups + 1, at)
         parsed = self.sum()
         self.expect(")")
         self.open_groups -= 1
         return parsed
 
     def atom(self) -> Parsed:
-        token = self.peek()
-        if token.kind == "(":
-            return self.group(token)
-        if token.kind == "name":
-            self.advance()
-            if token.text == "dual":
-                inner, height = self.group(token)
-                return Dual(inner), self.bounded(height + 1, token)
-            if token.text not in _ARITY or token.text == "twist":
-                raise ExpressionError(f"unknown name {token.text!r}", token.column)
-            values = self.arguments(token.text, token)
-            if token.text == "o":
-                return LineBundle(*values), 1
-            if token.text == "cat":
-                if lookup(*values) is None:
-                    message = f"unknown catalog pair ({values[0]},{values[1]})"
-                    raise ExpressionError(message, token.column)
-                return CatRef(*values), 1
-            try:
-                BundleDescriptor(*values)
-            except ValueError as exc:
-                raise ExpressionError(f"invalid bundle literal: {exc}", token.column) from exc
-            return BundleLit(*values), 1
-        shown = token.text or "end of input"
-        raise ExpressionError(f"expected an expression, found {shown!r}", token.column)
+        at = self.pos
+        name = self.tokens[at]
+        if name == "(":
+            return self.group(at)
+        if not name.isidentifier():
+            raise self.expected("an expression")
+        self.pos += 1
+        if name == "dual":
+            inner, height = self.group(at)
+            return Dual(inner), self.bounded(height + 1, at)
+        if name not in _ARITY or name == "twist":
+            raise self.error(f"unknown name {name!r}", at)
+        values = self.arguments(name, at)
+        if name == "o":
+            return LineBundle(*values), 1
+        if name == "cat":
+            if lookup(*values) is None:
+                raise self.error(f"unknown catalog pair ({values[0]},{values[1]})", at)
+            return CatRef(*values), 1
+        try:
+            BundleDescriptor(*values)
+        except ValueError as exc:
+            raise self.error(f"invalid bundle literal: {exc}", at) from exc
+        return BundleLit(*values), 1
 
-    def arguments(self, name: str, at: Token) -> list[int]:
+    def arguments(self, name: str, at: int) -> list[int]:
         """The list "(" int {"," int} ")" after ``name``; an arity error is reported at ``at``."""
         fewest, most, takes = _ARITY[name]
+        tokens = self.tokens
         self.expect("(")
-        values = [self.int_value()]
-        while self.peek().kind == ",":
-            self.advance()
-            values.append(self.int_value())
+        values = []
+        while True:
+            token = tokens[self.pos]
+            if not token[-1:].isdigit():  # only an integer ends in a digit
+                raise self.expected("'int'")
+            if len(token.lstrip("-")) > MAX_DIGITS:
+                raise self.error(f"integer literal longer than {MAX_DIGITS} digits", self.pos)
+            values.append(int(token))
+            self.pos += 1
+            if tokens[self.pos] != ",":
+                break
+            self.pos += 1
         self.expect(")")
         if not fewest <= len(values) <= most:
-            message = f"{name}() takes {takes}; got {len(values)} values"
-            raise ExpressionError(message, at.column)
+            raise self.error(f"{name}() takes {takes}; got {len(values)} values", at)
         return values
 
 

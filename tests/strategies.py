@@ -50,3 +50,16 @@ DEEP_EXPRESSIONS = {
 # An integer literal past the interpreter's default 4,300-digit limit on
 # int/str conversion: the parser must reject it before calling int().
 HUGE_LITERAL = "o(" + "9" * 5000 + ")"
+
+# The tokens of random expression texts: every constructor head (and the
+# postfix twist's name, which the grammar does not accept), every operator
+# and near-miss operator, the ASCII digits, two blanks, a letter that names
+# nothing and a non-ASCII letter.
+TEXT_ALPHABET = (
+    "o(", "cat(", "bundle(", "dual(", "twist(", "(", ")", ",", "*", "++", "+", "-",
+    *"0123456789", " ", "\t", "x", "é",
+)
+
+
+def expression_texts():
+    return st.lists(st.sampled_from(TEXT_ALPHABET), max_size=16).map("".join)

@@ -239,6 +239,15 @@ def test_eval_arity_error_exits_two_without_a_traceback(capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("query, digit", [("chi", "\u0663"), ("chern", "\U0001d7d7")])
+def test_eval_non_ascii_digit_exits_two(capsys, query, digit):
+    # int() reads both as digits (3 and 9); an integer literal is ASCII only.
+    code, out, err = run(capsys, "eval", query, f"o({digit})")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unexpected character {digit!r} (column 3)\n"
+
+
 def test_eval_postfix_twist_arity_error_exits_two_without_a_traceback(capsys):
     code, out, err = run(capsys, "eval", "chi", "o(1)(1,2)")
     assert code == 2

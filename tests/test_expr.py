@@ -1,5 +1,8 @@
+import ast
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmbundles import BundleDescriptor, Hypersurface, chi_hrr
@@ -20,7 +23,7 @@ from acmbundles.expr import (
     uses_catalog,
 )
 
-from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL
+from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL, expression_texts
 
 X5 = Hypersurface(5)
 
@@ -144,6 +147,55 @@ def test_overlong_integer_literals_are_rejected_with_their_column():
 def test_integer_literals_at_the_digit_limit_parse():
     nines = "9" * MAX_DIGITS
     assert parse(f"o(-{nines})") == LineBundle(-int(nines))
+
+
+@pytest.mark.parametrize(
+    "text, character, column",
+    [("o(\u0663)", "\u0663", 3), ("o(\U0001d7d7)", "\U0001d7d7", 3), ("o(\uff13)", "\uff13", 3),
+     ("o(1\u0663)", "\u0663", 4), ("o(-\u0663)", "-", 3), ("bundle(2,\u0966,3)", "\u0966", 10)],
+)
+def test_an_integer_literal_is_ascii_digits_only(text, character, column):
+    # Arabic-Indic three, mathematical bold nine, fullwidth three and
+    # Devanagari zero are decimal digits to int(), but not to the grammar.
+    with pytest.raises(ExpressionError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == f"unexpected character {character!r} (column {column})"
+
+
+def test_a_bad_character_is_reported_before_an_earlier_syntax_error():
+    # The whole text is tokenized before the parser reports anything.
+    with pytest.raises(ExpressionError) as excinfo:
+        parse("o(1 ++ o(2) \u00e9")
+    assert str(excinfo.value) == "unexpected character '\u00e9' (column 13)"
+
+
+# An error message that quotes a token of the text, and the quoted token.
+_QUOTED = re.compile(
+    r"(?:unexpected character|expected .*?, found|unexpected trailing|unknown name) (.+)"
+)
+
+
+@settings(max_examples=400)
+@given(expression_texts())
+@example("")
+@example("o(1) +")
+@example("\to(1)\t(")
+@example("dual(x)")
+def test_a_text_parses_to_a_round_trip_tree_or_fails_inside_the_text(text):
+    try:
+        tree = parse(text)
+    except ExpressionError as exc:
+        message = str(exc).removesuffix(f" (column {exc.column})")
+        assert 1 <= exc.column <= len(text) + 1, (message, exc.column)
+        quoted = _QUOTED.fullmatch(message)
+        if quoted:
+            lexeme = ast.literal_eval(quoted[1])
+            if lexeme == "end of input":
+                assert exc.column == len(text) + 1
+            else:
+                assert text[exc.column - 1 :].startswith(lexeme), (message, exc.column)
+    else:
+        assert parse(to_text(tree)) == tree
 
 
 def test_uses_catalog_finds_nested_references():

@@ -7,11 +7,12 @@ Rewrite the files only in a change whose stated purpose is to change output.
 ``perfbench/golden/cli/`` pins the nine commands of the benchmark's CLI mix
 (``test_cli.py`` checks them); the files in ``tests/golden/`` pin the rest:
 every other format of ``table``, ``catalog`` and ``analyze --all``, the
-verbose text and TSV reports, the ``ch`` and ``rank`` queries, and the
+verbose text and TSV reports, the ``ch`` and ``rank`` queries, the
 renderers on reports outside the seven table cases, whose case index is
-``None``.
+``None``, and the outcome of ``expr.parse`` on a fixed list of texts.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,9 @@ import pytest
 from acmbundles import analyze_extension
 from acmbundles.catalog import lookup
 from acmbundles.cli import main, render_reports, render_table
+from acmbundles.expr import MAX_DEPTH, MAX_DIGITS, ExpressionError, parse
+
+from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL, TEXT_ALPHABET
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -53,6 +57,104 @@ RENDERINGS = {
 }
 
 
+def random_texts(count: int) -> list[str]:
+    rng = random.Random("parse-outcomes")
+    return ["".join(rng.choices(TEXT_ALPHABET, k=rng.randint(0, 16))) for _ in range(count)]
+
+
+# Texts whose parse outcome is pinned: the README and benchmark examples, each
+# kind of error message, literals at and past the digit limit, expressions at
+# and past the depth limit, and seeded random texts over TEXT_ALPHABET.
+PARSE_TEXTS = (
+    EVAL_EXPR,
+    "cat(4,30) ++ cat(1,8)",
+    "bundle(2,4,30) ++ bundle(2,1,8)",
+    "cat(4,30) * cat(1,8)",
+    "o(0)",
+    "(o(1) ++ o(0))(2) * cat(4,30)",
+    "  o( 1 )++\to(0)   ",
+    "bundle(3,1,8,7)",
+    "dual(dual(bundle(1,-1,0)(-2)(-3)))",
+    "(bundle(2,1,12)(3) ++ (cat(0,5) ++ bundle(2,-2,0)) ++ dual(cat(4,30)))(2)",
+    "(bundle(3,1,11,-5) ++ o(-3))(-2) * bundle(1,0,0)",
+    "dual(dual(o(2)(-3))) ++ bundle(3,-3,-1,4)(-2) * cat(-1,2)(3) * dual(bundle(1,-2,0))",
+    "cat(2,11)(-1)",
+    # unexpected character
+    "o(1) + o(2)",
+    "o(-)",
+    "o(1)\té",
+    "o(x1)",
+    # expected X, found Y
+    "o 1",
+    "o(1",
+    "o(x)",
+    "cat(4,)",
+    "dual o(1)",
+    "dual(o(1)",
+    "o(1)(",
+    "",
+    "   ",
+    "o(1) ++",
+    "* o(1)",
+    "()",
+    "o(1) ++ ++ o(2)",
+    # unexpected trailing
+    "o(1) o(2)",
+    "o(1))",
+    "o(1) 2",
+    "o(1),o(2)",
+    # unknown name
+    "spam(1)",
+    "twist(1)",
+    "x",
+    "o(1) * dual(cats(4,30))",
+    # unknown catalog pair
+    "cat(3,19)",
+    "cat(2,15)",
+    "o(1) ++ cat(-1,-2)",
+    # invalid bundle literal
+    "bundle(2,1,8,7)",
+    "bundle(0,1,0)",
+    "bundle(-1,0,0)",
+    "o(2) * bundle(1,1,1)",
+    # arity, the postfix twist among them
+    "o()",
+    "o(1,2)",
+    "cat(1)",
+    "cat(4,30,1)",
+    "bundle(2,1)",
+    "bundle(1,1,0,0,0)",
+    "o(1)(1,2)",
+    "o(0) ++ o(1)(1,2)",
+    # the digit limit
+    f"o({'9' * MAX_DIGITS})",
+    f"o(-{'9' * MAX_DIGITS})",
+    f"o({'1' * (MAX_DIGITS + 1)})",
+    f"bundle(2, 1, -{'1' * (MAX_DIGITS + 1)})",
+    HUGE_LITERAL,
+    # the depth limit
+    "dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1),
+    "(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH,
+    " ++ ".join(["o(1)"] * MAX_DEPTH),
+    "o(1)" + "(1)" * (MAX_DEPTH - 1),
+    *DEEP_EXPRESSIONS.values(),
+    *random_texts(2000),
+)
+
+
+
+def parse_outcome(text: str) -> str:
+    try:
+        return repr(parse(text))
+    except ExpressionError as exc:
+        return str(exc)
+
+
+def parse_outcomes() -> str:
+    """One line per text of PARSE_TEXTS: its repr, a tab, and its outcome."""
+    return "".join(f"{text!r}\t{parse_outcome(text)}\n" for text in PARSE_TEXTS)
+
+
 def extension_reports():
     return [analyze_extension(lookup(*F), lookup(*E), m) for F, E, m in EXTENSIONS]
 
@@ -73,6 +175,10 @@ def test_rendering_outside_the_table_matches_its_golden(name):
     assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def test_parse_outcomes_match_their_golden():
+    assert parse_outcomes().encode() == (GOLDEN / "parse_outcomes.out").read_bytes()
+
+
 if __name__ == "__main__":
     import io
     from contextlib import redirect_stdout
@@ -84,4 +190,5 @@ if __name__ == "__main__":
         (GOLDEN / f"{name}.out").write_bytes(out.getvalue().encode())
     for name, render in RENDERINGS.items():
         (GOLDEN / f"{name}.out").write_bytes((render(extension_reports()) + "\n").encode())
-    print(f"wrote {len(CLI_CASES) + len(RENDERINGS)} files in {GOLDEN}")
+    (GOLDEN / "parse_outcomes.out").write_bytes(parse_outcomes().encode())
+    print(f"wrote {len(CLI_CASES) + len(RENDERINGS) + 1} files in {GOLDEN}")

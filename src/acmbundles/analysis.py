@@ -27,9 +27,11 @@ direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
 normalized catalog entries whose c1 values add up to c1(G).  The catalog's
 pairs are built once, on first use, grouped by c1 sum, each with its
 ``direct_sum`` (the Whitney sum), c1 values, chi sum, the h0 of both entries
-and whether either has c1 = 0 (the section-count convention flag); F(m) is
-twisted once per (entry, m) in a bounded cache.  ``_classify`` disposes of
-each candidate by the first applicable filter and builds the case report:
+and whether either has c1 = 0 (the section-count convention flag).  Two
+bounded caches hold F(m) with ch(F(m)) per (entry, m) and ch(E*) per (c1, c2),
+which ``build_case`` pairs with td(X) through ``euler_pairing``'s own body.
+``_classify`` disposes of each candidate by the first applicable filter and
+builds the case report:
 
 * ``chern-mismatch``  — the direct sum's c2 misses c2(G);
 * ``trivial-split``   — the pair is exactly {F(m), E}, which a nontrivial
@@ -53,9 +55,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, euler_pairing, twist
+from .bundles import BundleDescriptor, _exact_int, _pairing, chi_hrr, direct_sum, dual, to_ch, twist
 from .catalog import _TABLE_ROWS, CatalogEntry, _descriptor, catalog
-from .chowring import QUINTIC, _integer, _Record
+from .chowring import QUINTIC, ChowClass, _integer, _Record
 
 __all__ = [
     "QUINTIC",
@@ -151,8 +153,8 @@ def build_case(
     """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0."""
     if _integer(m, "extension twist m") > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
-    Fm = _twisted(F.c1, F.c2, m)
-    chi_t = _exact_int(euler_pairing(E.descriptor(), Fm, QUINTIC), "chi")
+    Fm, ch_Fm = _twisted(F.c1, F.c2, m)
+    chi_t = _exact_int(_pairing(_dual_ch(E.c1, E.c2), ch_Fm, QUINTIC), "chi")
     G = direct_sum(Fm, E.descriptor(), QUINTIC)
     return ExtensionCase(
         index=index,
@@ -167,9 +169,16 @@ def build_case(
 
 
 @lru_cache(maxsize=64, typed=True)
-def _twisted(c1: int, c2: int, m: int) -> BundleDescriptor:
-    # F(m) for F = (c1, c2): the sweep's 56 fit; any other m evicts, never grows it.
-    return twist(_descriptor(c1, c2), m, QUINTIC)
+def _twisted(c1: int, c2: int, m: int) -> tuple[BundleDescriptor, ChowClass]:
+    # F(m) and its ch for F = (c1, c2): the sweep's 56 fit; any other m evicts, never grows it.
+    Fm = twist(_descriptor(c1, c2), m, QUINTIC)
+    return Fm, to_ch(Fm, QUINTIC)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _dual_ch(c1: int, c2: int) -> ChowClass:
+    # ch(E*) for the rank-2 E = (c1, c2), once per catalog entry.
+    return to_ch(dual(_descriptor(c1, c2)), QUINTIC)
 
 
 @lru_cache(maxsize=1)

@@ -21,7 +21,8 @@ identities truncated at codimension three; on this ring
 
 Euler characteristics come from Hirzebruch-Riemann-Roch, chi(E) = chi(O_X, E)
 = integral of ch(E).td(X), and so does the Euler pairing chi(E, F) = sum
-(-1)^i ext^i(E, F) = integral of ch(E*).ch(F).td(X), with no tensor built.
+(-1)^i ext^i(E, F) = integral of ch(E*).ch(F).td(X), with no tensor built;
+``integrate`` reads the point coefficient of the last product unformed.
 ``chi_rank2`` is chi of a rank-2 bundle on the quintic: 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
 """
 
@@ -78,8 +79,9 @@ class BundleDescriptor(_Record):
             raise ValueError("a rank-1 bundle has c2 = c3 = 0")
         if self.rank == 2 and self.c3 != 0:
             raise ValueError("a rank-2 bundle has c3 = 0")
-        if self.b is not None and (not isinstance(self.b, int) or isinstance(self.b, bool)):
-            raise ValueError(f"b must be an integer or None, got {self.b!r}")
+        b = getattr(self, "b", None)  # also the rule of expr.BundleLit, which has no b
+        if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
+            raise ValueError(f"b must be an integer or None, got {b!r}")
 
     def chern_tuple(self) -> tuple[int, int, int]:
         return (self.c1, self.c2, self.c3)
@@ -179,16 +181,20 @@ def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Bun
 def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
     """Euler characteristic by Hirzebruch-Riemann-Roch: integral of ch(E).td(X).
 
-    This is the Euler pairing chi(O_X, E), taken as one product.  The exact
+    This is the Euler pairing chi(O_X, E), with no product formed.  The exact
     value is an integer whenever the descriptor satisfies the parity constraint
     of an honest bundle class (so for every catalog and analysis bundle).
     """
-    return integrate(X.mul(to_ch(E, X), X.todd()))
+    return integrate(to_ch(E, X), X.todd())
 
 
 def euler_pairing(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Fraction:
     """chi(E, F) = sum (-1)^i ext^i(E, F), by Riemann-Roch the integral of ch(E*).ch(F).td(X)."""
-    return integrate(X.mul(X.mul(to_ch(dual(E), X), to_ch(F, X)), X.todd()))
+    return _pairing(to_ch(dual(E), X), to_ch(F, X), X)
+
+
+def _pairing(ch_dual_E: ChowClass, ch_F: ChowClass, X: Hypersurface) -> Fraction:
+    return integrate(X.mul(ch_dual_E, ch_F), X.todd())
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:

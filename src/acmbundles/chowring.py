@@ -68,9 +68,9 @@ class _Record:
     """Base of an immutable value class whose fields are its class annotations.
 
     Trailing fields may have class-level defaults.  A subclass gets an
-    ``__init__`` over its fields that calls ``_validate`` (unless it defines
-    its own), and the repr, equality (within one class), hash and frozenness
-    of a frozen dataclass.
+    ``__init__`` over its fields (unless it defines its own) that calls
+    ``_validate`` if a class below this base defines one, and the repr,
+    equality (within one class), hash and frozenness of a frozen dataclass.
     """
 
     __slots__ = ()
@@ -83,8 +83,8 @@ class _Record:
         exec(
             f"def __init__(self, {params}):\n"
             f" self.__dict__.update({', '.join(f'{n}={n}' for n in names)})\n"
-            " self._validate()\n"
-            f"def _values(self):\n return ({''.join(f'self.{n}, ' for n in names)})",
+            + (" self._validate()\n" if cls._validate is not _Record._validate else "")
+            + f"def _values(self):\n return ({''.join(f'self.{n}, ' for n in names)})",
             namespace,
         )
         cls._values = namespace["_values"]
@@ -192,9 +192,11 @@ def _over(d: int, n0: int, n1: int, n2: int, n3: int) -> ChowClass:
     return x
 
 
-def integrate(x: ChowClass) -> Fraction:
-    """Degree map: the pt-coefficient of a class."""
-    return Fraction(x.scaled[4], x.scaled[0])
+def integrate(x: ChowClass, y: ChowClass = ChowClass(1)) -> Fraction:
+    """Degree map: the pt-coefficient of x.y, read without forming the product (y = 1: of x)."""
+    d, x0, x1, x2, x3 = x.scaled
+    e, y0, y1, y2, y3 = y.scaled
+    return Fraction(x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0, d * e)
 
 
 # The Todd class of X_r for each degree r that has asked for it.

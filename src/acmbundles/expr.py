@@ -1,7 +1,7 @@
 """A small expression language for bundle arithmetic.
 
-Grammar (whitespace insensitive, integers are ASCII digits and may be
-negative):
+Grammar (blanks between tokens are space, tab, CR and LF only; integers are
+ASCII digits and may be negative):
 
     expr  := sum
     sum   := prod { "++" prod }            direct sum, left associative
@@ -14,8 +14,8 @@ negative):
            | "(" expr ")"
 
 o, cat, bundle and the postfix twist read their integers through one reader
-checked against one arity table.  Bundle literals are validated while parsing
-(a rank-2 literal with c3 != 0 is rejected, and cat() must name a catalog pair).
+checked against one arity table.  A ``BundleLit`` checks the descriptor's rule
+when built (rank 2 needs c3 = 0), and cat() must name a catalog pair.
 Neither the parsed tree nor the nesting of parentheses may be deeper than
 MAX_DEPTH, so that printing and evaluating a tree stay within the
 interpreter's recursion limit, and an integer literal may have at most
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
+from .bundles import BundleDescriptor, _closed, dual as dual_bundle, direct_sum, tensor, twist
 from .catalog import lookup
 from .chowring import Hypersurface, _Record
 
@@ -73,6 +73,7 @@ class BundleLit(_Record):
     c1: int
     c2: int
     c3: int = 0
+    _validate = BundleDescriptor._validate  # the descriptor's rule, once per literal
 
 
 class LineBundle(_Record):
@@ -108,8 +109,8 @@ Expression = Union[BundleLit, LineBundle, CatRef, Dual, Twist, Tensor, Sum]
 
 # One alternation, the most frequent tokens first.  A token is group 1; a
 # character that starts no token matches the catch-all and leaves group 1
-# empty.  Whitespace matches neither, so a scan steps over it.
-_TOKEN_RE = re.compile(r"([(),]|[0-9]+|[A-Za-z_]+|-[0-9]+|\+\+|\*)|\S")
+# empty.  Only space, tab, CR and LF match neither, so a scan steps over them.
+_TOKEN_RE = re.compile(r"([(),]|[0-9]+|[A-Za-z_]+|-[0-9]+|\+\+|\*)|[^ \t\r\n]")
 
 Parsed = tuple[Expression, int]  # a tree and its height
 
@@ -221,10 +222,9 @@ class _Parser:
                 raise self.error(f"unknown catalog pair ({values[0]},{values[1]})", at)
             return CatRef(*values), 1
         try:
-            BundleDescriptor(*values)
+            return BundleLit(*values), 1
         except ValueError as exc:
             raise self.error(f"invalid bundle literal: {exc}", at) from exc
-        return BundleLit(*values), 1
 
     def arguments(self, name: str, at: int) -> list[int]:
         """The list "(" int {"," int} ")" after ``name``; an arity error is reported at ``at``."""
@@ -299,7 +299,7 @@ def uses_catalog(expr: Expression) -> bool:
 def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:
     """Evaluate an expression to a bundle descriptor on X."""
     if isinstance(expr, BundleLit):
-        return BundleDescriptor(expr.rank, expr.c1, expr.c2, expr.c3)
+        return _closed(expr.rank, expr.c1, expr.c2, expr.c3, None, False)  # checked when built
     if isinstance(expr, LineBundle):
         return BundleDescriptor(1, expr.n, 0, 0, b=expr.n, acm=True)
     if isinstance(expr, CatRef):

@@ -56,6 +56,14 @@ def test_integrate_reads_point_coefficient():
     assert integrate(ChowClass(1, 2, 3, Fraction(-1, 2))) == Fraction(-1, 2)
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+@given(chow_classes(), chow_classes())
+def test_two_factor_integrate_is_the_integral_of_the_product(r, x, y):
+    assert integrate(x, y) == integrate(Hypersurface(r).mul(x, y))
+    assert integrate(x, y) == integrate(y, x)
+    assert integrate(x) == integrate(x, ChowClass(1))
+
+
 def test_tangent_chern_quintic():
     assert X5.tangent_chern() == ChowClass(1, 0, 50, -200)
 

@@ -248,6 +248,14 @@ def test_eval_non_ascii_digit_exits_two(capsys, query, digit):
     assert err == f"error: unexpected character {digit!r} (column 3)\n"
 
 
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x1c", "\x85", "\u3000"])
+def test_eval_whitespace_that_is_not_a_blank_exits_two(capsys, blank):
+    code, out, err = run(capsys, "eval", "chi", f"o(1){blank}++ o(2)")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unexpected character {blank!r} (column 5)\n"
+
+
 def test_eval_postfix_twist_arity_error_exits_two_without_a_traceback(capsys):
     code, out, err = run(capsys, "eval", "chi", "o(1)(1,2)")
     assert code == 2

@@ -1,5 +1,6 @@
 import ast
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -160,6 +161,47 @@ def test_an_integer_literal_is_ascii_digits_only(text, character, column):
     with pytest.raises(ExpressionError) as excinfo:
         parse(text)
     assert str(excinfo.value) == f"unexpected character {character!r} (column {column})"
+
+
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x1c", "\x85", "\u3000"])
+def test_only_ascii_space_tab_cr_and_lf_are_blanks(blank):
+    # Python calls each of these whitespace; the grammar does not.
+    assert parse("o(1) \t\r\n++\no(2)") == Sum(LineBundle(1), LineBundle(2))
+    for text, column in ((f"o(1){blank}++ o(2)", 5), (f"o(1)\x1c++{blank}o(2)", 5), (f"{blank}o(1)", 1)):
+        with pytest.raises(ExpressionError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == f"unexpected character {text[column - 1]!r} (column {column})"
+
+
+def _validations(run):
+    """How many times the descriptor's rule runs during ``run()``."""
+    code, calls = BundleDescriptor._validate.__code__, []
+    sys.setprofile(lambda frame, event, arg: calls.append(1) if event == "call" and frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_a_bundle_literal_is_validated_once_when_its_node_is_built():
+    text = "bundle(2,1,8) ++ dual(bundle(3,1,8,7))"  # closed operations: no further check
+    assert _validations(lambda: evaluate(parse(text), X5)) == 2
+    tree = parse(text)
+    assert _validations(lambda: evaluate(tree, X5)) == 0
+    for literal in (BundleLit(2, 1, 8), BundleLit(3, 1, 8, 7), BundleLit(1, -4, 0)):
+        E = evaluate(literal, X5)
+        again = BundleDescriptor(literal.rank, literal.c1, literal.c2, literal.c3)
+        assert E == again and repr(E) == repr(again) and list(vars(E).items()) == list(vars(again).items())
+    # A hand-built tree is checked too, with the descriptor's messages.
+    for args, message in (((2, 1, 8, 1), "a rank-2 bundle has c3 = 0"), ((0, 1, 0), "rank must be positive, got 0"),
+                          ((2, True, 8), "c1 must be an integer, got True")):
+        with pytest.raises(ValueError) as excinfo:
+            BundleLit(*args)
+        assert str(excinfo.value) == message
+    with pytest.raises(ExpressionError) as excinfo:
+        parse("o(1) ++ bundle(2,1,8,1)")
+    assert str(excinfo.value) == "invalid bundle literal: a rank-2 bundle has c3 = 0 (column 9)"
 
 
 def test_a_bad_character_is_reported_before_an_earlier_syntax_error():

@@ -29,8 +29,10 @@ from acmbundles import (
     analyze_extension,
     build_case,
     catalog,
+    chi_hrr,
     direct_sum,
     dual,
+    euler_pairing,
     from_ch,
     tensor,
     twist,
@@ -187,6 +189,33 @@ def test_the_twist_cache_stays_within_its_bound():
         assert case.F_twisted == twist(F.descriptor(), m, QUINTIC), m
     info = analysis._twisted.cache_info()
     assert 0 < info.currsize <= info.maxsize <= 64
+
+
+def test_the_dual_character_cache_stays_within_its_bound():
+    # ch(E*) is cached per (c1, c2); feed it the 98 classes of E(k), k in [-3, 3].
+    F = catalog()[8]
+    for entry in catalog():
+        for k in range(-3, 4):
+            Ek = twist(entry.descriptor(), k, QUINTIC)
+            E = CatalogEntry(Ek.c1, Ek.c2, entry.family, entry.exists_on_general, 0, None, False)
+            case = build_case(F, E, 0)
+            assert case.chi_tensor == euler_pairing(Ek, case.F_twisted, QUINTIC), (entry.pair, k)
+    info = analysis._dual_ch.cache_info()
+    assert 0 < info.currsize <= info.maxsize <= 32
+
+
+def test_every_chi_of_the_sweep_is_its_riemann_roch_value():
+    # The cached characters against the routes that cache nothing: the
+    # tensor product's chi for the pairing, chi_hrr(G) for each verdict.
+    for F, E, m in _sweep():
+        report = analyze_extension(F, E, m)
+        case = report.case
+        chi = euler_pairing(E.descriptor(), case.F_twisted, QUINTIC)
+        assert case.chi_tensor == chi == chi_hrr(tensor(case.F_twisted, dual(E.descriptor()), QUINTIC), QUINTIC)
+        chi_G = chi_hrr(case.G, QUINTIC)
+        assert chi_G == chi_hrr(case.F_twisted, QUINTIC) + E.chi
+        for verdict in report.verdicts + report.rejected:
+            assert verdict.details["chi_target"] == chi_G, (F.pair, E.pair, m, verdict.pair_key)
 
 
 def test_a_catalog_entry_keeps_no_memo():

@@ -13,6 +13,7 @@ import pytest
 from acmbundles import BundleDescriptor, Hypersurface, analyze_case, extension_cases, lookup
 from acmbundles.analysis import CaseReport, ExtensionCase, SplitVerdict
 from acmbundles.catalog import CatalogEntry
+from acmbundles.chowring import _Record
 from acmbundles.expr import BundleLit, CatRef, Dual, LineBundle, Sum, Tensor, Twist
 
 REQUIRED = object()
@@ -159,3 +160,49 @@ def test_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+class _Checked(_Record):
+    n: int
+
+    def _validate(self):
+        if self.n < 0:
+            raise ValueError(f"n must be non-negative, got {self.n}")
+
+
+class _CheckedChild(_Checked):  # inherits the validator
+    n: int
+    label: str = ""
+
+
+class _Plain(_Record):
+    n: int
+
+
+class _CheckedBelowPlain(_Plain):  # the first validator in its line
+    n: int
+
+    def _validate(self):
+        if self.n < 0:
+            raise ValueError(f"n must be non-negative, got {self.n}")
+
+
+_CHECKED = (_Checked, _CheckedChild, _CheckedBelowPlain)
+
+
+@pytest.mark.parametrize("cls", _CHECKED, ids=lambda cls: cls.__name__)
+def test_a_record_with_its_own_or_an_inherited_validator_rejects_bad_input(cls):
+    assert cls(3).n == 3
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        cls(-1)
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        cls(n=-1)
+
+
+def test_a_record_calls_its_validator_exactly_when_it_has_one():
+    checked = (*_CHECKED, BundleDescriptor, Hypersurface, BundleLit)
+    unchecked = (_Plain, ExtensionCase, SplitVerdict, CaseReport, CatalogEntry,
+                 LineBundle, CatRef, Dual, Twist, Tensor, Sum)
+    for cls in checked + unchecked:
+        assert ("_validate" in cls.__init__.__code__.co_names) == (cls in checked), cls
+    assert _Plain(-1).n == -1

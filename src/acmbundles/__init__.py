@@ -43,10 +43,8 @@ _ANALYSIS = (
     "ExtensionCase",
     "SplitVerdict",
     "CaseReport",
-    "BoundNotJustifiedError",
     "build_case",
     "extension_cases",
-    "ext1_lower_bound",
     "analyze_case",
     "analyze_extension",
 )

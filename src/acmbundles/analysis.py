@@ -6,10 +6,11 @@ as extensions
     0 -> F(m) -> G -> E -> 0,    m <= 0,
 
 of catalog bundles E by twisted catalog bundles F(m).  The Euler pairing
-chi(E, F(m)) = hom - ext^1 + ext^2 - ext^3 (``euler_pairing``) bounds ext^1
-from below by -chi, and so makes Ext^1(E, F(m)) nonempty when chi < 0, only
-once ext^3 = h3(F(m) tensor E*) vanishes (``h3_vanishes``: c1(F) + m > 0).  Seven
-(F, E, m) triples make this work:
+chi(E, F(m)) = hom - ext^1 + ext^2 - ext^3 (``euler_pairing``) bounds ext^1 from
+below by -chi (``d_lower``), and so makes Ext^1(E, F(m)) nonempty when chi < 0,
+only once ext^3 vanishes.  As omega_X = O_X, ext^3(E, F(m)) = hom(F(m), E), which
+nothing here computes: ``h3_vanishes`` is the predicate c1(F) + m > 0, which
+ROADMAP item 1 replaces.  Seven (F, E, m) triples make this work:
 
     (1) F=(4,30)  E=(1,8)  m=0      (5) F=(1,8)  E=(0,3)  m=0
     (2) F=(4,30)  E=(0,3)  m=-1     (6) F=(1,8)  E=(0,4)  m=0
@@ -64,7 +65,6 @@ __all__ = [
     "ExtensionCase",
     "SplitVerdict",
     "CaseReport",
-    "BoundNotJustifiedError",
     "FILTER_CHERN_MISMATCH",
     "FILTER_TRIVIAL_SPLIT",
     "FILTER_H0_MISMATCH",
@@ -73,7 +73,6 @@ __all__ = [
     "CONCLUSION_INCONCLUSIVE",
     "build_case",
     "extension_cases",
-    "ext1_lower_bound",
     "analyze_case",
     "analyze_extension",
 ]
@@ -90,9 +89,6 @@ NOTE_H0_CONVENTION = (
     "h0 counts for c1 = 0 entries use the normalized-bundle convention h0 = 1; "
     "every exclusion recorded here also holds under the alternative convention h0 = 0."
 )
-
-class BoundNotJustifiedError(ValueError):
-    """The Ext^1 lower bound needs the h3-vanishing hypothesis."""
 
 
 class ExtensionCase(_Record):
@@ -113,7 +109,8 @@ class ExtensionCase(_Record):
 
     @property
     def h3_vanishes(self) -> bool:
-        """c1(F) + m > 0, so h0(F*(-m)) = 0 by normalization and h3(F(m) tensor E*) = 0."""
+        """c1(F) + m > 0, which does not compute ext^3(E, F(m)) = hom(F(m), E) (omega_X = O_X):
+        F = E = (1,8), m = 0 passes with hom(E, E) >= 1.  ROADMAP item 1 replaces it."""
         return self.F.c1 + self.m > 0
 
 
@@ -189,19 +186,6 @@ def extension_cases() -> tuple[ExtensionCase, ...]:
         build_case(by_pair[f], by_pair[e], m, index=i)
         for i, (f, e, m) in enumerate(_TABLE_ROWS, start=1)
     )
-
-
-def ext1_lower_bound(case: ExtensionCase) -> int:
-    """Lower bound d_lower = max(0, -chi) for dim Ext^1(E, F(m)).
-
-    Valid only under the h3-vanishing hypothesis: then
-    h1 = h0 + h2 - chi >= -chi.
-    """
-    if not case.h3_vanishes:
-        raise BoundNotJustifiedError(
-            "bound not justified: h3-vanishing hypothesis c1(F) + m > 0 fails"
-        )
-    return case.d_lower
 
 
 # A catalog pair: (P, Q), its key, the Chern classes of the Whitney sum P + Q and

@@ -70,9 +70,7 @@ class BundleDescriptor(_Record):
 
     def _validate(self) -> None:
         for name in ("rank", "c1", "c2", "c3"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(getattr(self, name), name)
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         if self.rank == 1 and (self.c2 != 0 or self.c3 != 0):

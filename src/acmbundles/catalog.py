@@ -139,8 +139,8 @@ def lookup(c1: int, c2: int) -> CatalogEntry | None:
 def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
     """Number of sections of E(n) for a normalized catalog bundle E.
 
-    Returns None where the Euler characteristic cannot pin the count down
-    (positive twists of the c1 < 0 entries).  Accepts a rank-2
+    Returns None where the Euler characteristic cannot pin the count down:
+    every 0 <= n <= -c1 of the c1 < 0 entries, n = 0 included.  Accepts a rank-2
     BundleDescriptor as well, which must be explicitly normalized and flagged
     ACM; a negative chi where the count should be chi raises ValueError.
     """

@@ -267,24 +267,19 @@ def to_text(expr: Expression) -> str:
     if isinstance(expr, Dual):
         return f"dual({to_text(expr.inner)})"
     if isinstance(expr, Twist):
-        inner = to_text(expr.inner)
-        if isinstance(expr.inner, (Sum, Tensor)):
-            inner = f"({inner})"
-        return f"{inner}({expr.n})"
+        return f"{_operand(expr.inner, 3)}({expr.n})"
     if isinstance(expr, Tensor):
-        left = to_text(expr.left)
-        if isinstance(expr.left, Sum):
-            left = f"({left})"
-        right = to_text(expr.right)
-        if isinstance(expr.right, (Sum, Tensor)):
-            right = f"({right})"
-        return f"{left} * {right}"
+        return f"{_operand(expr.left, 2)} * {_operand(expr.right, 3)}"
     if isinstance(expr, Sum):
-        right = to_text(expr.right)
-        if isinstance(expr.right, Sum):
-            right = f"({right})"
-        return f"{to_text(expr.left)} ++ {right}"
+        return f"{_operand(expr.left, 1)} ++ {_operand(expr.right, 2)}"
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _operand(expr: Expression, needs: int) -> str:
+    # "++" binds 1, "*" binds 2, every other node 3: wrap what binds looser than its position needs.
+    binds = 1 if isinstance(expr, Sum) else 2 if isinstance(expr, Tensor) else 3
+    text = to_text(expr)
+    return f"({text})" if binds < needs else text
 
 
 def uses_catalog(expr: Expression) -> bool:

@@ -16,7 +16,6 @@ from acmbundles import (
     direct_sum,
     dual,
     extension_cases,
-    ext1_lower_bound,
     from_ch,
     integrate,
     tensor,
@@ -159,11 +158,14 @@ def test_criterion_6_case_analysis_verdicts():
 
 def test_criterion_7_ext_bounds():
     failures = []
-    bounds = [ext1_lower_bound(c) for c in extension_cases()]
+    cases = extension_cases()
+    bounds = [c.d_lower for c in cases]
     if bounds != [14, 6, 8, 10, 1, 2, 3]:
         failures.append(bounds)
     if not all(b >= 1 for b in bounds):
         failures.append("empty extension space")
+    if not all(c.h3_vanishes for c in cases):
+        failures.append("h3 premise")
     _criterion(7, "Ext^1 lower bounds (14, 6, 8, 10, 1, 2, 3), all >= 1", failures)
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from acmbundles import (
-    BoundNotJustifiedError,
     ChowClass,
     Hypersurface,
     analyze_case,
@@ -15,7 +14,6 @@ from acmbundles import (
     chi_hrr,
     dual,
     euler_pairing,
-    ext1_lower_bound,
     extension_cases,
     h0_acm_twist,
     lookup,
@@ -72,36 +70,37 @@ def test_extension_bundle_is_normalized_acm():
 
 
 def test_vanishing_conditions():
-    # The h3 premise on every sweep triple: the report's rank-1 hypothesis
-    # and the Ext^1 bound both read ``h3_vanishes``, which is c1(F) + m > 0.
+    # The h3 predicate and the Ext^1 bound on every sweep triple: the report's
+    # rank-1 hypothesis reads ``h3_vanishes``, which is c1(F) + m > 0, and the
+    # bound ``d_lower`` is max(0, -chi) whatever the predicate says.
     for F, E, m in _sweep():
         case = build_case(F, E, m)
         key = (F.pair, E.pair, m)
         assert analyze_extension(F, E, m).rank1_hypothesis_ok == case.h3_vanishes, key
         assert case.h3_vanishes == (F.c1 + m > 0), key
-        if case.h3_vanishes:
-            assert ext1_lower_bound(case) == max(0, -case.chi_tensor), key
-        else:
-            with pytest.raises(BoundNotJustifiedError):
-                ext1_lower_bound(case)
+        assert case.d_lower == max(0, -case.chi_tensor), key
 
 
 def test_ext1_lower_bounds():
     cases = extension_cases()
-    assert [ext1_lower_bound(c) for c in cases] == [14, 6, 8, 10, 1, 2, 3]
-    assert all(ext1_lower_bound(c) >= 1 for c in cases)
-
-
-def test_ext1_bound_needs_h3_vanishing():
-    degenerate = build_case(lookup(1, 4), lookup(0, 3), -1)
-    with pytest.raises(BoundNotJustifiedError):
-        ext1_lower_bound(degenerate)
+    assert [c.d_lower for c in cases] == [14, 6, 8, 10, 1, 2, 3]
+    assert all(c.d_lower >= 1 and c.h3_vanishes for c in cases)
 
 
 def test_ext1_bound_degenerates_when_chi_is_nonnegative():
     case = build_case(lookup(1, 4), lookup(0, 3), 0)
     assert case.chi_tensor == 3
-    assert ext1_lower_bound(case) == 0
+    assert case.d_lower == 0
+
+
+def test_the_guarded_ext1_bound_api_is_gone():
+    # The Ext^1 bound is ``case.d_lower``, read under ``case.h3_vanishes``.
+    import acmbundles
+
+    with pytest.raises(AttributeError):
+        acmbundles.ext1_lower_bound
+    with pytest.raises(ImportError):
+        from acmbundles.analysis import BoundNotJustifiedError  # noqa: F401
 
 
 def _survivors(report, kind):

@@ -283,6 +283,40 @@ def test_printer_round_trips_the_examples():
         assert to_text(parse(to_text(ast))) == to_text(ast)
 
 
+_A, _B, _C = LineBundle(1), LineBundle(2), LineBundle(3)
+
+
+@pytest.mark.parametrize(
+    "tree, text",
+    [
+        # atoms print without parentheses
+        (BundleLit(2, 4, 30), "bundle(2,4,30)"),
+        (BundleLit(3, 1, 8, 7), "bundle(3,1,8,7)"),
+        (CatRef(4, 30), "cat(4,30)"),
+        (Dual(Sum(_A, _B)), "dual(o(1) ++ o(2))"),
+        # twist: only a sum or a tensor is wrapped
+        (Twist(_A, 2), "o(1)(2)"),
+        (Twist(Dual(_A), 2), "dual(o(1))(2)"),
+        (Twist(Twist(_A, 2), 3), "o(1)(2)(3)"),
+        (Twist(Tensor(_A, _B), 3), "(o(1) * o(2))(3)"),
+        (Twist(Sum(_A, _B), 3), "(o(1) ++ o(2))(3)"),
+        # tensor: a sum on the left is wrapped; a sum or tensor on the right is
+        (Tensor(Tensor(_A, _B), _C), "o(1) * o(2) * o(3)"),
+        (Tensor(Sum(_A, _B), _C), "(o(1) ++ o(2)) * o(3)"),
+        (Tensor(_A, Tensor(_B, _C)), "o(1) * (o(2) * o(3))"),
+        (Tensor(_A, Sum(_B, _C)), "o(1) * (o(2) ++ o(3))"),
+        (Tensor(Twist(_A, 2), _B), "o(1)(2) * o(2)"),
+        # sum: nothing on the left is wrapped; a sum on the right is
+        (Sum(Sum(_A, _B), _C), "o(1) ++ o(2) ++ o(3)"),
+        (Sum(Tensor(_A, _B), _C), "o(1) * o(2) ++ o(3)"),
+        (Sum(_A, Tensor(_B, _C)), "o(1) ++ o(2) * o(3)"),
+        (Sum(_A, Sum(_B, _C)), "o(1) ++ (o(2) ++ o(3))"),
+    ],
+)
+def test_printer_parenthesizes_exactly_the_looser_operands(tree, text):
+    assert to_text(tree) == text
+
+
 def _bundle_lits():
     rank1 = st.builds(lambda c1: BundleLit(1, c1, 0, 0), st.integers(-9, 9))
     rank2 = st.builds(

@@ -30,7 +30,9 @@ pairs are built once, on first use, grouped by c1 sum, each with its
 ``direct_sum`` (the Whitney sum), c1 values, chi sum, the h0 of both entries
 and whether either has c1 = 0 (the section-count convention flag).  Two
 bounded caches hold F(m) with ch(F(m)) per (entry, m) and ch(E*) per (c1, c2),
-which ``build_case`` pairs with td(X) through ``euler_pairing``'s own body.
+which ``build_case`` pairs with td(X) through ``euler_pairing``'s own body; it
+reads the integral as an integer numerator and denominator from the formula
+``integrate`` wraps in a Fraction, and so builds no Fraction.
 ``_classify`` disposes of each candidate by the first applicable filter and
 builds the case report:
 
@@ -151,18 +153,10 @@ def build_case(
     if _integer(m, "extension twist m") > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm, ch_Fm = _twisted(F.c1, F.c2, m)
-    chi_t = _exact_int(_pairing(_dual_ch(E.c1, E.c2), ch_Fm, QUINTIC), "chi")
+    num, den = _pairing(_dual_ch(E.c1, E.c2), ch_Fm, QUINTIC)
+    chi_t = _exact_int(num, "chi", den)
     G = direct_sum(Fm, E.descriptor(), QUINTIC)
-    return ExtensionCase(
-        index=index,
-        F=F,
-        E=E,
-        m=m,
-        chi_tensor=chi_t,
-        d_lower=max(0, -chi_t),
-        F_twisted=Fm,
-        G=G,
-    )
+    return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), Fm, G)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -229,18 +223,12 @@ def _classify(case: ExtensionCase) -> CaseReport:
     used_convention = undecided = False
 
     for pair, key, sum_chern, c2_sum, c3_sum, c1s, chi_sum, h0s, pair_convention in _catalog_pairs().get(G.c1, ()):
-        details = {
-            "c2_sum": c2_sum,
-            "c2_target": c2_target,
-            "c3_sum": c3_sum,
-            "c3_target": c3_target,
-            "chi_sum": chi_sum,
-            "chi_target": chi_target,
-        }
+        details = {"c2_sum": c2_sum, "c2_target": c2_target, "c3_sum": c3_sum, "c3_target": c3_target,
+                   "chi_sum": chi_sum, "chi_target": chi_target, "c1_disjoint": c1s.isdisjoint(target_c1s)}
         if c2_sum != c2_target:
-            details["c1_disjoint"] = c1s.isdisjoint(target_c1s)
             rejected.append(SplitVerdict(pair, sum_chern, FILTER_CHERN_MISMATCH, details))
             continue
+        del details["c1_disjoint"]  # only a Chern rejection carries it
         if key == trivial_key:
             kind = FILTER_TRIVIAL_SPLIT
         else:
@@ -258,17 +246,14 @@ def _classify(case: ExtensionCase) -> CaseReport:
             undecided = undecided or kind == FILTER_UNDECIDED
         survivors.append(SplitVerdict(pair, sum_chern, kind, details))
 
+    h3_vanishes = case.h3_vanishes
     return CaseReport(
-        case=case,
-        rank1_hypothesis_ok=case.h3_vanishes,
-        verdicts=tuple(survivors),
-        rejected=tuple(rejected),
-        conclusion=(
-            CONCLUSION_INDECOMPOSABLE
-            if case.h3_vanishes and not undecided
-            else CONCLUSION_INCONCLUSIVE
-        ),
-        notes=(NOTE_H0_CONVENTION,) if used_convention else (),
+        case,
+        h3_vanishes,
+        tuple(survivors),
+        tuple(rejected),
+        CONCLUSION_INDECOMPOSABLE if h3_vanishes and not undecided else CONCLUSION_INCONCLUSIVE,
+        (NOTE_H0_CONVENTION,) if used_convention else (),
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _point, _Record, integrate
 
 __all__ = [
     "BundleDescriptor",
@@ -86,9 +86,11 @@ class BundleDescriptor(_Record):
 
 
 def _closed(rank: int, c1: int, c2: int, c3: int, b: int | None, acm: bool) -> BundleDescriptor:
-    # Unvalidated: only for results of operations closed on valid descriptors.
+    # Unvalidated: only for results of operations closed on valid descriptors.  The fields go
+    # straight into the instance dict in ``_fields`` order, as ``_Record.__init__`` writes them.
     E = object.__new__(BundleDescriptor)
-    E.__dict__.update(rank=rank, c1=c1, c2=c2, c3=c3, b=b, acm=acm)
+    d = E.__dict__
+    d["rank"], d["c1"], d["c2"], d["c3"], d["b"], d["acm"] = rank, c1, c2, c3, b, acm
     return E
 
 
@@ -188,11 +190,12 @@ def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
 
 def euler_pairing(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Fraction:
     """chi(E, F) = sum (-1)^i ext^i(E, F), by Riemann-Roch the integral of ch(E*).ch(F).td(X)."""
-    return _pairing(to_ch(dual(E), X), to_ch(F, X), X)
+    return Fraction(*_pairing(to_ch(dual(E), X), to_ch(F, X), X))
 
 
-def _pairing(ch_dual_E: ChowClass, ch_F: ChowClass, X: Hypersurface) -> Fraction:
-    return integrate(X.mul(ch_dual_E, ch_F), X.todd())
+def _pairing(ch_dual_E: ChowClass, ch_F: ChowClass, X: Hypersurface) -> tuple[int, int]:
+    # The pairing's integral as (numerator, denominator): integrate's own formula, no Fraction.
+    return _point(X.mul(ch_dual_E, ch_F), X.todd())
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:

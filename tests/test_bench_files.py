@@ -1,13 +1,16 @@
-"""Every committed ``BENCH_<n>.json`` has the shape of ``BENCH_8.json``.
+"""Every committed ``BENCH_<n>.json`` has the shape of ``BENCH_8.json`` and agrees with its runs.
 
 A bench file records paired benchmark runs of a change against its parent:
 what changed, the claim, how the runs were made, and per workload the
 calibrated end-to-end metrics of both sides.  Its metric names must be the
-end-to-end metrics that ``BENCHMARK.json`` declares.
+end-to-end metrics that ``BENCHMARK.json`` declares.  Each summary (median,
+quartiles, relative change, wins, the bound verdict) must follow from the
+runs it summarises, and the claimed metric must have moved the better way.
 """
 
 import json
 import re
+import statistics
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,30 @@ def test_a_bench_file_has_the_shape_of_bench_8(path):
             for side in ("parent", "change"):
                 assert set(entry[side]) == {"median", "q1", "q3"}, (name, metric, side)
                 assert entry[side]["q1"] <= entry[side]["median"] <= entry[side]["q3"], (name, metric, side)
+
+
+def _better(better, value, than):
+    return value > than if better == "higher" else value < than
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_a_bench_file_agrees_with_its_own_runs(path):
+    bench = json.loads(path.read_text())
+    for name, workload in bench["workloads"].items():
+        for metric, entry in workload["metrics"].items():
+            where = (name, metric)
+            runs = {"parent": entry["parent_runs"], "change": entry["change_runs"]}
+            for side, values in runs.items():
+                q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+                summary = {"median": statistics.median(values), "q1": q1, "q3": q3}
+                assert entry[side] == pytest.approx(summary, rel=1e-12), (*where, side)
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            relative = (change - parent) / parent
+            assert entry["relative_change"] == pytest.approx(relative, rel=1e-9, abs=1e-15), where
+            wins = sum(_better(entry["better"], c, p) for c, p in zip(runs["change"], runs["parent"]))
+            assert entry["change_wins"] == wins, where
+            worse = -relative if entry["better"] == "higher" else relative
+            assert entry["worse_beyond_bound"] == (worse > entry["bound"]), where
+    claim = bench["claim"]
+    claimed = bench["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    assert _better(claimed["better"], claimed["change"]["median"], claimed["parent"]["median"]), claim

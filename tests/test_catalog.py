@@ -1,6 +1,10 @@
+from math import comb
+
 import pytest
 
-from acmbundles import BundleDescriptor, catalog, h0_acm_twist, is_semistable, is_stable, lookup
+from acmbundles import (
+    QUINTIC, BundleDescriptor, catalog, chi_hrr, h0_acm_twist, is_semistable, is_stable, lookup, twist,
+)
 from acmbundles.catalog import FAMILY_A, FAMILY_B
 
 import oracles
@@ -116,3 +120,46 @@ def test_h0_twist_oracle_accepts_normalized_descriptors_only():
         h0_acm_twist(BundleDescriptor(2, 4, 30, 0, b=0), 1)  # not flagged ACM
     with pytest.raises(ValueError, match=r"chi = -45 < 0 for .*c2=100.* twisted by 0"):
         h0_acm_twist(BundleDescriptor(2, 1, 100, 0, b=0, acm=True), 0)  # no ACM bundle: chi < 0
+
+
+# The Serre correspondence: a section of a catalog bundle E with b = 0 vanishes on a
+# curve C with deg C = c2 and 2 p_a(C) - 2 = c1 c2, and 0 -> O_X -> E -> I_C(c1) -> 0.
+# H^1(O_X(n)) = 0 and h0(I_C(k)) = 0 for k <= 0 then give chi(E(n)) for 0 <= n <= -c1.
+
+
+def _h0_structure_sheaf(k: int) -> int:
+    # h0(O_X(k)) on the quintic: degree-k forms on P^4 modulo the multiples of the quintic.
+    return 0 if k < 0 else comb(k + 4, 4) - comb(max(k - 1, 0), 4)
+
+
+def _serre_chi(c1: int, n: int) -> int:
+    return _h0_structure_sheaf(n) - _h0_structure_sheaf(-c1 - n)
+
+
+def test_the_structure_sheaf_section_counts():
+    assert [_h0_structure_sheaf(k) for k in range(-1, 7)] == [0, 1, 5, 15, 35, 70, 125, 205]
+
+
+def test_each_entry_has_an_even_c1_c2():
+    for e in catalog():
+        assert e.c1 * e.c2 % 2 == 0, e.pair
+
+
+def test_chi_of_the_low_twists_is_the_serre_count():
+    low = [e for e in catalog() if e.c1 <= 0]
+    assert sorted(e.pair for e in low) == [(-2, 1), (-1, 2), (0, 3), (0, 4), (0, 5)]
+    for e in low:
+        for n in range(-e.c1 + 1):
+            chi = chi_hrr(twist(e.descriptor(), n, QUINTIC), QUINTIC)
+            assert chi == _serre_chi(e.c1, n), (e.pair, n)
+    assert chi_hrr(lookup(-2, 1).descriptor(), QUINTIC) == -14 == 1 - 15
+
+
+def test_the_serre_count_forces_c2_for_negative_c1():
+    for c1, c2 in ((-2, 1), (-1, 2)):
+        fits = [
+            k for k in range(0, 60)
+            if all(chi_hrr(twist(BundleDescriptor(2, c1, k), n, QUINTIC), QUINTIC) == _serre_chi(c1, n)
+                   for n in range(-c1 + 1))
+        ]
+        assert fits == [c2]

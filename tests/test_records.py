@@ -2,7 +2,8 @@
 
 Each record is compared with a frozen dataclass twin built here with the same
 name, fields and defaults: the same arguments must give the same repr and
-hash, and the record must equal only records of its own class.
+hash, and the record must equal only records of its own class.  A record's
+instance dict holds its fields in declaration order, however it was built.
 """
 
 import pickle
@@ -10,8 +11,11 @@ from dataclasses import FrozenInstanceError, field, make_dataclass
 
 import pytest
 
-from acmbundles import BundleDescriptor, Hypersurface, analyze_case, extension_cases, lookup
+from acmbundles import (
+    QUINTIC, BundleDescriptor, Hypersurface, analyze_case, direct_sum, dual, extension_cases, lookup, twist,
+)
 from acmbundles.analysis import CaseReport, ExtensionCase, SplitVerdict
+from acmbundles.bundles import _closed
 from acmbundles.catalog import CatalogEntry
 from acmbundles.chowring import _Record
 from acmbundles.expr import BundleLit, CatRef, Dual, LineBundle, Sum, Tensor, Twist
@@ -206,3 +210,32 @@ def test_a_record_calls_its_validator_exactly_when_it_has_one():
     for cls in checked + unchecked:
         assert ("_validate" in cls.__init__.__code__.co_names) == (cls in checked), cls
     assert _Plain(-1).n == -1
+
+
+@pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
+def test_a_record_keeps_its_fields_in_declaration_order(cls, fields, args, hashable):
+    names = [name for name, _ in fields]
+    assert list(cls._fields) == names
+    for record in (cls(*args), cls(**dict(zip(names, args)))):
+        assert list(vars(record)) == names
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert list(vars(pickle.loads(pickle.dumps(record, protocol)))) == names
+
+
+def test_the_closed_operations_write_descriptor_fields_in_declaration_order():
+    E, F = lookup(1, 8).descriptor(), lookup(0, 3).descriptor()
+    results = (_closed(2, 1, 8, 0, None, False), dual(E), direct_sum(E, F, QUINTIC), twist(E, -1, QUINTIC))
+    for result in results:
+        assert list(vars(result)) == list(BundleDescriptor._fields), result
+
+
+class _Shadowing(_Record):  # fields named like the generated __init__'s locals
+    d: int
+    d_: int
+    d__: int = 2
+    _cls: int = 3
+
+
+def test_no_field_is_shadowed_by_the_generated_init():
+    assert vars(_Shadowing(0, 1)) == {"d": 0, "d_": 1, "d__": 2, "_cls": 3}
+    assert vars(_Shadowing(d=4, d_=5, d__=6, _cls=7)) == {"d": 4, "d_": 5, "d__": 6, "_cls": 7}

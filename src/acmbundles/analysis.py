@@ -10,12 +10,8 @@ chi(E, F(m)) = hom - ext^1 + ext^2 - ext^3 (``euler_pairing``) bounds ext^1 from
 below by -chi (``d_lower``), and so makes Ext^1(E, F(m)) nonempty when chi < 0,
 only once ext^3 vanishes.  As omega_X = O_X, ext^3(E, F(m)) = hom(F(m), E), which
 nothing here computes: ``h3_vanishes`` is the predicate c1(F) + m > 0, which
-ROADMAP item 1 replaces.  Seven (F, E, m) triples make this work:
-
-    (1) F=(4,30)  E=(1,8)  m=0      (5) F=(1,8)  E=(0,3)  m=0
-    (2) F=(4,30)  E=(0,3)  m=-1     (6) F=(1,8)  E=(0,4)  m=0
-    (3) F=(4,30)  E=(0,4)  m=-1     (7) F=(1,8)  E=(0,5)  m=0
-    (4) F=(4,30)  E=(0,5)  m=-1
+ROADMAP item 1 replaces.  The seven (F, E, m) triples of the table are
+``catalog._TABLE_ROWS``; ``extension_cases`` finds their entries by ``lookup``.
 
 All chi values are computed through the Riemann-Roch pipeline, never stored.
 Everything here is a statement about the quintic, so no function takes a
@@ -59,7 +55,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, _pairing, chi_hrr, direct_sum, dual, to_ch, twist
-from .catalog import _TABLE_ROWS, CatalogEntry, _descriptor, catalog
+from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog, lookup
 from .chowring import QUINTIC, ChowClass, _integer, _Record
 
 __all__ = [
@@ -175,9 +171,8 @@ def _dual_ch(c1: int, c2: int) -> ChowClass:
 @lru_cache(maxsize=1)
 def extension_cases() -> tuple[ExtensionCase, ...]:
     """The seven extension cases, with chi computed through Riemann-Roch."""
-    by_pair = {entry.pair: entry for entry in catalog()}
     return tuple(
-        build_case(by_pair[f], by_pair[e], m, index=i)
+        build_case(lookup(*f), lookup(*e), m, index=i)
         for i, (f, e, m) in enumerate(_TABLE_ROWS, start=1)
     )
 
@@ -259,10 +254,9 @@ def _classify(case: ExtensionCase) -> CaseReport:
 
 def analyze_case(index: int) -> CaseReport:
     """Analyze one of the seven table cases (1-based index)."""
-    cases = extension_cases()
-    if not 1 <= _integer(index, "case index") <= len(cases):
-        raise ValueError(f"case index must be in 1..{len(cases)}, got {index}")
-    return _classify(cases[index - 1])
+    if _integer(index, "case index") not in CASE_INDICES:
+        raise ValueError(f"case index must be in 1..{len(CASE_INDICES)}, got {index}")
+    return _classify(extension_cases()[index - 1])
 
 
 def analyze_extension(F: CatalogEntry, E: CatalogEntry, m: int) -> CaseReport:

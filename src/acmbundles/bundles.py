@@ -13,6 +13,8 @@ than guessing.  Descriptors are immutable value classes, not dataclasses.
 Only the public constructor and ``from_ch`` validate.  ``dual``, ``direct_sum``
 and the last step of ``twist`` skip it: negation, Whitney sums (rank >= 2;
 c3 = 0 for two line bundles) and re-flagging keep valid descriptors valid.
+``_exact_int`` reads every integer off an exact value (a Chern class, a chi),
+an int or a Fraction alike, through ``as_integer_ratio``.
 
 Conversion between Chern classes and the Chern character uses the Newton
 identities truncated at codimension three; on this ring
@@ -104,8 +106,8 @@ def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
 
 def _exact_int(num: Rational, what: str, den: int = 1) -> int:
     """The integer num/den; a non-integral value is no bundle invariant."""
-    if isinstance(num, Fraction):
-        num, den = num.numerator, num.denominator * den
+    num, d = num.as_integer_ratio()
+    den *= d
     if num % den:
         raise NotBundleClassError(f"{what} is not an integer: {Fraction(num, den)}")
     return num // den

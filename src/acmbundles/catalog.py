@@ -11,6 +11,7 @@ Every pair in A arises on a general quintic; the pairs in B are admissible
 but their existence is conditional, and the entries (immutable value classes,
 not dataclasses) carry that distinction.  An entry's descriptor is built once
 per (c1, c2) and kept off the entry: pickling and hashing see only its fields.
+``lookup`` reads one (c1, c2) index, built once from ``catalog()``.
 
 Each entry comes with derived statistics, each computed by one rule: the
 Euler characteristic through the Riemann-Roch kernel ``chi_hrr``, the
@@ -128,12 +129,12 @@ def catalog() -> tuple[CatalogEntry, ...]:
 
 def lookup(c1: int, c2: int) -> CatalogEntry | None:
     """The catalog entry with the given Chern classes, or None."""
-    _integer(c1, "c1")
-    _integer(c2, "c2")
-    for entry in catalog():
-        if entry.c1 == c1 and entry.c2 == c2:
-            return entry
-    return None
+    return _by_pair().get((_integer(c1, "c1"), _integer(c2, "c2")))
+
+
+@lru_cache(maxsize=1)
+def _by_pair() -> dict[tuple[int, int], CatalogEntry]:
+    return {entry.pair: entry for entry in catalog()}
 
 
 def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:

@@ -141,8 +141,7 @@ class ChowClass(_Record):
     a0, a1, a2, a3 = (_coefficient(i) for i in range(4))
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        d, *numerators = self.scaled
-        return tuple(Fraction(n, d) for n in numerators)
+        return (self.a0, self.a1, self.a2, self.a3)
 
     def __reduce__(self):
         return (_over, self.scaled)

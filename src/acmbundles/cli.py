@@ -61,8 +61,8 @@ QUINTIC_ONLY = {
 
 
 def _rational(q: Fraction | int) -> int | str:
-    q = Fraction(q)
-    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    n, d = q.as_integer_ratio()
+    return n if d == 1 else f"{n}/{d}"
 
 
 def _cell(value: Any) -> str:
@@ -155,7 +155,7 @@ def _verdict_text(verdict: dict[str, Any]) -> str:
     elif kind == analysis.FILTER_H0_MISMATCH:
         reason = f"h0(F(m)) + h0(E) = {d['h0_lhs']} != {d['h0_rhs']} = h0(G1) + h0(G2)"
     else:
-        reason = d.get("reason", "no filter applied")
+        reason = d["reason"]
     return "{" + ", ".join(map(_cell, verdict["pair"])) + f"}}: {kind} ({reason})"
 
 

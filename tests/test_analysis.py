@@ -30,6 +30,7 @@ from acmbundles.analysis import (
     QUINTIC,
     _catalog_pairs,
 )
+from acmbundles.catalog import CASE_INDICES
 
 
 def test_table_rows():
@@ -44,6 +45,7 @@ def test_table_rows():
         ((1, 8), (0, 4)),
         ((1, 8), (0, 5)),
     ]
+    assert all(c.F is lookup(*c.F.pair) and c.E is lookup(*c.E.pair) for c in cases)
     assert [c.m for c in cases] == [0, -1, -1, -1, 0, 0, 0]
     assert [c.chi_tensor for c in cases] == [-14, -6, -8, -10, -1, -2, -3]
     assert [c.d_lower for c in cases] == [14, 6, 8, 10, 1, 2, 3]
@@ -282,10 +284,11 @@ def test_the_pair_table_holds_each_catalog_pair_once_by_c1_sum_in_key_order():
 
 
 def test_analyze_case_index_validation():
-    with pytest.raises(ValueError):
-        analyze_case(0)
-    with pytest.raises(ValueError):
-        analyze_case(8)
+    for index in (-1, 0, 8):
+        with pytest.raises(ValueError) as info:
+            analyze_case(index)
+        assert str(info.value) == f"case index must be in 1..7, got {index}"
+    assert [analyze_case(index).case for index in CASE_INDICES] == list(extension_cases())
 
 
 def test_build_case_rejects_positive_twists():

@@ -72,6 +72,17 @@ def test_lookup():
     assert lookup(3, 19) is None
 
 
+def test_lookup_over_a_box_is_the_catalog_entry_with_that_pair():
+    # The box holds every catalog pair and their near misses in c1 and in c2.
+    found = 0
+    for c1 in range(-6, 7):
+        for c2 in range(-2, 41):
+            entries = [entry for entry in catalog() if entry.pair == (c1, c2)]
+            assert lookup(c1, c2) is (entries[0] if entries else None), (c1, c2)
+            found += bool(entries)
+    assert found == len(catalog()) == 14
+
+
 def test_h0_twist_oracle_values():
     assert h0_acm_twist(lookup(4, 30), -1) == 0
     assert h0_acm_twist(lookup(2, 14), 0) == 1

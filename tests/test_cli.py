@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acmbundles import analyze_case
-from acmbundles.cli import QUERIES, main, report_json
+from acmbundles import analyze_case, analyze_extension, catalog
+from acmbundles.analysis import FILTER_UNDECIDED
+from acmbundles.catalog import CASE_INDICES
+from acmbundles.cli import QUERIES, main, render_reports, report_json
 
 from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL
 
@@ -116,6 +118,19 @@ def test_analyze_all_is_the_default(capsys):
     _, implicit, _ = run(capsys, "analyze")
     assert explicit == implicit
     assert explicit.count("case (") == 7
+
+
+def test_every_undecided_verdict_has_a_reason_the_text_renders():
+    # The text renderer reads an undecided verdict's reason with no default:
+    # check every verdict of the seven table cases and the 784 sweep triples.
+    reports = [analyze_case(index) for index in CASE_INDICES]
+    reports += [analyze_extension(F, E, m) for F in catalog() for E in catalog() for m in range(-3, 1)]
+    undecided = [v for r in reports for v in r.verdicts if v.filter == FILTER_UNDECIDED]
+    reasons = {v.details["reason"] for v in undecided}
+    assert reasons == {"h0 undetermined", "all numeric filters agree"}
+    text = render_reports(reports, "text", True)
+    assert text.count("case (") == len(reports) == 791
+    assert text.count(f": {FILTER_UNDECIDED} (") == len(undecided)
 
 
 def test_analyze_tsv(capsys):

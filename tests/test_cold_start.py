@@ -37,9 +37,10 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 NEVER = {"dataclasses", "inspect"}
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
+def python(*args: str, env: dict[str, str] = ENV) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=ENV, capture_output=True, timeout=60
+        [sys.executable, *args],
+        cwd=ROOT, env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
     )
 
 
@@ -101,9 +102,18 @@ def test_lazy_names_are_the_analysis_objects_and_unknown_names_fail():
     ]
 
 
-@pytest.mark.parametrize("name, argv", CLI_MIX, ids=[name for name, _ in CLI_MIX])
-def test_cold_cli_mix_matches_the_golden_output(name, argv):
-    proc = python("-m", "acmbundles", *argv)
+# Every command prints its golden bytes under two hash seeds, so no output
+# order rests on set or dict hashing.  Seed "0" keeps the plain command id.
+HASH_SEEDS = ("0", "4242")
+
+
+@pytest.mark.parametrize(
+    "seed, name, argv",
+    [(seed, name, argv) for seed in HASH_SEEDS for name, argv in CLI_MIX],
+    ids=[name if seed == "0" else f"{name}-hashseed{seed}" for seed in HASH_SEEDS for name, _ in CLI_MIX],
+)
+def test_cold_cli_mix_matches_the_golden_output(seed, name, argv):
+    proc = python("-m", "acmbundles", *argv, env=dict(ENV, PYTHONHASHSEED=seed))
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout == (PERFBENCH / "golden" / "cli" / f"{name}.out").read_bytes()

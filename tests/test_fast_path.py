@@ -154,6 +154,20 @@ def test_exact_int_rejects_a_non_integral_value(num, den, message):
     assert str(info.value) == message
 
 
+@given(st.integers(-10**4, 10**4), st.integers(1, 12))
+def test_exact_int_reads_an_int_and_a_fraction_alike(n, den):
+    # num/den given as a numerator and a denominator, and as one Fraction.
+    calls = (lambda: _exact_int(n, "x", den), lambda: _exact_int(Fraction(n, den), "x"))
+    if n % den == 0:
+        values = [call() for call in calls]
+        assert [type(v) for v in values] == [int, int] and values == [n // den] * 2
+        return
+    for call in calls:
+        with pytest.raises(NotBundleClassError) as info:
+            call()
+        assert str(info.value) == f"x is not an integer: {Fraction(n, den)}"
+
+
 def _digest(reports) -> str:
     return hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
 

@@ -10,9 +10,8 @@ result is forced (twists shift b, duals of rank <= 2 bundles shift it through
 self-duality, direct sums take the maximum) and drops them otherwise rather
 than guessing.  Descriptors are immutable value classes, not dataclasses.
 
-Only the public constructor and ``from_ch`` validate.  ``dual``, ``direct_sum``
-and the last step of ``twist`` skip it: negation, Whitney sums (rank >= 2;
-c3 = 0 for two line bundles) and re-flagging keep valid descriptors valid.
+Every descriptor, whichever operation returns it, is built through the one
+constructor, which checks the same rule on every value it is given.
 ``_exact_int`` reads every integer off an exact value (a Chern class, a chi),
 an int or a Fraction alike, through ``as_integer_ratio``.
 
@@ -71,29 +70,22 @@ class BundleDescriptor(_Record):
     acm: bool = False
 
     def _validate(self) -> None:
-        for name in ("rank", "c1", "c2", "c3"):
-            _integer(getattr(self, name), name)
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        if self.rank == 1 and (self.c2 != 0 or self.c3 != 0):
+        rank, c1, c2, c3 = self.rank, self.c1, self.c2, self.c3
+        if not (type(rank) is type(c1) is type(c2) is type(c3) is int):
+            for name in ("rank", "c1", "c2", "c3"):  # names the first bad field
+                _integer(getattr(self, name), name)
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        if rank == 1 and (c2 != 0 or c3 != 0):
             raise ValueError("a rank-1 bundle has c2 = c3 = 0")
-        if self.rank == 2 and self.c3 != 0:
+        if rank == 2 and c3 != 0:
             raise ValueError("a rank-2 bundle has c3 = 0")
-        b = getattr(self, "b", None)  # also the rule of expr.BundleLit, which has no b
-        if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
+        b = self.b
+        if type(b) is not int and b is not None and (not isinstance(b, int) or isinstance(b, bool)):
             raise ValueError(f"b must be an integer or None, got {b!r}")
 
     def chern_tuple(self) -> tuple[int, int, int]:
         return (self.c1, self.c2, self.c3)
-
-
-def _closed(rank: int, c1: int, c2: int, c3: int, b: int | None, acm: bool) -> BundleDescriptor:
-    # Unvalidated: only for results of operations closed on valid descriptors.  The fields go
-    # straight into the instance dict in ``_fields`` order, as ``_Record.__init__`` writes them.
-    E = object.__new__(BundleDescriptor)
-    d = E.__dict__
-    d["rank"], d["c1"], d["c2"], d["c3"], d["b"], d["acm"] = rank, c1, c2, c3, b, acm
-    return E
 
 
 def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
@@ -142,7 +134,7 @@ def dual(E: BundleDescriptor) -> BundleDescriptor:
         b = E.b - E.c1
     else:
         b = None
-    return _closed(E.rank, -E.c1, E.c2, -E.c3, b, E.acm)
+    return BundleDescriptor(E.rank, -E.c1, E.c2, -E.c3, b, E.acm)
 
 
 def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
@@ -151,7 +143,7 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
         return E
     bare = from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
     b = None if E.b is None else E.b + n
-    return _closed(bare.rank, bare.c1, bare.c2, bare.c3, b, E.acm)
+    return BundleDescriptor(bare.rank, bare.c1, bare.c2, bare.c3, b, E.acm)
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
@@ -170,7 +162,7 @@ def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Bun
         b = None
     else:
         b = max(E.b, F.b)
-    return _closed(
+    return BundleDescriptor(
         E.rank + F.rank,
         E.c1 + F.c1,
         E.c2 + F.c2 + r * E.c1 * F.c1,

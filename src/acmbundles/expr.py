@@ -15,7 +15,7 @@ ASCII digits and may be negative):
 
 o, cat, bundle and the postfix twist read their integers through one reader
 checked against one arity table.  A ``BundleLit`` checks the descriptor's rule
-when built (rank 2 needs c3 = 0), and cat() must name a catalog pair.
+when built (rank 2 needs c3 = 0), and a ``CatRef`` that it names a catalog pair.
 Neither the parsed tree nor the nesting of parentheses may be deeper than
 MAX_DEPTH, so that printing and evaluating a tree stay within the
 interpreter's recursion limit, and an integer literal may have at most
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .bundles import BundleDescriptor, _closed, dual as dual_bundle, direct_sum, tensor, twist
+from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
 from .catalog import lookup
 from .chowring import Hypersurface, _Record
 
@@ -73,6 +73,7 @@ class BundleLit(_Record):
     c1: int
     c2: int
     c3: int = 0
+    b = None  # not a field: a literal has no normalization level
     _validate = BundleDescriptor._validate  # the descriptor's rule, once per literal
 
 
@@ -83,6 +84,10 @@ class LineBundle(_Record):
 class CatRef(_Record):
     c1: int
     c2: int
+
+    def _validate(self) -> None:
+        if lookup(self.c1, self.c2) is None:
+            raise ValueError(f"unknown catalog pair ({self.c1},{self.c2})")
 
 
 class Dual(_Record):
@@ -217,14 +222,11 @@ class _Parser:
         values = self.arguments(name, at)
         if name == "o":
             return LineBundle(*values), 1
-        if name == "cat":
-            if lookup(*values) is None:
-                raise self.error(f"unknown catalog pair ({values[0]},{values[1]})", at)
-            return CatRef(*values), 1
+        build, prefix = (CatRef, "") if name == "cat" else (BundleLit, "invalid bundle literal: ")
         try:
-            return BundleLit(*values), 1
+            return build(*values), 1
         except ValueError as exc:
-            raise self.error(f"invalid bundle literal: {exc}", at) from exc
+            raise self.error(f"{prefix}{exc}", at) from exc
 
     def arguments(self, name: str, at: int) -> list[int]:
         """The list "(" int {"," int} ")" after ``name``; an arity error is reported at ``at``."""
@@ -294,13 +296,11 @@ def uses_catalog(expr: Expression) -> bool:
 def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:
     """Evaluate an expression to a bundle descriptor on X."""
     if isinstance(expr, BundleLit):
-        return _closed(expr.rank, expr.c1, expr.c2, expr.c3, None, False)  # checked when built
+        return BundleDescriptor(expr.rank, expr.c1, expr.c2, expr.c3)
     if isinstance(expr, LineBundle):
         return BundleDescriptor(1, expr.n, 0, 0, b=expr.n, acm=True)
     if isinstance(expr, CatRef):
-        entry = lookup(expr.c1, expr.c2)
-        assert entry is not None  # checked at parse time
-        return entry.descriptor()
+        return lookup(expr.c1, expr.c2).descriptor()  # CatRef checked the pair when built
     if isinstance(expr, Dual):
         return dual_bundle(evaluate(expr.inner, X))
     if isinstance(expr, Twist):

@@ -5,7 +5,8 @@ A class here is a plain tuple (a0, a1, a2, a3) of Fractions in the basis
 as the library did before ChowClass stored its coefficients over one common
 denominator.  ``chi_rank2`` is the hand-derived closed form for rank 2 on the
 quintic, which the library now computes through the kernel.  The tests
-compare the kernel against these formulas.
+compare the kernel against these formulas.  ``descriptor_rule`` is the
+descriptor's validation as it was written before its one-chain type test.
 """
 
 from fractions import Fraction
@@ -86,3 +87,18 @@ def chi(r, E):
 def chi_rank2(c1, c2):
     # 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1 on the quintic.
     return Fraction(5 * c1**3 - 3 * c1 * c2 + 25 * c1, 6)
+
+
+def descriptor_rule(rank, c1, c2, c3, b):
+    # The descriptor's check as it stood before its one-chain type test: one integer test per field.
+    for name, value in (("rank", rank), ("c1", c1), ("c2", c2), ("c3", c3)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    if rank == 1 and (c2 != 0 or c3 != 0):
+        raise ValueError("a rank-1 bundle has c2 = c3 = 0")
+    if rank == 2 and c3 != 0:
+        raise ValueError("a rank-2 bundle has c3 = 0")
+    if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
+        raise ValueError(f"b must be an integer or None, got {b!r}")

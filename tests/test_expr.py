@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acmbundles import BundleDescriptor, Hypersurface, chi_hrr
+from acmbundles import BundleDescriptor, Hypersurface, chi_hrr, lookup, twist
 from acmbundles.expr import (
     MAX_DEPTH,
     MAX_DIGITS,
@@ -184,11 +184,11 @@ def _validations(run):
     return len(calls)
 
 
-def test_a_bundle_literal_is_validated_once_when_its_node_is_built():
-    text = "bundle(2,1,8) ++ dual(bundle(3,1,8,7))"  # closed operations: no further check
-    assert _validations(lambda: evaluate(parse(text), X5)) == 2
+def test_the_descriptor_rule_runs_once_per_descriptor_built():
+    text = "bundle(2,1,8) ++ dual(bundle(3,1,8,7))"
+    assert _validations(lambda: evaluate(parse(text), X5)) == 6  # two literals, then four descriptors
     tree = parse(text)
-    assert _validations(lambda: evaluate(tree, X5)) == 0
+    assert _validations(lambda: evaluate(tree, X5)) == 4  # two literals, one dual, one direct sum
     for literal in (BundleLit(2, 1, 8), BundleLit(3, 1, 8, 7), BundleLit(1, -4, 0)):
         E = evaluate(literal, X5)
         again = BundleDescriptor(literal.rank, literal.c1, literal.c2, literal.c3)
@@ -202,6 +202,18 @@ def test_a_bundle_literal_is_validated_once_when_its_node_is_built():
     with pytest.raises(ExpressionError) as excinfo:
         parse("o(1) ++ bundle(2,1,8,1)")
     assert str(excinfo.value) == "invalid bundle literal: a rank-2 bundle has c3 = 0 (column 9)"
+
+
+def test_a_catalog_reference_is_checked_when_built(monkeypatch):
+    for args, message in (((9, 9), "unknown catalog pair (9,9)"), ((True, 8), "c1 must be an integer, got True")):
+        with pytest.raises(ValueError) as excinfo:
+            CatRef(*args)
+        assert str(excinfo.value) == message
+    calls = []
+    monkeypatch.setattr("acmbundles.expr.lookup", lambda c1, c2: calls.append((c1, c2)) or lookup(c1, c2))
+    tree = parse("cat(1,8)(2)")
+    assert calls == [(1, 8)]
+    assert evaluate(tree, X5) == twist(lookup(1, 8).descriptor(), 2, X5) and calls == [(1, 8)] * 2
 
 
 def test_a_bad_character_is_reported_before_an_earlier_syntax_error():

@@ -1,12 +1,14 @@
 """The sweep's fast path changes no value.
 
-``dual``, ``direct_sum`` and the end of ``twist`` build descriptors without
-re-validating them; each such result must be exactly what the public
-constructor builds from the same fields.  The shared catalog descriptors, the
-bounded F(m) cache and the pair table's precomputed sums are memos: a report
-must not depend on what ran before it.
+Every operation builds its result through the public constructor, which checks
+one rule on every descriptor; each result must be exactly what that constructor
+builds from the same fields, and no check in the package is an ``assert``,
+which ``python -O`` strips.  The shared catalog descriptors, the bounded F(m)
+cache and the pair table's precomputed sums are memos: a report must not
+depend on what ran before it.
 """
 
+import ast
 import hashlib
 import os
 import pickle
@@ -90,6 +92,12 @@ def test_every_sweep_descriptor_is_valid():
         )
 
 
+def test_no_check_in_the_package_is_an_assert_statement():
+    for path in sorted((SRC / "acmbundles").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
 @st.composite
 def flagged_descriptors(draw):
     E = draw(descriptors(max_rank=4, max_c1=10, max_c=100))
@@ -103,8 +111,8 @@ def test_kernel_operations_build_valid_descriptors(E, F, n, X):
         assert_as_if_validated(result)
 
 
-# The two validating paths still reject, with the same messages, what the
-# unvalidated closed operations would pass through unchecked.
+# The constructor and from_ch reject, with the same messages, what no
+# operation on valid descriptors returns.
 @pytest.mark.parametrize(
     "fields, b, message",
     [

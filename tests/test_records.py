@@ -6,19 +6,24 @@ hash, and the record must equal only records of its own class.  A record's
 instance dict holds its fields in declaration order, however it was built.
 """
 
+import operator
 import pickle
 from dataclasses import FrozenInstanceError, field, make_dataclass
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from acmbundles import (
-    QUINTIC, BundleDescriptor, Hypersurface, analyze_case, direct_sum, dual, extension_cases, lookup, twist,
+    QUINTIC, BundleDescriptor, Hypersurface, analyze_case, direct_sum, dual, extension_cases, from_ch, lookup,
+    tensor, to_ch, twist,
 )
 from acmbundles.analysis import CaseReport, ExtensionCase, SplitVerdict
-from acmbundles.bundles import _closed
 from acmbundles.catalog import CatalogEntry
 from acmbundles.chowring import _Record
 from acmbundles.expr import BundleLit, CatRef, Dual, LineBundle, Sum, Tensor, Twist
+
+from oracles import descriptor_rule
 
 REQUIRED = object()
 
@@ -166,6 +171,36 @@ def test_validation_messages(build, message):
     assert str(info.value) == message
 
 
+class _Int(int):
+    pass
+
+
+# Every class the type chain separates from int: a bool, a float, a Fraction, a
+# str, None, and an int subclass, which the rule accepts.
+_GRID = (0, 1, 2, -1, True, False, 2.0, Fraction(3), "8", None, _Int(2), _Int(-1))
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_the_constructor_keeps_the_field_by_field_rule_on_every_grid_input():
+    for fields in product(_GRID, repeat=4):  # 12**4 field tuples, each with five values of b
+        for b in (None, 0, True, 0.5, _Int(1)):
+            expected = _outcome(descriptor_rule, *fields, b)
+            try:
+                E = BundleDescriptor(*fields, b=b)
+            except Exception as exc:
+                assert (type(exc), str(exc)) == expected, (fields, b)
+            else:
+                assert expected is None and all(map(operator.is_, E._values(), (*fields, b, False))), (fields, b)
+        assert _outcome(BundleLit, *fields) == _outcome(descriptor_rule, *fields, None), fields
+
+
 class _Checked(_Record):
     n: int
 
@@ -204,9 +239,9 @@ def test_a_record_with_its_own_or_an_inherited_validator_rejects_bad_input(cls):
 
 
 def test_a_record_calls_its_validator_exactly_when_it_has_one():
-    checked = (*_CHECKED, BundleDescriptor, Hypersurface, BundleLit)
+    checked = (*_CHECKED, BundleDescriptor, Hypersurface, BundleLit, CatRef)
     unchecked = (_Plain, ExtensionCase, SplitVerdict, CaseReport, CatalogEntry,
-                 LineBundle, CatRef, Dual, Twist, Tensor, Sum)
+                 LineBundle, Dual, Twist, Tensor, Sum)
     for cls in checked + unchecked:
         assert ("_validate" in cls.__init__.__code__.co_names) == (cls in checked), cls
     assert _Plain(-1).n == -1
@@ -222,9 +257,10 @@ def test_a_record_keeps_its_fields_in_declaration_order(cls, fields, args, hasha
             assert list(vars(pickle.loads(pickle.dumps(record, protocol)))) == names
 
 
-def test_the_closed_operations_write_descriptor_fields_in_declaration_order():
+def test_every_operation_writes_descriptor_fields_in_declaration_order():
     E, F = lookup(1, 8).descriptor(), lookup(0, 3).descriptor()
-    results = (_closed(2, 1, 8, 0, None, False), dual(E), direct_sum(E, F, QUINTIC), twist(E, -1, QUINTIC))
+    results = (dual(E), direct_sum(E, F, QUINTIC), twist(E, -1, QUINTIC), tensor(E, F, QUINTIC),
+               from_ch(to_ch(E, QUINTIC), QUINTIC))
     for result in results:
         assert list(vars(result)) == list(BundleDescriptor._fields), result
 

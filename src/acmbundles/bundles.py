@@ -71,6 +71,7 @@ class BundleDescriptor(_Record):
 
     def _validate(self) -> None:
         rank, c1, c2, c3 = self.rank, self.c1, self.c2, self.c3
+        # Every descriptor an operation returns is checked here; one type test keeps that cheap.
         if not (type(rank) is type(c1) is type(c2) is type(c3) is int):
             for name in ("rank", "c1", "c2", "c3"):  # names the first bad field
                 _integer(getattr(self, name), name)
@@ -81,7 +82,7 @@ class BundleDescriptor(_Record):
         if rank == 2 and c3 != 0:
             raise ValueError("a rank-2 bundle has c3 = 0")
         b = self.b
-        if type(b) is not int and b is not None and (not isinstance(b, int) or isinstance(b, bool)):
+        if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
             raise ValueError(f"b must be an integer or None, got {b!r}")
 
     def chern_tuple(self) -> tuple[int, int, int]:

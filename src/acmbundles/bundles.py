@@ -106,8 +106,8 @@ def _exact_int(num: Rational, what: str, den: int = 1) -> int:
     return num // den
 
 
-def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
-    """Invert the Newton identities; reject non-integral synthetic characters."""
+def _newton(ch: ChowClass, X: Hypersurface) -> tuple[int, int, int, int]:
+    """(rank, c1, c2, c3) of a Chern character; a non-integral one raises NotBundleClassError."""
     r = X.r
     d, n0, n1, n2, n3 = ch.scaled
     if n0 % d or n0 <= 0:
@@ -115,8 +115,14 @@ def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
     c1 = _exact_int(n1, "c1", d)
     c2 = _exact_int(r * c1 * c1 * d - 2 * n2, "c2", 2 * d)
     c3 = _exact_int(6 * n3 - (r * c1**3 - 3 * c1 * c2) * d, "c3", 3 * d)
+    return n0 // d, c1, c2, c3
+
+
+def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
+    """Invert the Newton identities; reject non-integral synthetic characters."""
+    classes = _newton(ch, X)
     try:
-        return BundleDescriptor(n0 // d, c1, c2, c3)
+        return BundleDescriptor(*classes)
     except ValueError as exc:
         raise NotBundleClassError(str(exc)) from exc
 
@@ -142,9 +148,8 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
     """E(n) = E tensor O_X(n); shifts b by n and preserves the ACM property."""
     if _integer(n, "twist n") == 0:
         return E
-    bare = from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
-    b = None if E.b is None else E.b + n
-    return BundleDescriptor(bare.rank, bare.c1, bare.c2, bare.c3, b, E.acm)
+    rank, c1, c2, c3 = _newton(X.mul(to_ch(E, X), X.exp_h(n)), X)
+    return BundleDescriptor(rank, c1, c2, c3, None if E.b is None else E.b + n, E.acm)
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:

@@ -12,8 +12,9 @@ Subcommands:
 Global options: ``--degree r`` (default 5) and ``--format text|json|tsv``
 (default text).  ``table``, ``analyze`` and ``catalog`` are statements about
 the quintic: ``main`` checks their degree once, before dispatch, and the
-analysis functions they call take no degree.  ``eval`` works on any degree,
-except that a chi, chern or ch query on a cat() bundle needs degree 5.
+analysis functions they call take no degree.  ``eval`` works on any degree;
+``expr.evaluate`` checks the degree of each cat() bundle, and a rank query,
+the same on every degree, is evaluated on the quintic.
 Results go to stdout, from one place in ``main``, errors to stderr.  Exit
 codes: 0 on success, 1 on domain errors (e.g. any of those degree checks
 failing) or a stdout closed before the output is written (stderr stays
@@ -290,16 +291,16 @@ def main(argv: list[str] | None = None) -> int:
             require_quintic(X, QUINTIC_ONLY[args.command])
         # Each subcommand imports only the layers it uses.
         if args.command == "eval":
-            from .expr import ExpressionError, evaluate, parse, uses_catalog
+            from .expr import ExpressionError, evaluate, parse
 
             try:
                 expression = parse(args.expr)
             except ExpressionError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            if args.query != "rank" and uses_catalog(expression):
-                require_quintic(X, "cat() in a chi, chern or ch query")
-            text = render_eval(expression, args.query, evaluate(expression, X), X, args.format)
+            # A rank is the same on every degree, so a rank query may name cat().
+            result = evaluate(expression, QUINTIC if args.query == "rank" else X)
+            text = render_eval(expression, args.query, result, X, args.format)
         elif args.command == "catalog":
             text = render_catalog(catalog(), args.format)
         else:

@@ -16,6 +16,8 @@ ASCII digits and may be negative):
 o, cat, bundle and the postfix twist read their integers through one reader
 checked against one arity table.  A ``BundleLit`` checks the descriptor's rule
 when built (rank 2 needs c3 = 0), and a ``CatRef`` that it names a catalog pair.
+A catalog bundle lives on the quintic: ``evaluate`` checks the degree at each
+cat() leaf, so it is the one place that rule is stated.
 Neither the parsed tree nor the nesting of parentheses may be deeper than
 MAX_DEPTH, so that printing and evaluating a tree stay within the
 interpreter's recursion limit, and an integer literal may have at most
@@ -35,7 +37,7 @@ from typing import Union
 
 from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
 from .catalog import lookup
-from .chowring import Hypersurface, _Record
+from .chowring import Hypersurface, _Record, require_quintic
 
 __all__ = [
     "Expression",
@@ -51,7 +53,6 @@ __all__ = [
     "MAX_DIGITS",
     "parse",
     "to_text",
-    "uses_catalog",
     "evaluate",
 ]
 
@@ -284,22 +285,14 @@ def _operand(expr: Expression, needs: int) -> str:
     return f"({text})" if binds < needs else text
 
 
-def uses_catalog(expr: Expression) -> bool:
-    """Whether the expression names a catalog bundle, which lives on the quintic."""
-    if isinstance(expr, (Dual, Twist)):
-        return uses_catalog(expr.inner)
-    if isinstance(expr, (Tensor, Sum)):
-        return uses_catalog(expr.left) or uses_catalog(expr.right)
-    return isinstance(expr, CatRef)
-
-
 def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:
-    """Evaluate an expression to a bundle descriptor on X."""
+    """Evaluate an expression to a bundle descriptor on X; a cat() leaf needs X to be the quintic."""
     if isinstance(expr, BundleLit):
         return BundleDescriptor(expr.rank, expr.c1, expr.c2, expr.c3)
     if isinstance(expr, LineBundle):
         return BundleDescriptor(1, expr.n, 0, 0, b=expr.n, acm=True)
     if isinstance(expr, CatRef):
+        require_quintic(X, "cat()")
         return lookup(expr.c1, expr.c2).descriptor()  # CatRef checked the pair when built
     if isinstance(expr, Dual):
         return dual_bundle(evaluate(expr.inner, X))

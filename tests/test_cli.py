@@ -223,6 +223,30 @@ def test_eval_catalog_queries_require_the_quintic(capsys, query):
     assert "requires degree 5, got 3" in err
 
 
+_PLAIN, _CAT = "bundle(2,4,30)(-1) * dual(bundle(2,0,3))", "cat(4,30) * cat(1,8)"
+# query -> the text line, the TSV table and the JSON value of _PLAIN on degree 3;
+# a rank query on _CAT prints the same, as a rank is the same on every degree.
+_ON_DEGREE_3 = {
+    "chi": ("chi = -64", "chi\n-64", -64),
+    "chern": ("rank 4, c = (4,60,96)", "rank\tc1\tc2\tc3\n4\t4\t60\t96", {"rank": 4, "c1": 4, "c2": 60, "c3": 96}),
+    "ch": ("ch = (4, 4, -36, -40)", "ch0\tch1\tch2\tch3\n4\t4\t-36\t-40", {"ch0": 4, "ch1": 4, "ch2": -36, "ch3": -40}),
+    "rank": ("rank = 4", "rank\n4", 4),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("text", [_PLAIN, _CAT], ids=["plain", "cat"])
+def test_eval_on_degree_three_states_every_query_and_format(capsys, text, query, fmt):
+    code, out, err = run(capsys, "eval", "--degree", "3", "--format", fmt, query, text)
+    if text == _CAT and query != "rank":
+        assert (code, out, err) == (1, "", "error: cat() requires degree 5, got 3\n")
+        return
+    line, tsv, value = _ON_DEGREE_3[query]
+    document = json.dumps({"query": query, "degree": 3, "expr": text, "value": value}, indent=2)
+    assert (code, out, err) == (0, {"text": line, "tsv": tsv, "json": document}[fmt] + "\n", "")
+
+
 @pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))
 def test_eval_deep_expression_exits_two(capsys, shape):
     code, out, err = run(capsys, "eval", "chi", DEEP_EXPRESSIONS[shape])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acmbundles import BundleDescriptor, Hypersurface, chi_hrr, lookup, twist
+from acmbundles import QUINTIC, BundleDescriptor, Hypersurface, UnsupportedDegreeError, catalog, chi_hrr, lookup, twist
 from acmbundles.expr import (
     MAX_DEPTH,
     MAX_DIGITS,
@@ -21,7 +21,6 @@ from acmbundles.expr import (
     evaluate,
     parse,
     to_text,
-    uses_catalog,
 )
 
 from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL, expression_texts
@@ -204,6 +203,13 @@ def test_the_descriptor_rule_runs_once_per_descriptor_built():
     assert str(excinfo.value) == "invalid bundle literal: a rank-2 bundle has c3 = 0 (column 9)"
 
 
+def test_twist_builds_one_descriptor_per_call():
+    E = lookup(1, 8).descriptor()
+    assert _validations(lambda: twist(E, 2, X5)) == 1
+    assert twist(E, 2, X5) == BundleDescriptor(2, 5, 38, 0, b=2, acm=True)
+    assert _validations(lambda: twist(E, 0, X5)) == 0  # E(0) is E
+
+
 def test_a_catalog_reference_is_checked_when_built(monkeypatch):
     for args, message in (((9, 9), "unknown catalog pair (9,9)"), ((True, 8), "c1 must be an integer, got True")):
         with pytest.raises(ValueError) as excinfo:
@@ -252,10 +258,26 @@ def test_a_text_parses_to_a_round_trip_tree_or_fails_inside_the_text(text):
         assert parse(to_text(tree)) == tree
 
 
-def test_uses_catalog_finds_nested_references():
-    assert uses_catalog(parse("o(1) ++ dual(cat(1,8))(2)"))
-    assert uses_catalog(parse("bundle(2,0,3) * cat(4,30)"))
-    assert not uses_catalog(parse("o(1) * dual(bundle(2,0,3))(-1) ++ o(2)"))
+def test_evaluate_checks_the_degree_of_every_nested_catalog_reference():
+    X3 = Hypersurface(3)
+    for text in ("o(1) ++ dual(cat(1,8))(2)", "bundle(2,0,3) * cat(4,30)"):
+        with pytest.raises(UnsupportedDegreeError) as excinfo:
+            evaluate(parse(text), X3)
+        assert str(excinfo.value) == "cat() requires degree 5, got 3"
+    E = evaluate(parse("o(1) * dual(bundle(2,0,3))(-1) ++ o(2)"), X3)
+    assert E == BundleDescriptor(3, 2, 3, 6)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_every_catalog_reference_evaluates_on_the_quintic_only(r):
+    for entry in catalog():
+        ref = CatRef(entry.c1, entry.c2)
+        if r == 5:
+            assert evaluate(ref, Hypersurface(r)) == lookup(entry.c1, entry.c2).descriptor()
+        else:
+            with pytest.raises(UnsupportedDegreeError) as excinfo:
+                evaluate(ref, Hypersurface(r))
+            assert str(excinfo.value) == f"cat() requires degree 5, got {r}"
 
 
 def test_unknown_name():
@@ -347,7 +369,7 @@ def _bundle_lits():
 _atoms = st.one_of(
     st.builds(LineBundle, st.integers(-9, 9)),
     _bundle_lits(),
-    st.sampled_from([CatRef(4, 30), CatRef(1, 8), CatRef(0, 3)]),
+    st.sampled_from([CatRef(entry.c1, entry.c2) for entry in catalog()]),
 )
 
 _expressions = st.recursive(
@@ -365,3 +387,32 @@ _expressions = st.recursive(
 @given(_expressions)
 def test_printer_parser_round_trip(ast):
     assert parse(to_text(ast)) == ast
+
+
+def _trees(depth):
+    """Trees of o, bundle, cat, dual, twist, * and ++, at most ``depth`` levels."""
+    if depth == 1:
+        return _atoms
+    inner = _trees(depth - 1)
+    return st.one_of(
+        _atoms,
+        st.builds(Dual, inner),
+        st.builds(Twist, inner, st.integers(-3, 3)),
+        st.builds(Tensor, inner, inner),
+        st.builds(Sum, inner, inner),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(4), st.integers(1, 8))
+@example(Sum(LineBundle(1), Dual(Twist(CatRef(1, 8), 2))), 3)
+@example(Sum(LineBundle(1), Dual(Twist(CatRef(1, 8), 2))), 5)
+def test_evaluate_raises_exactly_when_a_catalog_reference_meets_another_degree(tree, r):
+    X = Hypersurface(r)
+    if r != 5 and "cat(" in to_text(tree):
+        with pytest.raises(UnsupportedDegreeError) as excinfo:
+            evaluate(tree, X)
+        assert str(excinfo.value) == f"cat() requires degree 5, got {r}"
+    else:
+        # The CLI evaluates a rank query on the quintic: a rank is the same on every degree.
+        assert evaluate(tree, X).rank == evaluate(tree, QUINTIC).rank

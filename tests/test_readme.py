@@ -1,18 +1,21 @@
-"""The README's "Library" block runs, and its comments state its values."""
+"""The README's "Library" and "CLI" blocks run, and their comments state their values."""
 
 import ast
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
+
+from acmbundles.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_block() -> str:
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+def _block(heading: str, language: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
     section = section.split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
-    assert len(blocks) == 1, "the Library section has one python block"
+    blocks = re.findall(rf"```{language}\n(.*?)```", section, re.S)
+    assert len(blocks) == 1, f"the {heading} section has one {language} block"
     return blocks[0]
 
 
@@ -30,7 +33,7 @@ def _run(source: str) -> dict[str, object]:
 
 
 def test_library_block_runs_and_states_its_values():
-    values = _run(_library_block())
+    values = _run(_block("Library", "python"))
     assert values["chi_hrr(E, X)"] == 10
     assert values["chi_rank2(4, 30)"] == 10
     assert values["to_ch(E, X)"].coefficients() == (2, 4, 10, Fraction(-20, 3))
@@ -39,3 +42,16 @@ def test_library_block_runs_and_states_its_values():
     assert type(pairing) is Fraction and pairing == -14
     assert values["extension_cases()[0].h3_vanishes"] is True
     assert values["report.conclusion"] == "indecomposable-by-numeric-filters"
+
+
+# A CLI line that states its output: "# -> stdout" or "# exit N: stderr".
+_STATED = re.compile(r"(acmbundles .*?) +# (?:-> (.*)|exit (\d+): (.*))")
+
+
+def test_cli_block_states_its_outputs(capsys):
+    stated = [_STATED.fullmatch(line) for line in _block("CLI", "sh").splitlines()]
+    stated = [match.groups() for match in stated if match]
+    assert len(stated) == 4
+    for command, out, code, err in stated:
+        expected = (0, out + "\n", "") if code is None else (int(code), "", err + "\n")
+        assert (main(shlex.split(command)[1:]), *capsys.readouterr()) == expected, command

@@ -19,7 +19,6 @@ the function, not the submodule.
 
 from .bundles import (
     BundleDescriptor,
-    NormalizationUnknownError,
     NotBundleClassError,
     chi_hrr,
     chi_rank2,
@@ -27,8 +26,6 @@ from .bundles import (
     dual,
     euler_pairing,
     from_ch,
-    is_semistable,
-    is_stable,
     tensor,
     to_ch,
     twist,
@@ -58,7 +55,6 @@ __all__ = [
     "integrate",
     "BundleDescriptor",
     "NotBundleClassError",
-    "NormalizationUnknownError",
     "to_ch",
     "from_ch",
     "dual",
@@ -68,8 +64,6 @@ __all__ = [
     "chi_hrr",
     "chi_rank2",
     "euler_pairing",
-    "is_semistable",
-    "is_stable",
     "CatalogEntry",
     "catalog",
     "lookup",

@@ -2,13 +2,11 @@
 
 A descriptor records the rank and integer Chern classes of a vector bundle on
 a hypersurface threefold: c1 in H-units, c2 in ell-units (so c2 is the degree
-of the second Chern class), c3 in pt-units.  Two optional pieces of metadata
-travel with it: the normalization level b = max{n : h0(E(-n)) != 0}, and an
-ACM flag asserting vanishing intermediate cohomology.  Both are cohomological
-facts; the arithmetic here propagates them only along operations where the
-result is forced (twists shift b, duals of rank <= 2 bundles shift it through
-self-duality, direct sums take the maximum) and drops them otherwise rather
-than guessing.  Descriptors are immutable value classes, not dataclasses.
+of the second Chern class), c3 in pt-units, and nothing else.  It records no
+degree and no cohomology: whether a bundle is normalized, ACM or stable is a
+fact about a particular bundle on a particular threefold (the catalog states
+it for its fourteen entries), not data that duals, twists and sums could carry
+onto another.  Descriptors are immutable value classes, not dataclasses.
 
 Every descriptor, whichever operation returns it, is built through the one
 constructor, which checks the same rule on every value it is given.
@@ -36,7 +34,6 @@ from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _ove
 __all__ = [
     "BundleDescriptor",
     "NotBundleClassError",
-    "NormalizationUnknownError",
     "to_ch",
     "from_ch",
     "dual",
@@ -46,8 +43,6 @@ __all__ = [
     "chi_hrr",
     "chi_rank2",
     "euler_pairing",
-    "is_semistable",
-    "is_stable",
 ]
 
 
@@ -55,19 +50,13 @@ class NotBundleClassError(ValueError):
     """A synthetic Chern character has no integral bundle descriptor."""
 
 
-class NormalizationUnknownError(ValueError):
-    """An operation needed the normalization level b, which is not set."""
-
-
 class BundleDescriptor(_Record):
-    """Rank plus integer Chern classes (c1, c2, c3), with optional b and ACM flag."""
+    """Rank plus integer Chern classes (c1, c2, c3)."""
 
     rank: int
     c1: int
     c2: int = 0
     c3: int = 0
-    b: int | None = None
-    acm: bool = False
 
     def _validate(self) -> None:
         rank, c1, c2, c3 = self.rank, self.c1, self.c2, self.c3
@@ -81,9 +70,6 @@ class BundleDescriptor(_Record):
             raise ValueError("a rank-1 bundle has c2 = c3 = 0")
         if rank == 2 and c3 != 0:
             raise ValueError("a rank-2 bundle has c3 = 0")
-        b = self.b
-        if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
-            raise ValueError(f"b must be an integer or None, got {b!r}")
 
     def chern_tuple(self) -> tuple[int, int, int]:
         return (self.c1, self.c2, self.c3)
@@ -128,28 +114,15 @@ def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
 
 
 def dual(E: BundleDescriptor) -> BundleDescriptor:
-    """Dual bundle: ch_i flips sign for odd i, so (c1, c2, c3) -> (-c1, c2, -c3).
-
-    For rank 1 and rank 2 the dual is a twist of the bundle itself
-    (E* = E(-2c1) resp. E* = E(-c1)), which shifts a known b accordingly.
-    """
-    if E.b is None:
-        b = None
-    elif E.rank == 1:
-        b = E.b - 2 * E.c1
-    elif E.rank == 2:
-        b = E.b - E.c1
-    else:
-        b = None
-    return BundleDescriptor(E.rank, -E.c1, E.c2, -E.c3, b, E.acm)
+    """Dual bundle: ch_i flips sign for odd i, so (c1, c2, c3) -> (-c1, c2, -c3)."""
+    return BundleDescriptor(E.rank, -E.c1, E.c2, -E.c3)
 
 
 def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
-    """E(n) = E tensor O_X(n); shifts b by n and preserves the ACM property."""
+    """E(n) = E tensor O_X(n), through the Chern character."""
     if _integer(n, "twist n") == 0:
         return E
-    rank, c1, c2, c3 = _newton(X.mul(to_ch(E, X), X.exp_h(n)), X)
-    return BundleDescriptor(rank, c1, c2, c3, None if E.b is None else E.b + n, E.acm)
+    return BundleDescriptor(*_newton(X.mul(to_ch(E, X), X.exp_h(n)), X))
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
@@ -164,17 +137,11 @@ def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleD
 def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
     """Direct sum: ranks add and total Chern classes multiply (Whitney)."""
     r = X.r
-    if E.b is None or F.b is None:
-        b = None
-    else:
-        b = max(E.b, F.b)
     return BundleDescriptor(
         E.rank + F.rank,
         E.c1 + F.c1,
         E.c2 + F.c2 + r * E.c1 * F.c1,
         E.c3 + F.c3 + E.c1 * F.c2 + E.c2 * F.c1,
-        b,
-        E.acm and F.acm,
     )
 
 
@@ -202,20 +169,3 @@ def chi_rank2(c1: int, c2: int) -> Fraction:
     """Euler characteristic of a rank-2 bundle on the quintic threefold (r = 5)."""
     return chi_hrr(BundleDescriptor(2, c1, c2), QUINTIC)
 
-
-def _slope_margin(E: BundleDescriptor) -> int:
-    if E.rank != 2:
-        raise ValueError("the section-based stability test applies to rank-2 bundles")
-    if E.b is None:
-        raise NormalizationUnknownError("normalization level b is not set; cannot test stability")
-    return 2 * E.b - E.c1
-
-
-def is_semistable(E: BundleDescriptor) -> bool:
-    """Section-based semistability for rank 2: 2b - c1 <= 0."""
-    return _slope_margin(E) <= 0
-
-
-def is_stable(E: BundleDescriptor) -> bool:
-    """Section-based stability for rank 2: 2b - c1 < 0."""
-    return _slope_margin(E) < 0

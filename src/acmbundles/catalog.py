@@ -15,9 +15,9 @@ per (c1, c2) and kept off the entry: pickling and hashing see only its fields.
 
 Each entry comes with derived statistics, each computed by one rule: the
 Euler characteristic through the Riemann-Roch kernel ``chi_hrr``, the
-section count h0 = ``h0_acm_twist(E, 0)``, and stability from
-``is_stable``/``is_semistable`` with b = 0.  The twist oracle
-``h0_acm_twist`` gives the section count of E(n):
+section count h0 = ``h0_acm_twist(E, 0)``, and stability from the sign of
+c1 (every entry is normalized, b = 0).  The twist oracle ``h0_acm_twist``
+gives the section count of E(n):
 
 * n < 0: zero, because the bundle is normalized;
 * c1 + n > 0 (and n >= 0): chi of ``twist(E, n)`` — the ACM condition kills
@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Literal
 
-from .bundles import BundleDescriptor, _exact_int, chi_hrr, is_semistable, is_stable, twist
+from .bundles import BundleDescriptor, _exact_int, chi_hrr, twist
 from .chowring import QUINTIC, _integer, _Record
 
 __all__ = [
@@ -93,7 +93,7 @@ class CatalogEntry(_Record):
 
     @property
     def semistable(self) -> bool:
-        return is_semistable(self.descriptor())
+        return self.c1 >= 0
 
     def descriptor(self) -> BundleDescriptor:
         return _descriptor(self.c1, self.c2)
@@ -102,7 +102,7 @@ class CatalogEntry(_Record):
 @lru_cache(maxsize=32, typed=True)
 def _descriptor(c1: int, c2: int) -> BundleDescriptor:
     # ``typed`` keeps True apart from 1, so a non-integer class still fails validation.
-    return BundleDescriptor(2, c1, c2, 0, b=0, acm=True)
+    return BundleDescriptor(2, c1, c2)
 
 
 def _make_entry(c1: int, c2: int, family: Literal["A", "B"]) -> CatalogEntry:
@@ -114,7 +114,9 @@ def _make_entry(c1: int, c2: int, family: Literal["A", "B"]) -> CatalogEntry:
         exists_on_general=True if family == "A" else "conditional",
         chi=_exact_int(chi_hrr(E, QUINTIC), "chi"),
         h0=h0_acm_twist(E, 0),
-        stable=is_stable(E),
+        # A normalized rank-2 bundle (b = 0) is stable iff 2b - c1 < 0, i.e. c1 > 0,
+        # and semistable iff 2b - c1 <= 0, i.e. c1 >= 0.
+        stable=c1 > 0,
     )
 
 
@@ -141,18 +143,14 @@ def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
     """Number of sections of E(n) for a normalized catalog bundle E.
 
     Returns None where the Euler characteristic cannot pin the count down:
-    every 0 <= n <= -c1 of the c1 < 0 entries, n = 0 included.  Accepts a rank-2
-    BundleDescriptor as well, which must be explicitly normalized and flagged
-    ACM; a negative chi where the count should be chi raises ValueError.
+    every 0 <= n <= -c1 of the c1 < 0 entries, n = 0 included.  Accepts the
+    BundleDescriptor of a catalog entry as well; any other descriptor raises
+    ValueError, since only the catalog pairs are known to be normalized and ACM.
     """
     _integer(n, "twist n")
     E = entry.descriptor() if isinstance(entry, CatalogEntry) else entry
-    if E.rank != 2:
-        raise ValueError("the section-count oracle applies to rank-2 bundles")
-    if E.b != 0:
-        raise ValueError("the section-count oracle requires a normalized bundle (b = 0)")
-    if not E.acm:
-        raise ValueError("the section-count oracle requires an ACM bundle (h1 = h2 = 0)")
+    if E.rank != 2 or (E.c1, E.c2) not in FAMILY_A + FAMILY_B:
+        raise ValueError(f"the section-count oracle applies to the catalog bundles, not {E}")
     if n < 0:
         return 0
     if E.c1 + n > 0:

@@ -74,7 +74,6 @@ class BundleLit(_Record):
     c1: int
     c2: int
     c3: int = 0
-    b = None  # not a field: a literal has no normalization level
     _validate = BundleDescriptor._validate  # the descriptor's rule, once per literal
 
 
@@ -290,7 +289,7 @@ def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:
     if isinstance(expr, BundleLit):
         return BundleDescriptor(expr.rank, expr.c1, expr.c2, expr.c3)
     if isinstance(expr, LineBundle):
-        return BundleDescriptor(1, expr.n, 0, 0, b=expr.n, acm=True)
+        return BundleDescriptor(1, expr.n)
     if isinstance(expr, CatRef):
         require_quintic(X, "cat()")
         return lookup(expr.c1, expr.c2).descriptor()  # CatRef checked the pair when built

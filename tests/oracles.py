@@ -7,6 +7,12 @@ denominator.  ``chi_rank2`` is the hand-derived closed form for rank 2 on the
 quintic, which the library now computes through the kernel.  The tests
 compare the kernel against these formulas.  ``descriptor_rule`` is the
 descriptor's validation as it was written before its one-chain type test.
+
+``chi_line``, ``chi_rank2_serre`` and ``pairing_serre`` derive chi without the
+Todd class: from binomials on P^4 and, for rank 2, from the Serre curve of a
+section, whose genus comes from adjunction.  They are numerical identities, so
+no section needs to exist; they only share the descriptor's Chern classes with
+the Riemann-Roch path, so a wrong Todd or tangent class shows against them.
 """
 
 from fractions import Fraction
@@ -67,9 +73,7 @@ def from_ch(r, ch):
 def twist(r, E, n):
     if n == 0:
         return E
-    bare = from_ch(r, mul(r, to_ch(r, E), exp_h(r, n)))
-    b = None if E.b is None else E.b + n
-    return BundleDescriptor(bare.rank, bare.c1, bare.c2, bare.c3, b=b, acm=E.acm)
+    return from_ch(r, mul(r, to_ch(r, E), exp_h(r, n)))
 
 
 def tensor(r, E, F):
@@ -89,7 +93,40 @@ def chi_rank2(c1, c2):
     return Fraction(5 * c1**3 - 3 * c1 * c2 + 25 * c1, 6)
 
 
-def descriptor_rule(rank, c1, c2, c3, b):
+def binom4(m):
+    # C(m, 4) as a polynomial in m: the product of four consecutive integers is divisible by 24.
+    return m * (m - 1) * (m - 2) * (m - 3) // 24
+
+
+def chi_line(r, n):
+    # chi(O_X(n)) on X_r, from 0 -> O_P4(n - r) -> O_P4(n) -> O_X(n) -> 0.
+    return binom4(n + 4) - binom4(n + 4 - r)
+
+
+def serre_one_minus_genus(r, c1, c2):
+    # 1 - p_a(C) for the zero curve C of a section of a rank-2 E = (c1, c2) on X_r:
+    # deg C = c2 and, by adjunction with omega_X = O_X(r - 5), 2 p_a - 2 = c2 (c1 + r - 5).
+    twice, odd = divmod(c2 * (c1 + r - 5), 2)
+    if odd:
+        raise ValueError(f"c2 (c1 + r - 5) is odd for (c1, c2) = ({c1}, {c2}) on X_{r}")
+    return -twice
+
+
+def chi_rank2_serre(r, c1, c2, n):
+    # chi(E(n)) from 0 -> O_X(n) -> E(n) -> I_C(c1 + n) -> 0 and chi(O_C(k)) = k deg C + 1 - p_a.
+    return chi_line(r, n) + chi_line(r, c1 + n) - (c2 * (c1 + n) + serre_one_minus_genus(r, c1, c2))
+
+
+def pairing_serre(r, E, F, m):
+    # chi(E, F(m)) = chi(E* (x) F(m)) for rank-2 pairs E, F = (c1, c2).  E* = E(-c1E) gives
+    # 0 -> O_X(-c1E) -> E* -> I_C -> 0 with C the Serre curve of E; tensored with F(m),
+    # chi = chi(F(m - c1E)) + chi(F(m)) - chi(F(m)|_C), and F(m)|_C has rank 2, degree (c1F + 2m) c2E.
+    (e1, e2), (f1, f2) = E, F
+    restricted = (f1 + 2 * m) * e2 + 2 * serre_one_minus_genus(r, e1, e2)
+    return chi_rank2_serre(r, f1, f2, m - e1) + chi_rank2_serre(r, f1, f2, m) - restricted
+
+
+def descriptor_rule(rank, c1, c2, c3):
     # The descriptor's check as it stood before its one-chain type test: one integer test per field.
     for name, value in (("rank", rank), ("c1", c1), ("c2", c2), ("c3", c3)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -100,5 +137,3 @@ def descriptor_rule(rank, c1, c2, c3, b):
         raise ValueError("a rank-1 bundle has c2 = c3 = 0")
     if rank == 2 and c3 != 0:
         raise ValueError("a rank-2 bundle has c3 = 0")
-    if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
-        raise ValueError(f"b must be an integer or None, got {b!r}")

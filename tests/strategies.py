@@ -30,14 +30,6 @@ def descriptors(draw, max_rank: int = 4, max_c1: int = 10, max_c: int = 100):
     return BundleDescriptor(rank, c1, c2, c3)
 
 
-@st.composite
-def rank2_descriptors(draw, with_b: bool = False):
-    c1 = draw(st.integers(-10, 10))
-    c2 = draw(st.integers(-100, 100))
-    b = draw(st.integers(-5, 5)) if with_b else None
-    return BundleDescriptor(2, c1, c2, 0, b=b)
-
-
 # Expressions too deep to print or evaluate recursively: each must be
 # rejected by the parser rather than raise RecursionError.
 DEEP_EXPRESSIONS = {

@@ -12,6 +12,7 @@ from acmbundles import (
     build_case,
     catalog,
     chi_hrr,
+    direct_sum,
     dual,
     euler_pairing,
     extension_cases,
@@ -65,10 +66,14 @@ def test_extension_chern_classes():
 
 
 def test_extension_bundle_is_normalized_acm():
+    # G = F(m) + E is a sum of twisted catalog (ACM) bundles; h0(G(-n)) = h0(F(m-n)) + h0(E(-n))
+    # is nonzero at n = 0 and zero at n = 1, so b(G) = 0.
     for c in extension_cases():
+        assert c.F_twisted == twist(c.F.descriptor(), c.m, QUINTIC)
+        assert c.G == direct_sum(c.F_twisted, c.E.descriptor(), QUINTIC)
         assert c.G.rank == 4
-        assert c.G.b == 0
-        assert c.G.acm
+        assert h0_acm_twist(c.F, c.m) + h0_acm_twist(c.E, 0) >= 1
+        assert h0_acm_twist(c.F, c.m - 1) + h0_acm_twist(c.E, -1) == 0
 
 
 def test_vanishing_conditions():

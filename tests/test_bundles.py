@@ -9,7 +9,6 @@ from acmbundles import (
     BundleDescriptor,
     ChowClass,
     Hypersurface,
-    NormalizationUnknownError,
     NotBundleClassError,
     catalog,
     chi_hrr,
@@ -18,38 +17,25 @@ from acmbundles import (
     dual,
     euler_pairing,
     from_ch,
-    is_semistable,
-    is_stable,
     tensor,
     to_ch,
     twist,
 )
 
 import oracles
-from strategies import chow_classes, descriptors, hypersurfaces, rank2_descriptors
+from strategies import chow_classes, descriptors, hypersurfaces
 
 X5 = Hypersurface(5)
 
 O = BundleDescriptor(1, 0)
 
 
-def rk2(c1, c2, b=None):
-    return BundleDescriptor(2, c1, c2, 0, b=b)
+def rk2(c1, c2):
+    return BundleDescriptor(2, c1, c2)
 
 
 def line(n):
     return BundleDescriptor(1, n)
-
-
-def binom4(m: int) -> int:
-    # C(m, 4) as a polynomial: the product of four consecutive integers is
-    # divisible by 24 and non-negative.
-    return m * (m - 1) * (m - 2) * (m - 3) // 24
-
-
-def chi_line_oracle(n: int, r: int) -> int:
-    # From 0 -> O_P4(n-r) -> O_P4(n) -> O_X(n) -> 0.
-    return binom4(n + 4) - binom4(n + 4 - r)
 
 
 def test_descriptor_invariants():
@@ -93,10 +79,7 @@ def test_from_ch_rejects_synthetic_characters():
 def test_dual_rank2_rule():
     assert dual(rk2(1, 8)) == rk2(-1, 8)
     assert dual(rk2(0, 3)) == rk2(0, 3)
-
-
-def test_dual_shifts_b_through_self_duality():
-    assert dual(rk2(4, 30, b=0)) == rk2(-4, 30, b=-4)
+    assert dual(rk2(4, 30)) == rk2(-4, 30)
     assert dual(line(3)) == line(-3)
 
 
@@ -105,14 +88,9 @@ def test_dual_is_an_involution(E):
     assert dual(dual(E)) == E
 
 
-@given(rank2_descriptors(with_b=True))
-def test_dual_involution_keeps_b(E):
-    assert dual(dual(E)) == E
-
-
 def test_twist_values():
-    F = rk2(4, 30, b=0)
-    assert twist(F, -1, X5) == rk2(2, 15, b=-1)
+    F = rk2(4, 30)
+    assert twist(F, -1, X5) == rk2(2, 15)
     assert twist(F, 0, X5) == F
     assert twist(rk2(1, 8), 1, X5) == rk2(3, 18)
 
@@ -128,7 +106,7 @@ def test_dual_of_twist(E, n, X):
 
 
 def test_tensor_with_structure_sheaf_is_identity():
-    E = rk2(1, 8, b=0)
+    E = rk2(1, 8)
     assert tensor(E, O, X5) == E
     assert tensor(O, E, X5) == E
 
@@ -153,9 +131,8 @@ def test_case_two_tensor_through_the_full_pipeline():
 
 
 def test_direct_sum_whitney_values():
-    s = direct_sum(rk2(4, 30, b=0), rk2(1, 8, b=0), X5)
-    assert (s.rank, s.c1, s.c2, s.c3) == (4, 5, 58, 62)
-    assert s.b == 0
+    s = direct_sum(rk2(4, 30), rk2(1, 8), X5)
+    assert s == BundleDescriptor(4, 5, 58, 62)
     s2 = direct_sum(rk2(2, 15), rk2(0, 3), X5)
     assert (s2.c1, s2.c2, s2.c3) == (2, 18, 6)
     trivial = direct_sum(O, O, X5)
@@ -214,10 +191,10 @@ def test_chi_of_structure_sheaf_on_the_quintic():
 
 
 def test_chi_line_bundles_against_ideal_sheaf_oracle():
-    for r in range(1, 7):
+    for r in range(1, 9):
         X = Hypersurface(r)
         for n in range(-10, 11):
-            assert chi_hrr(line(n), X) == chi_line_oracle(n, r), (n, r)
+            assert chi_hrr(line(n), X) == oracles.chi_line(r, n), (n, r)
 
 
 def test_chi_rank2_closed_form_values():
@@ -232,32 +209,6 @@ def test_chi_rank2_closed_form_values():
 def test_chi_rank2_agrees_with_riemann_roch(c1, c2):
     assert chi_rank2(c1, c2) == oracles.chi_rank2(c1, c2) == chi_hrr(rk2(c1, c2), X5)
     assert type(chi_rank2(c1, c2)) is Fraction
-
-
-def test_stability_predicates():
-    assert is_stable(rk2(1, 8, b=0))
-    assert is_semistable(rk2(0, 3, b=0)) and not is_stable(rk2(0, 3, b=0))
-    assert is_stable(rk2(2, 15, b=-1))
-    assert not is_semistable(rk2(-2, 1, b=0))
-
-
-def test_stability_needs_normalization_level():
-    with pytest.raises(NormalizationUnknownError):
-        is_semistable(rk2(1, 8))
-    with pytest.raises(NormalizationUnknownError):
-        is_stable(rk2(1, 8))
-
-
-@pytest.mark.parametrize(
-    "E",
-    [BundleDescriptor(1, 3, b=3), BundleDescriptor(4, 2, 10, 0, b=0), BundleDescriptor(3, 1, 4, 1)],
-)
-def test_stability_predicates_apply_only_to_rank_two(E):
-    # Every line bundle is stable; the rank-2 criterion 2b - c1 < 0 says otherwise for O(3).
-    for predicate in (is_stable, is_semistable):
-        with pytest.raises(ValueError, match="rank-2 bundles") as info:
-            predicate(E)
-        assert not isinstance(info.value, NormalizationUnknownError)
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,7 @@ from math import comb
 
 import pytest
 
-from acmbundles import (
-    QUINTIC, BundleDescriptor, catalog, chi_hrr, h0_acm_twist, is_semistable, is_stable, lookup, twist,
-)
+from acmbundles import QUINTIC, BundleDescriptor, Hypersurface, catalog, chi_hrr, h0_acm_twist, lookup, twist
 from acmbundles.catalog import FAMILY_A, FAMILY_B
 
 import oracles
@@ -55,15 +53,29 @@ def test_stability_partition():
     unstable = [e.pair for e in catalog() if not e.semistable]
     assert unstable == [(-2, 1), (-1, 2)]
     for e in catalog():
-        assert e.stable == (e.c1 >= 1) == is_stable(e.descriptor())
-        assert e.semistable == (e.c1 >= 0) == is_semistable(e.descriptor())
+        # b = 0, so the section criteria 2b - c1 < 0 and 2b - c1 <= 0 read c1 > 0 and c1 >= 0.
+        assert e.stable is (e.c1 > 0)
+        assert e.semistable is (e.c1 >= 0)
         if e.c1 == 0:
             assert e.semistable and not e.stable
 
 
 def test_descriptor_is_normalized_acm():
-    d = lookup(4, 30).descriptor()
-    assert d == BundleDescriptor(2, 4, 30, 0, b=0, acm=True)
+    # Normalized and ACM are facts the catalog states: the oracle for them takes an
+    # entry's descriptor exactly as it takes the entry.
+    for e in catalog():
+        assert e.descriptor() == BundleDescriptor(2, e.c1, e.c2)
+        for n in range(-3, 6):
+            assert h0_acm_twist(e.descriptor(), n) == h0_acm_twist(e, n), (e.pair, n)
+
+
+def test_a_descriptor_is_its_chern_data_on_every_degree():
+    # A descriptor records no degree, so it carries no catalog fact onto a twist on X_4.
+    assert BundleDescriptor._fields == ("rank", "c1", "c2", "c3")
+    X4 = Hypersurface(4)
+    assert twist(lookup(1, 8).descriptor(), 1, X4) == BundleDescriptor(2, 3, 16)
+    for e in catalog():
+        assert twist(e.descriptor(), 1, X4) == BundleDescriptor(2, e.c1 + 2, e.c2 + 4 * (e.c1 + 1)), e.pair
 
 
 def test_lookup():
@@ -109,7 +121,6 @@ def test_h0_twist_oracle_positive_twists_use_chi():
     for e in catalog():
         for n in range(-3, 4):
             assert h0_acm_twist(e, n) == _h0_oracle(e.c1, e.c2, n), (e.pair, n)
-            assert h0_acm_twist(e.descriptor(), n) == h0_acm_twist(e, n)
 
 
 def test_h0_twist_oracle_undetermined_cases():
@@ -120,17 +131,16 @@ def test_h0_twist_oracle_undetermined_cases():
 
 
 def test_h0_twist_oracle_accepts_normalized_descriptors_only():
-    assert h0_acm_twist(BundleDescriptor(2, 4, 30, 0, b=0, acm=True), -1) == 0
-    with pytest.raises(ValueError):
-        h0_acm_twist(BundleDescriptor(2, 4, 30, 0), 0)  # b unset
-    with pytest.raises(ValueError):
-        h0_acm_twist(BundleDescriptor(2, 2, 15, 0, b=-1), 0)  # not normalized
-    with pytest.raises(ValueError):
-        h0_acm_twist(BundleDescriptor(1, 1, 0, 0, b=0), 0)  # wrong rank
-    with pytest.raises(ValueError, match="requires an ACM bundle"):
-        h0_acm_twist(BundleDescriptor(2, 4, 30, 0, b=0), 1)  # not flagged ACM
-    with pytest.raises(ValueError, match=r"chi = -45 < 0 for .*c2=100.* twisted by 0"):
-        h0_acm_twist(BundleDescriptor(2, 1, 100, 0, b=0, acm=True), 0)  # no ACM bundle: chi < 0
+    # Only the catalog's descriptors are known to be normalized and ACM.
+    not_in_catalog = [
+        BundleDescriptor(2, 1, 100),  # rank 2, but no catalog pair (chi = -45 there)
+        BundleDescriptor(2, 2, 15),  # the catalog's (4, 30) twisted by -1: not normalized
+        BundleDescriptor(1, 1),  # wrong rank
+        BundleDescriptor(3, 1, 8),  # a catalog (c1, c2) at another rank
+    ]
+    for E in not_in_catalog:
+        with pytest.raises(ValueError, match="applies to the catalog bundles"):
+            h0_acm_twist(E, 0)
 
 
 # The Serre correspondence: a section of a catalog bundle E with b = 0 vanishes on a

@@ -206,7 +206,7 @@ def test_the_descriptor_rule_runs_once_per_descriptor_built():
 def test_twist_builds_one_descriptor_per_call():
     E = lookup(1, 8).descriptor()
     assert _validations(lambda: twist(E, 2, X5)) == 1
-    assert twist(E, 2, X5) == BundleDescriptor(2, 5, 38, 0, b=2, acm=True)
+    assert twist(E, 2, X5) == BundleDescriptor(2, 5, 38)
     assert _validations(lambda: twist(E, 0, X5)) == 0  # E(0) is E
 
 
@@ -289,8 +289,8 @@ def test_unknown_name():
 
 
 def test_evaluate_literals_and_operations():
-    assert evaluate(parse("o(2)"), X5) == BundleDescriptor(1, 2, 0, 0, b=2, acm=True)
-    assert evaluate(parse("cat(1,8)"), X5) == BundleDescriptor(2, 1, 8, 0, b=0, acm=True)
+    assert evaluate(parse("o(2)"), X5) == BundleDescriptor(1, 2)
+    assert evaluate(parse("cat(1,8)"), X5) == BundleDescriptor(2, 1, 8)
     assert evaluate(parse("bundle(2,4,30)(-1)"), X5) == BundleDescriptor(2, 2, 15)
     assert evaluate(parse("dual(bundle(2,1,8))"), X5) == BundleDescriptor(2, -1, 8)
     tensor_e = evaluate(parse("bundle(2,4,30)(-1) * dual(bundle(2,0,3))"), X5)

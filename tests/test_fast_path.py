@@ -57,13 +57,12 @@ def _sweep():
 
 def assert_as_if_validated(D):
     """D equals its rebuild through the public constructor, field by field."""
-    again = BundleDescriptor(D.rank, D.c1, D.c2, D.c3, b=D.b, acm=D.acm)
+    again = BundleDescriptor(D.rank, D.c1, D.c2, D.c3)
     assert type(D) is BundleDescriptor
     assert D == again and hash(D) == hash(again) and repr(D) == repr(again)
     assert list(vars(D).items()) == list(vars(again).items())
     assert pickle.dumps(D) == pickle.dumps(again)
-    assert all(type(value) is int for value in D.chern_tuple() + (D.rank,))
-    assert D.b is None or type(D.b) is int
+    assert all(type(value) is int for value in D._values())
 
 
 def test_every_catalog_twist_and_its_dual_is_valid():
@@ -87,9 +86,7 @@ def test_every_sweep_descriptor_is_valid():
         assert_as_if_validated(case.F_twisted)
         assert_as_if_validated(dual(E.descriptor()))
         assert_as_if_validated(case.G)
-        assert case.F_twisted == twist(
-            BundleDescriptor(2, F.c1, F.c2, 0, b=0, acm=True), m, QUINTIC
-        )
+        assert case.F_twisted == twist(BundleDescriptor(2, F.c1, F.c2), m, QUINTIC)
 
 
 def test_no_check_in_the_package_is_an_assert_statement():
@@ -98,14 +95,7 @@ def test_no_check_in_the_package_is_an_assert_statement():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
-@st.composite
-def flagged_descriptors(draw):
-    E = draw(descriptors(max_rank=4, max_c1=10, max_c=100))
-    b = draw(st.none() | st.integers(-6, 6))
-    return BundleDescriptor(E.rank, E.c1, E.c2, E.c3, b=b, acm=draw(st.booleans()))
-
-
-@given(flagged_descriptors(), flagged_descriptors(), st.integers(-6, 6), hypersurfaces(8))
+@given(descriptors(), descriptors(), st.integers(-6, 6), hypersurfaces(8))
 def test_kernel_operations_build_valid_descriptors(E, F, n, X):
     for result in (twist(E, n, X), dual(E), direct_sum(E, F, X), tensor(E, F, X)):
         assert_as_if_validated(result)
@@ -114,16 +104,15 @@ def test_kernel_operations_build_valid_descriptors(E, F, n, X):
 # The constructor and from_ch reject, with the same messages, what no
 # operation on valid descriptors returns.
 @pytest.mark.parametrize(
-    "fields, b, message",
+    "fields, message",
     [
-        ((2, 1, Fraction(8)), None, "c2 must be an integer, got Fraction(8, 1)"),
-        ((1, 1, 0, 3), None, "a rank-1 bundle has c2 = c3 = 0"),
-        ((2, 1, 8), Fraction(0), "b must be an integer or None, got Fraction(0, 1)"),
+        ((2, 1, Fraction(8)), "c2 must be an integer, got Fraction(8, 1)"),
+        ((1, 1, 0, 3), "a rank-1 bundle has c2 = c3 = 0"),
     ],
 )
-def test_the_public_constructor_still_validates(fields, b, message):
+def test_the_public_constructor_still_validates(fields, message):
     with pytest.raises(ValueError) as info:
-        BundleDescriptor(*fields, b=b)
+        BundleDescriptor(*fields)
     assert str(info.value) == message
 
 

@@ -6,6 +6,7 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import acmbundles
 from acmbundles.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,3 +56,10 @@ def test_cli_block_states_its_outputs(capsys):
     for command, out, code, err in stated:
         expected = (0, out + "\n", "") if code is None else (int(code), "", err + "\n")
         assert (main(shlex.split(command)[1:]), *capsys.readouterr()) == expected, command
+
+
+def test_every_public_name_is_in_the_readme():
+    # The API docs keep up with ``acmbundles.__all__``: the README names every public name.
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in acmbundles.__all__ if name != "__version__" and not re.search(rf"\b{name}\b", text)]
+    assert missing == []

@@ -42,8 +42,8 @@ SPECS = [
     (Hypersurface, (("r", 5),), (3,), True),
     (
         BundleDescriptor,
-        (("rank", REQUIRED), ("c1", REQUIRED), ("c2", 0), ("c3", 0), ("b", None), ("acm", False)),
-        (2, 1, 8, 0, 0, True),
+        (("rank", REQUIRED), ("c1", REQUIRED), ("c2", 0), ("c3", 0)),
+        (2, 1, 8, 0),
         True,
     ),
     (
@@ -144,7 +144,7 @@ def test_records_of_different_classes_with_equal_fields_differ():
     a, b = LineBundle(1), CatRef(1, 8)
     assert Sum(a, b) != Tensor(a, b)
     assert Sum(a, b) == Sum(LineBundle(1), CatRef(1, 8))
-    assert BundleDescriptor(2, 1, 8) != (2, 1, 8, 0, None, False)
+    assert BundleDescriptor(2, 1, 8) != (2, 1, 8, 0)
     assert LineBundle(3) != Hypersurface(3)
     assert len({Sum(a, b), Tensor(a, b), Sum(a, b)}) == 2
 
@@ -158,8 +158,6 @@ def test_records_of_different_classes_with_equal_fields_differ():
         (lambda: BundleDescriptor(0, 1), "rank must be positive, got 0"),
         (lambda: BundleDescriptor(1, 1, 2), "a rank-1 bundle has c2 = c3 = 0"),
         (lambda: BundleDescriptor(2, 1, 8, 1), "a rank-2 bundle has c3 = 0"),
-        (lambda: BundleDescriptor(2, 1, 8, b=0.5), "b must be an integer or None, got 0.5"),
-        (lambda: BundleDescriptor(2, 1, 8, b=False), "b must be an integer or None, got False"),
         (lambda: Hypersurface(0), "degree must be a positive integer, got 0"),
         (lambda: Hypersurface(True), "degree must be a positive integer, got True"),
         (lambda: Hypersurface("5"), "degree must be a positive integer, got '5'"),
@@ -189,16 +187,15 @@ def _outcome(build, *args):
 
 
 def test_the_constructor_keeps_the_field_by_field_rule_on_every_grid_input():
-    for fields in product(_GRID, repeat=4):  # 12**4 field tuples, each with five values of b
-        for b in (None, 0, True, 0.5, _Int(1)):
-            expected = _outcome(descriptor_rule, *fields, b)
-            try:
-                E = BundleDescriptor(*fields, b=b)
-            except Exception as exc:
-                assert (type(exc), str(exc)) == expected, (fields, b)
-            else:
-                assert expected is None and all(map(operator.is_, E._values(), (*fields, b, False))), (fields, b)
-        assert _outcome(BundleLit, *fields) == _outcome(descriptor_rule, *fields, None), fields
+    for fields in product(_GRID, repeat=4):  # 12**4 field tuples
+        expected = _outcome(descriptor_rule, *fields)
+        try:
+            E = BundleDescriptor(*fields)
+        except Exception as exc:
+            assert (type(exc), str(exc)) == expected, fields
+        else:
+            assert expected is None and all(map(operator.is_, E._values(), fields)), fields
+        assert _outcome(BundleLit, *fields) == expected, fields
 
 
 class _Checked(_Record):

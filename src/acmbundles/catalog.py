@@ -60,6 +60,7 @@ FAMILY_B: tuple[tuple[int, int], ...] = (
     (2, 14),
     (3, 20),
 )
+_PAIRS = frozenset(FAMILY_A + FAMILY_B)
 
 # The (F, E, m) rows of the extension table that ``analysis`` builds; here, so
 # that the command line can name the cases without importing the analysis.
@@ -149,7 +150,7 @@ def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
     """
     _integer(n, "twist n")
     E = entry.descriptor() if isinstance(entry, CatalogEntry) else entry
-    if E.rank != 2 or (E.c1, E.c2) not in FAMILY_A + FAMILY_B:
+    if E.rank != 2 or (E.c1, E.c2) not in _PAIRS:
         raise ValueError(f"the section-count oracle applies to the catalog bundles, not {E}")
     if n < 0:
         return 0

@@ -60,7 +60,7 @@ def assert_as_if_validated(D):
     again = BundleDescriptor(D.rank, D.c1, D.c2, D.c3)
     assert type(D) is BundleDescriptor
     assert D == again and hash(D) == hash(again) and repr(D) == repr(again)
-    assert list(vars(D).items()) == list(vars(again).items())
+    assert list(zip(D._fields, D._values())) == list(zip(again._fields, again._values()))
     assert pickle.dumps(D) == pickle.dumps(again)
     assert all(type(value) is int for value in D._values())
 
@@ -233,7 +233,8 @@ def test_a_catalog_entry_keeps_no_memo():
     for entry in catalog():
         entry.descriptor()
         copy = CatalogEntry(*(getattr(entry, name) for name in CatalogEntry._fields))
-        assert vars(entry) == vars(copy) and list(vars(entry)) == list(CatalogEntry._fields)
+        fields = list(zip(CatalogEntry._fields, entry._values()))
+        assert fields == list(zip(CatalogEntry._fields, copy._values())) and not hasattr(entry, "__dict__")
         assert pickle.dumps(entry) == pickle.dumps(copy)
         assert entry.descriptor() is copy.descriptor()
     with pytest.raises(ValueError, match="c1 must be an integer, got True"):

@@ -2,10 +2,15 @@
 
 Each record is compared with a frozen dataclass twin built here with the same
 name, fields and defaults: the same arguments must give the same repr and
-hash, and the record must equal only records of its own class.  A record's
-instance dict holds its fields in declaration order, however it was built.
+hash, and the record must equal only records of its own class.  A record is
+one object: its fields are slots, read back in declaration order however it
+was built, and it has no instance dict.  A sweep report keeps few objects
+for the cyclic GC to track.
 """
 
+import copy
+import gc
+import inspect
 import operator
 import pickle
 from dataclasses import FrozenInstanceError, field, make_dataclass
@@ -15,8 +20,8 @@ from itertools import product
 import pytest
 
 from acmbundles import (
-    QUINTIC, BundleDescriptor, Hypersurface, analyze_case, direct_sum, dual, extension_cases, from_ch, lookup,
-    tensor, to_ch, twist,
+    QUINTIC, BundleDescriptor, ChowClass, Hypersurface, analyze_case, analyze_extension, catalog, direct_sum, dual,
+    extension_cases, from_ch, lookup, tensor, to_ch, twist,
 )
 from acmbundles.analysis import CaseReport, ExtensionCase, SplitVerdict
 from acmbundles.catalog import CatalogEntry
@@ -244,14 +249,18 @@ def test_a_record_calls_its_validator_exactly_when_it_has_one():
     assert _Plain(-1).n == -1
 
 
+def _fields(record):
+    return list(zip(record._fields, record._values()))
+
+
 @pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_keeps_its_fields_in_declaration_order(cls, fields, args, hashable):
     names = [name for name, _ in fields]
     assert list(cls._fields) == names
     for record in (cls(*args), cls(**dict(zip(names, args)))):
-        assert list(vars(record)) == names
+        assert _fields(record) == list(zip(names, args))
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert list(vars(pickle.loads(pickle.dumps(record, protocol)))) == names
+            assert _fields(pickle.loads(pickle.dumps(record, protocol))) == list(zip(names, args))
 
 
 def test_every_operation_writes_descriptor_fields_in_declaration_order():
@@ -259,16 +268,89 @@ def test_every_operation_writes_descriptor_fields_in_declaration_order():
     results = (dual(E), direct_sum(E, F, QUINTIC), twist(E, -1, QUINTIC), tensor(E, F, QUINTIC),
                from_ch(to_ch(E, QUINTIC), QUINTIC))
     for result in results:
-        assert list(vars(result)) == list(BundleDescriptor._fields), result
+        expected = [(name, getattr(result, name)) for name in BundleDescriptor._fields]
+        assert _fields(result) == expected, result
 
 
-class _Shadowing(_Record):  # fields named like the generated __init__'s locals
+class _Shadowing(_Record):  # fields named like the names a generated __init__ binds
     d: int
     d_: int
+    self: int
+    _: int
+    _sd: int
     d__: int = 2
     _cls: int = 3
+    _dd: int = 4
 
 
 def test_no_field_is_shadowed_by_the_generated_init():
-    assert vars(_Shadowing(0, 1)) == {"d": 0, "d_": 1, "d__": 2, "_cls": 3}
-    assert vars(_Shadowing(d=4, d_=5, d__=6, _cls=7)) == {"d": 4, "d_": 5, "d__": 6, "_cls": 7}
+    names = ("d", "d_", "self", "_", "_sd", "d__", "_cls", "_dd")
+    assert _fields(_Shadowing(0, 1, 5, 6, 7)) == list(zip(names, (0, 1, 5, 6, 7, 2, 3, 4)))
+    keywords = dict(zip(names, range(10, 18)))
+    assert _fields(_Shadowing(**keywords)) == list(keywords.items())
+
+
+def _package_records():
+    """Every _Record subclass the package defines, found through __subclasses__()."""
+    found, todo = [], [_Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("acmbundles."):
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+EXAMPLES = {cls: (fields, args) for cls, fields, args, _ in SPECS}
+EXAMPLES[ChowClass] = (tuple((f"a{i}", 0) for i in range(4)), (1, Fraction(1, 2), 3, Fraction(-5, 6)))
+
+
+def test_every_record_class_of_the_package_has_an_example():
+    assert set(_package_records()) == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", _package_records(), ids=lambda cls: cls.__name__)
+def test_a_record_is_one_object_whose_fields_are_slots(cls):
+    parameters, args = EXAMPLES[cls]  # the constructor's parameters: for all but ChowClass, the fields
+    record = cls(*(args() if callable(args) else args))
+    assert cls.__slots__ == cls._fields
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        vars(record)
+    for name in cls._fields + ("extra",):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies + [copy.copy(record), copy.deepcopy(record)]:
+        assert type(back) is cls and back == record and repr(back) == repr(record)
+    signature = inspect.signature(cls).parameters.values()
+    assert [p.name for p in signature] == [name for name, _ in parameters]
+    assert {p.name: p.default for p in signature if p.default is not p.empty} == {
+        name: default for name, default in parameters if default is not REQUIRED
+    }
+
+
+def _tracked_after(build):
+    """Objects the cyclic GC tracks that survive ``build()``, counted with collection off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    before = len(gc.get_objects())
+    try:
+        gc.disable()
+        kept = build()
+        gc.collect()
+        return kept, len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_sweep_report_keeps_few_objects_the_gc_tracks():
+    triples = [(F, E, m) for F in catalog() for E in catalog() for m in range(-3, 1)]
+    for F, E, m in triples:  # fill the caches and the pair table first
+        analyze_extension(F, E, m)
+    reports, tracked = _tracked_after(lambda: [analyze_extension(F, E, m) for F, E, m in triples])
+    assert len(reports) == 784
+    assert tracked <= 15 * len(reports), tracked / len(reports)

@@ -75,13 +75,13 @@ class _RecordType(type):
         cls = super().__new__(meta, name, bases, {**ns, "__slots__": names, "_fields": names})
         s = "_" * (1 + max(map(len, names), default=0))  # longer than any field, so no field shadows it
         env = {f"{s}d{n}": v for n, v in defaults.items()} | {f"{s}s{n}": cls.__dict__[n].__set__ for n in names}
-        exec(
+        exec(compile(
             f"def __init__({s}, {', '.join(f'{n}={s}d{n}' if n in defaults else n for n in names)}):\n"
             + "".join(f" {s}s{n}({s}, {n})\n" for n in names)
             + (f" {s}._validate()\n" if cls._validate is not _Record._validate else "")
             + f"def _values({s}):\n return ({''.join(f'{s}.{n}, ' for n in names)})",
-            env,
-        )
+            f"<record {cls.__qualname__}>", "exec",  # a filename per class, so profilers count each apart
+        ), env)
         env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
         cls._values, cls.__init__ = env["_values"], ns.get("__init__", env["__init__"])
         return cls

@@ -244,11 +244,19 @@ def render_eval(
 # -------------------------------------------------------------------- driver
 
 
+def _integer(text: str) -> int:
+    """An integer option spelled as the expression language spells one: ASCII -?[0-9]+."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():  # int() alone also takes "+5", " 5", "1_0" and "٥"
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"degree must be positive, got {value}")
     return value
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", parents=[common], help="the seven extension cases")
     p_analyze = sub.add_parser("analyze", parents=[common], help="splitting-exclusion reports")
     scope = p_analyze.add_mutually_exclusive_group()
-    scope.add_argument("--case", type=int, choices=CASE_INDICES, metavar="N")
+    scope.add_argument("--case", type=_integer, choices=CASE_INDICES, metavar="N")
     scope.add_argument("--all", action="store_true")
     p_analyze.add_argument(
         "--verbose", action="store_true", help="include Chern-rejected candidate pairs"

@@ -13,9 +13,10 @@ ASCII digits and may be negative):
            | "cat(" int "," int ")"        catalog reference
            | "(" expr ")"
 
-o, cat, bundle and the postfix twist read their integers through one reader
-checked against one arity table.  A ``BundleLit`` checks the descriptor's rule
-when built (rank 2 needs c3 = 0), and a ``CatRef`` that it names a catalog pair.
+o, cat, bundle and the postfix twist read their integers through one reader.
+A bundle(...) literal parses to its ``BundleDescriptor``, checked once, when
+built (rank 2 needs c3 = 0), and any descriptor is an expression leaf; a
+``CatRef`` checks its catalog pair when built.
 A catalog bundle lives on the quintic: ``evaluate`` checks the degree at each
 cat() leaf, so it is the one place that rule is stated.
 Neither the parsed tree nor the nesting of parentheses may be deeper than
@@ -41,7 +42,6 @@ from .chowring import Hypersurface, _Record, require_quintic
 
 __all__ = [
     "Expression",
-    "BundleLit",
     "LineBundle",
     "CatRef",
     "Dual",
@@ -67,14 +67,6 @@ class ExpressionError(ValueError):
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
         self.column = column
-
-
-class BundleLit(_Record):
-    rank: int
-    c1: int
-    c2: int
-    c3: int = 0
-    _validate = BundleDescriptor._validate  # the descriptor's rule, once per literal
 
 
 class LineBundle(_Record):
@@ -109,7 +101,7 @@ class Sum(_Record):
     right: "Expression"
 
 
-Expression = Union[BundleLit, LineBundle, CatRef, Dual, Twist, Tensor, Sum]
+Expression = Union[BundleDescriptor, LineBundle, CatRef, Dual, Twist, Tensor, Sum]
 
 
 # One alternation, the most frequent tokens first.  A token is group 1; a
@@ -119,12 +111,11 @@ _TOKEN_RE = re.compile(r"([(),]|[0-9]+|[A-Za-z_]+|-[0-9]+|\+\+|\*)|[^ \t\r\n]")
 
 Parsed = tuple[Expression, int]  # a tree and its height
 
-# Constructor name -> (fewest, most) integer arguments and how to name them.
-_ARITY = {
-    "o": (1, 1, "n"),
-    "cat": (2, 2, "c1 and c2"),
-    "bundle": (3, 4, "rank, c1, c2 and optional c3"),
-    "twist": (1, 1, "n"),  # the postfix twist e(n), not a name the grammar accepts
+# Leaf name -> (the node it builds, (fewest, most) integers and how to name them, its error prefix).
+_LEAVES = {
+    "o": (LineBundle, (1, 1, "n"), ""),
+    "cat": (CatRef, (2, 2, "c1 and c2"), ""),
+    "bundle": (BundleDescriptor, (3, 4, "rank, c1, c2 and optional c3"), "invalid bundle literal: "),
 }
 
 
@@ -191,7 +182,7 @@ class _Parser:
         node, height = self.atom()
         while self.tokens[self.pos] == "(":
             at = self.pos
-            (n,) = self.arguments("twist", at)
+            (n,) = self.arguments("twist", (1, 1, "n"), at)
             node, height = Twist(node, n), self.bounded(height + 1, at)
         return node, height
 
@@ -217,20 +208,18 @@ class _Parser:
         if name == "dual":
             inner, height = self.group(at)
             return Dual(inner), self.bounded(height + 1, at)
-        if name not in _ARITY or name == "twist":
+        if name not in _LEAVES:
             raise self.error(f"unknown name {name!r}", at)
-        values = self.arguments(name, at)
-        if name == "o":
-            return LineBundle(*values), 1
-        build, prefix = (CatRef, "") if name == "cat" else (BundleLit, "invalid bundle literal: ")
+        build, arity, prefix = _LEAVES[name]
+        values = self.arguments(name, arity, at)
         try:
             return build(*values), 1
         except ValueError as exc:
             raise self.error(f"{prefix}{exc}", at) from exc
 
-    def arguments(self, name: str, at: int) -> list[int]:
+    def arguments(self, name: str, arity: tuple[int, int, str], at: int) -> list[int]:
         """The list "(" int {"," int} ")" after ``name``; an arity error is reported at ``at``."""
-        fewest, most, takes = _ARITY[name]
+        fewest, most, takes = arity
         tokens = self.tokens
         self.expect("(")
         values = []
@@ -258,47 +247,49 @@ def parse(text: str) -> Expression:
 
 def to_text(expr: Expression) -> str:
     """Canonical printer; parse(to_text(e)) == e for every expression e."""
-    if isinstance(expr, BundleLit):
+    kind = type(expr)  # the node classes are a closed set: a record's subclass is not a node
+    if kind is BundleDescriptor:
         if expr.c3:
             return f"bundle({expr.rank},{expr.c1},{expr.c2},{expr.c3})"
         return f"bundle({expr.rank},{expr.c1},{expr.c2})"
-    if isinstance(expr, LineBundle):
+    if kind is LineBundle:
         return f"o({expr.n})"
-    if isinstance(expr, CatRef):
+    if kind is CatRef:
         return f"cat({expr.c1},{expr.c2})"
-    if isinstance(expr, Dual):
+    if kind is Dual:
         return f"dual({to_text(expr.inner)})"
-    if isinstance(expr, Twist):
+    if kind is Twist:
         return f"{_operand(expr.inner, 3)}({expr.n})"
-    if isinstance(expr, Tensor):
+    if kind is Tensor:
         return f"{_operand(expr.left, 2)} * {_operand(expr.right, 3)}"
-    if isinstance(expr, Sum):
+    if kind is Sum:
         return f"{_operand(expr.left, 1)} ++ {_operand(expr.right, 2)}"
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def _operand(expr: Expression, needs: int) -> str:
     # "++" binds 1, "*" binds 2, every other node 3: wrap what binds looser than its position needs.
-    binds = 1 if isinstance(expr, Sum) else 2 if isinstance(expr, Tensor) else 3
+    binds = 1 if type(expr) is Sum else 2 if type(expr) is Tensor else 3
     text = to_text(expr)
     return f"({text})" if binds < needs else text
 
 
 def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:
     """Evaluate an expression to a bundle descriptor on X; a cat() leaf needs X to be the quintic."""
-    if isinstance(expr, BundleLit):
-        return BundleDescriptor(expr.rank, expr.c1, expr.c2, expr.c3)
-    if isinstance(expr, LineBundle):
+    kind = type(expr)
+    if kind is BundleDescriptor:
+        return expr  # a literal is its descriptor, checked when it was built
+    if kind is LineBundle:
         return BundleDescriptor(1, expr.n)
-    if isinstance(expr, CatRef):
+    if kind is CatRef:
         require_quintic(X, "cat()")
         return lookup(expr.c1, expr.c2).descriptor()  # CatRef checked the pair when built
-    if isinstance(expr, Dual):
+    if kind is Dual:
         return dual_bundle(evaluate(expr.inner, X))
-    if isinstance(expr, Twist):
+    if kind is Twist:
         return twist(evaluate(expr.inner, X), expr.n, X)
-    if isinstance(expr, Tensor):
+    if kind is Tensor:
         return tensor(evaluate(expr.left, X), evaluate(expr.right, X), X)
-    if isinstance(expr, Sum):
+    if kind is Sum:
         return direct_sum(evaluate(expr.left, X), evaluate(expr.right, X), X)
     raise TypeError(f"not an expression: {expr!r}")

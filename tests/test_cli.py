@@ -340,6 +340,20 @@ def test_usage_errors_exit_two():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "spelling", ["\u0665", "\uff15", "1_0", " 5 ", "+5", pytest.param("9" * 5000, id="5000-digits")]
+)
+@pytest.mark.parametrize("argv", [["eval", "rank", "o(1)", "--degree"], ["analyze", "--case"]], ids=["degree", "case"])
+def test_an_integer_option_is_ascii_digits_only(capsys, argv, spelling):
+    # int() reads the first five spellings as integers and refuses 5000 digits; each is a usage error,
+    # as an integer literal of the expression language is ASCII -?[0-9]+.
+    assert run(capsys, *argv, "5")[0] == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, spelling])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {argv[-1]}: not an integer: {spelling!r}\n")
+
+
 def test_catalog_requires_degree_five(capsys):
     code, _, err = run(capsys, "catalog", "--degree", "2")
     assert code == 1

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acmbundles import QUINTIC, BundleDescriptor, Hypersurface, UnsupportedDegreeError, catalog, chi_hrr, lookup, twist
+from acmbundles import (
+    QUINTIC, BundleDescriptor, ChowClass, Hypersurface, UnsupportedDegreeError, catalog, chi_hrr, lookup, twist,
+)
 from acmbundles.expr import (
     MAX_DEPTH,
     MAX_DIGITS,
-    BundleLit,
     CatRef,
     Dual,
     ExpressionError,
@@ -30,7 +31,7 @@ X5 = Hypersurface(5)
 
 def test_parse_the_case_two_expression():
     ast = parse("bundle(2,4,30)(-1) * dual(bundle(2,0,3))")
-    assert ast == Tensor(Twist(BundleLit(2, 4, 30), -1), Dual(BundleLit(2, 0, 3)))
+    assert ast == Tensor(Twist(BundleDescriptor(2, 4, 30), -1), Dual(BundleDescriptor(2, 0, 3)))
 
 
 def test_parse_line_bundle_sum():
@@ -185,10 +186,10 @@ def _validations(run):
 
 def test_the_descriptor_rule_runs_once_per_descriptor_built():
     text = "bundle(2,1,8) ++ dual(bundle(3,1,8,7))"
-    assert _validations(lambda: evaluate(parse(text), X5)) == 6  # two literals, then four descriptors
+    assert _validations(lambda: evaluate(parse(text), X5)) == 4  # two literals, one dual, one direct sum
     tree = parse(text)
-    assert _validations(lambda: evaluate(tree, X5)) == 4  # two literals, one dual, one direct sum
-    for literal in (BundleLit(2, 1, 8), BundleLit(3, 1, 8, 7), BundleLit(1, -4, 0)):
+    assert _validations(lambda: evaluate(tree, X5)) == 2  # one dual, one direct sum
+    for literal in (BundleDescriptor(2, 1, 8), BundleDescriptor(3, 1, 8, 7), BundleDescriptor(1, -4, 0)):
         E = evaluate(literal, X5)
         again = BundleDescriptor(literal.rank, literal.c1, literal.c2, literal.c3)
         assert E == again and repr(E) == repr(again)
@@ -197,11 +198,31 @@ def test_the_descriptor_rule_runs_once_per_descriptor_built():
     for args, message in (((2, 1, 8, 1), "a rank-2 bundle has c3 = 0"), ((0, 1, 0), "rank must be positive, got 0"),
                           ((2, True, 8), "c1 must be an integer, got True")):
         with pytest.raises(ValueError) as excinfo:
-            BundleLit(*args)
+            BundleDescriptor(*args)
         assert str(excinfo.value) == message
     with pytest.raises(ExpressionError) as excinfo:
         parse("o(1) ++ bundle(2,1,8,1)")
     assert str(excinfo.value) == "invalid bundle literal: a rank-2 bundle has c3 = 0 (column 9)"
+
+
+def test_a_bundle_literal_is_its_descriptor():
+    E = parse("bundle(2,4,30)")
+    assert type(E) is BundleDescriptor and E == BundleDescriptor(2, 4, 30)
+    assert evaluate(E, X5) is E
+    tree = parse("bundle(3,1,8,7)(1)")
+    assert evaluate(tree.inner, X5) is tree.inner
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), (2, 1, 8, 0), ChowClass(1, 2, 3, 4), lookup(1, 8)],
+    ids=["object", "tuple", "ChowClass", "CatalogEntry"],
+)
+def test_a_value_that_is_no_node_is_not_an_expression(value):
+    for function in (lambda: evaluate(value, X5), lambda: to_text(value), lambda: to_text(Dual(value))):
+        with pytest.raises(TypeError) as excinfo:
+            function()
+        assert str(excinfo.value) == f"not an expression: {value!r}"
 
 
 def test_twist_builds_one_descriptor_per_call():
@@ -325,8 +346,8 @@ _A, _B, _C = LineBundle(1), LineBundle(2), LineBundle(3)
     "tree, text",
     [
         # atoms print without parentheses
-        (BundleLit(2, 4, 30), "bundle(2,4,30)"),
-        (BundleLit(3, 1, 8, 7), "bundle(3,1,8,7)"),
+        (BundleDescriptor(2, 4, 30), "bundle(2,4,30)"),
+        (BundleDescriptor(3, 1, 8, 7), "bundle(3,1,8,7)"),
         (CatRef(4, 30), "cat(4,30)"),
         (Dual(Sum(_A, _B)), "dual(o(1) ++ o(2))"),
         # twist: only a sum or a tensor is wrapped
@@ -353,12 +374,12 @@ def test_printer_parenthesizes_exactly_the_looser_operands(tree, text):
 
 
 def _bundle_lits():
-    rank1 = st.builds(lambda c1: BundleLit(1, c1, 0, 0), st.integers(-9, 9))
+    rank1 = st.builds(lambda c1: BundleDescriptor(1, c1, 0, 0), st.integers(-9, 9))
     rank2 = st.builds(
-        lambda c1, c2: BundleLit(2, c1, c2, 0), st.integers(-9, 9), st.integers(-30, 30)
+        lambda c1, c2: BundleDescriptor(2, c1, c2, 0), st.integers(-9, 9), st.integers(-30, 30)
     )
     rank3 = st.builds(
-        BundleLit,
+        BundleDescriptor,
         st.integers(3, 4),
         st.integers(-9, 9),
         st.integers(-30, 30),

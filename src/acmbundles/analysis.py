@@ -26,9 +26,9 @@ pairs are built once, on first use, grouped by c1 sum, each with its
 ``direct_sum`` (the Whitney sum), c1 values, chi sum, the h0 of both entries
 and whether either has c1 = 0 (the section-count convention flag).  Two
 bounded caches hold F(m) with ch(F(m)) per (entry, m) and ch(E*) per (c1, c2),
-which ``build_case`` pairs with td(X) through ``euler_pairing``'s own body; it
-reads the integral as an integer numerator and denominator from the formula
-``integrate`` wraps in a Fraction, and so builds no Fraction.
+from which ``build_case`` computes the integral of ``euler_pairing`` without
+calling it; it reads that integral as an integer numerator and denominator
+from the formula ``integrate`` wraps in a Fraction, and so builds no Fraction.
 ``_classify`` disposes of each candidate by the first applicable filter and
 builds the case report:
 
@@ -54,9 +54,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bundles import BundleDescriptor, _exact_int, _pairing, chi_hrr, direct_sum, dual, to_ch, twist
+from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, to_ch, twist
 from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog, lookup
-from .chowring import QUINTIC, ChowClass, _integer, _Record
+from .chowring import QUINTIC, ChowClass, _integer, _point, _Record
 
 __all__ = [
     "QUINTIC",
@@ -149,7 +149,7 @@ def build_case(
     if _integer(m, "extension twist m") > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm, ch_Fm = _twisted(F.c1, F.c2, m)
-    num, den = _pairing(_dual_ch(E.c1, E.c2), ch_Fm, QUINTIC)
+    num, den = _point(QUINTIC.mul(_dual_ch(E.c1, E.c2), ch_Fm), QUINTIC.todd())
     chi_t = _exact_int(num, "chi", den)
     G = direct_sum(Fm, E.descriptor(), QUINTIC)
     return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), Fm, G)

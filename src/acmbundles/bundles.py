@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _point, _Record, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record, integrate
 
 __all__ = [
     "BundleDescriptor",
@@ -157,12 +157,7 @@ def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
 
 def euler_pairing(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Fraction:
     """chi(E, F) = sum (-1)^i ext^i(E, F), by Riemann-Roch the integral of ch(E*).ch(F).td(X)."""
-    return Fraction(*_pairing(to_ch(dual(E), X), to_ch(F, X), X))
-
-
-def _pairing(ch_dual_E: ChowClass, ch_F: ChowClass, X: Hypersurface) -> tuple[int, int]:
-    # The pairing's integral as (numerator, denominator): integrate's own formula, no Fraction.
-    return _point(X.mul(ch_dual_E, ch_F), X.todd())
+    return integrate(X.mul(to_ch(dual(E), X), to_ch(F, X)), X.todd())
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:

@@ -14,15 +14,18 @@ ASCII digits and may be negative):
            | "(" expr ")"
 
 o, cat, bundle and the postfix twist read their integers through one reader.
-A bundle(...) literal parses to its ``BundleDescriptor``, checked once, when
-built (rank 2 needs c3 = 0), and any descriptor is an expression leaf; a
-``CatRef`` checks its catalog pair when built.
+Each leaf is the value it names, so a tree holds only values and the four
+operations Dual, Twist, Tensor and Sum.  bundle(...) parses to its
+``BundleDescriptor``, checked once, when built (rank 2 needs c3 = 0); o(n)
+parses to ``BundleDescriptor(1, n)``, printed as o(n) also when written
+bundle(1,n,0).  cat(c1,c2) parses to its ``CatalogEntry``, so the pair is
+checked when parsed; a tree built by hand names one by ``lookup(c1, c2)``.
 A catalog bundle lives on the quintic: ``evaluate`` checks the degree at each
-cat() leaf, so it is the one place that rule is stated.
+catalog leaf, the one place that rule is stated.
 Neither the parsed tree nor the nesting of parentheses may be deeper than
 MAX_DEPTH, so that printing and evaluating a tree stay within the
 interpreter's recursion limit, and an integer literal may have at most
-MAX_DIGITS digits.  The tree nodes are immutable value classes, not
+MAX_DIGITS digits.  The operation nodes are immutable value classes, not
 dataclasses.
 
 The whole text is tokenized, in one scan of one pattern, before any syntax
@@ -37,13 +40,11 @@ import re
 from typing import Union
 
 from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
-from .catalog import lookup
+from .catalog import CatalogEntry, lookup
 from .chowring import Hypersurface, _Record, require_quintic
 
 __all__ = [
     "Expression",
-    "LineBundle",
-    "CatRef",
     "Dual",
     "Twist",
     "Tensor",
@@ -69,19 +70,6 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-class LineBundle(_Record):
-    n: int
-
-
-class CatRef(_Record):
-    c1: int
-    c2: int
-
-    def _validate(self) -> None:
-        if lookup(self.c1, self.c2) is None:
-            raise ValueError(f"unknown catalog pair ({self.c1},{self.c2})")
-
-
 class Dual(_Record):
     inner: "Expression"
 
@@ -101,7 +89,7 @@ class Sum(_Record):
     right: "Expression"
 
 
-Expression = Union[BundleDescriptor, LineBundle, CatRef, Dual, Twist, Tensor, Sum]
+Expression = Union[BundleDescriptor, CatalogEntry, Dual, Twist, Tensor, Sum]
 
 
 # One alternation, the most frequent tokens first.  A token is group 1; a
@@ -111,10 +99,18 @@ _TOKEN_RE = re.compile(r"([(),]|[0-9]+|[A-Za-z_]+|-[0-9]+|\+\+|\*)|[^ \t\r\n]")
 
 Parsed = tuple[Expression, int]  # a tree and its height
 
-# Leaf name -> (the node it builds, (fewest, most) integers and how to name them, its error prefix).
+
+def _catalog_leaf(c1: int, c2: int) -> CatalogEntry:
+    entry = lookup(c1, c2)
+    if entry is None:
+        raise ValueError(f"unknown catalog pair ({c1},{c2})")
+    return entry
+
+
+# Leaf name -> (the value it builds, (fewest, most) integers and how to name them, its error prefix).
 _LEAVES = {
-    "o": (LineBundle, (1, 1, "n"), ""),
-    "cat": (CatRef, (2, 2, "c1 and c2"), ""),
+    "o": (lambda n: BundleDescriptor(1, n), (1, 1, "n"), ""),
+    "cat": (_catalog_leaf, (2, 2, "c1 and c2"), ""),
     "bundle": (BundleDescriptor, (3, 4, "rank, c1, c2 and optional c3"), "invalid bundle literal: "),
 }
 
@@ -246,15 +242,15 @@ def parse(text: str) -> Expression:
 
 
 def to_text(expr: Expression) -> str:
-    """Canonical printer; parse(to_text(e)) == e for every expression e."""
+    """Canonical printer; parse(to_text(e)) == e for every expression e whose catalog leaves come from lookup."""
     kind = type(expr)  # the node classes are a closed set: a record's subclass is not a node
     if kind is BundleDescriptor:
+        if expr.rank == 1:  # c2 = c3 = 0, so o(c1) is its one text
+            return f"o({expr.c1})"
         if expr.c3:
             return f"bundle({expr.rank},{expr.c1},{expr.c2},{expr.c3})"
         return f"bundle({expr.rank},{expr.c1},{expr.c2})"
-    if kind is LineBundle:
-        return f"o({expr.n})"
-    if kind is CatRef:
+    if kind is CatalogEntry:
         return f"cat({expr.c1},{expr.c2})"
     if kind is Dual:
         return f"dual({to_text(expr.inner)})"
@@ -279,11 +275,9 @@ def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:
     kind = type(expr)
     if kind is BundleDescriptor:
         return expr  # a literal is its descriptor, checked when it was built
-    if kind is LineBundle:
-        return BundleDescriptor(1, expr.n)
-    if kind is CatRef:
+    if kind is CatalogEntry:
         require_quintic(X, "cat()")
-        return lookup(expr.c1, expr.c2).descriptor()  # CatRef checked the pair when built
+        return expr.descriptor()
     if kind is Dual:
         return dual_bundle(evaluate(expr.inner, X))
     if kind is Twist:

@@ -1,6 +1,8 @@
 import importlib
 import inspect
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +33,7 @@ from acmbundles.analysis import (
     QUINTIC,
     _catalog_pairs,
 )
-from acmbundles.catalog import CASE_INDICES
+from acmbundles.catalog import _TABLE_ROWS, CASE_INDICES
 
 
 def test_table_rows():
@@ -211,6 +213,40 @@ def test_notes_flag_the_h0_convention_where_it_is_used():
 def _sweep():
     # Every (F, E, m) triple of catalog bundles with m in [-3, 0]: 784 triples.
     return [(F, E, m) for F in catalog() for E in catalog() for m in range(-3, 1)]
+
+
+def _table_row_selector(report, *, certified=True):
+    # The README's "table rows as a search result" selector, clause by clause.
+    case = report.case
+    F, E, m = case.F, case.E, case.m
+    hom_vanishes_by_slopes = F.semistable and E.semistable and F.c1 + 2 * m > E.c1  # mu(F(m)) > mu(E)
+    return (
+        (not certified or report.conclusion == CONCLUSION_INDECOMPOSABLE)
+        and hom_vanishes_by_slopes
+        and case.d_lower >= 1
+        and F.family == E.family == "A"
+    )
+
+
+def _readme_extra_rows():
+    # The triples F/E/m the README lists as selected but not in the table.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### The table rows as a search result\n", 1)[1].split("\n#", 1)[0]
+    triple = r"`\((-?\d+),(-?\d+)\)/\((-?\d+),(-?\d+)\)/(-?\d+)`"
+    return {((a, b), (c, d), m) for a, b, c, d, m in (map(int, t) for t in re.findall(triple, section))}
+
+
+def test_the_selector_finds_the_table_rows_and_the_readme_accounts_for_the_rest():
+    reports = [analyze_extension(F, E, m) for F, E, m in _sweep()]
+
+    def picked(**clauses):
+        return {(r.case.F.pair, r.case.E.pair, r.case.m) for r in reports if _table_row_selector(r, **clauses)}
+
+    selected = picked()
+    assert set(_TABLE_ROWS) <= selected
+    assert selected - set(_TABLE_ROWS) == _readme_extra_rows()
+    assert len(selected) == 13
+    assert picked(certified=False) == selected  # on the sweep, the other clauses imply the certificate
 
 
 def test_chi_consistency_of_survivors():

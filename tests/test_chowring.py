@@ -149,6 +149,17 @@ def test_class_times_class_needs_hypersurface():
         ChowClass(1) * ChowClass(1)
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [lambda: ChowClass(1) + 1, lambda: 1 + ChowClass(1), lambda: ChowClass(1) - 1, lambda: 1 - ChowClass(1)],
+    ids=["class+int", "int+class", "class-int", "int-class"],
+)
+def test_adding_or_subtracting_a_number_is_a_type_error(operation):
+    # A number is no class: __add__ and __sub__ return NotImplemented, and Python raises.
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operation()
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         ChowClass(1.5, 0, 0, 0)

@@ -209,6 +209,13 @@ def test_eval_ch_json_uses_rational_strings(capsys):
     assert payload["expr"] == "cat(1,8)"
 
 
+def test_eval_prints_a_rank_one_literal_as_a_line_bundle(capsys):
+    code, out, _ = run(capsys, "eval", "chi", "bundle(1,3,0)", "--format", "json")
+    assert code == 0
+    assert '"expr": "o(3)"' in out
+    assert json.loads(out) == {"query": "chi", "degree": 5, "expr": "o(3)", "value": 35}
+
+
 def test_eval_rank_other_degree(capsys):
     code, out, _ = run(capsys, "eval", "rank", "cat(4,30) * cat(1,8)", "--degree", "3")
     assert code == 0

@@ -12,10 +12,8 @@ from acmbundles import (
 from acmbundles.expr import (
     MAX_DEPTH,
     MAX_DIGITS,
-    CatRef,
     Dual,
     ExpressionError,
-    LineBundle,
     Sum,
     Tensor,
     Twist,
@@ -29,35 +27,37 @@ from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL, expression_texts
 X5 = Hypersurface(5)
 
 
+def O(n):
+    return BundleDescriptor(1, n)
+
+
 def test_parse_the_case_two_expression():
     ast = parse("bundle(2,4,30)(-1) * dual(bundle(2,0,3))")
     assert ast == Tensor(Twist(BundleDescriptor(2, 4, 30), -1), Dual(BundleDescriptor(2, 0, 3)))
 
 
 def test_parse_line_bundle_sum():
-    assert parse("o(1) ++ o(0)") == Sum(LineBundle(1), LineBundle(0))
+    assert parse("o(1) ++ o(0)") == Sum(O(1), O(0))
 
 
 def test_tensor_binds_tighter_than_sum():
     ast = parse("o(1) ++ o(0) * o(2)")
-    assert ast == Sum(LineBundle(1), Tensor(LineBundle(0), LineBundle(2)))
+    assert ast == Sum(O(1), Tensor(O(0), O(2)))
 
 
 def test_twist_binds_tightest():
-    assert parse("dual(o(1))(2)") == Twist(Dual(LineBundle(1)), 2)
-    assert parse("o(1)(2)(3)") == Twist(Twist(LineBundle(1), 2), 3)
+    assert parse("dual(o(1))(2)") == Twist(Dual(O(1)), 2)
+    assert parse("o(1)(2)(3)") == Twist(Twist(O(1), 2), 3)
 
 
 def test_grouped_expression_can_be_twisted():
     ast = parse("(o(1) ++ o(0))(2)")
-    assert ast == Twist(Sum(LineBundle(1), LineBundle(0)), 2)
+    assert ast == Twist(Sum(O(1), O(0)), 2)
 
 
 def test_binary_operators_are_left_associative():
-    assert parse("o(1) ++ o(2) ++ o(3)") == Sum(Sum(LineBundle(1), LineBundle(2)), LineBundle(3))
-    assert parse("o(1) * o(2) * o(3)") == Tensor(
-        Tensor(LineBundle(1), LineBundle(2)), LineBundle(3)
-    )
+    assert parse("o(1) ++ o(2) ++ o(3)") == Sum(Sum(O(1), O(2)), O(3))
+    assert parse("o(1) * o(2) * o(3)") == Tensor(Tensor(O(1), O(2)), O(3))
 
 
 def test_whitespace_is_insignificant():
@@ -65,7 +65,7 @@ def test_whitespace_is_insignificant():
 
 
 def test_catalog_references():
-    assert parse("cat(4,30)") == CatRef(4, 30)
+    assert parse("cat(4,30)") is lookup(4, 30)
     with pytest.raises(ExpressionError, match="unknown catalog pair"):
         parse("cat(2,15)")
 
@@ -147,7 +147,7 @@ def test_overlong_integer_literals_are_rejected_with_their_column():
 
 def test_integer_literals_at_the_digit_limit_parse():
     nines = "9" * MAX_DIGITS
-    assert parse(f"o(-{nines})") == LineBundle(-int(nines))
+    assert parse(f"o(-{nines})") == O(-int(nines))
 
 
 @pytest.mark.parametrize(
@@ -166,7 +166,7 @@ def test_an_integer_literal_is_ascii_digits_only(text, character, column):
 @pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x1c", "\x85", "\u3000"])
 def test_only_ascii_space_tab_cr_and_lf_are_blanks(blank):
     # Python calls each of these whitespace; the grammar does not.
-    assert parse("o(1) \t\r\n++\no(2)") == Sum(LineBundle(1), LineBundle(2))
+    assert parse("o(1) \t\r\n++\no(2)") == Sum(O(1), O(2))
     for text, column in ((f"o(1){blank}++ o(2)", 5), (f"o(1)\x1c++{blank}o(2)", 5), (f"{blank}o(1)", 1)):
         with pytest.raises(ExpressionError) as excinfo:
             parse(text)
@@ -215,8 +215,8 @@ def test_a_bundle_literal_is_its_descriptor():
 
 @pytest.mark.parametrize(
     "value",
-    [object(), (2, 1, 8, 0), ChowClass(1, 2, 3, 4), lookup(1, 8)],
-    ids=["object", "tuple", "ChowClass", "CatalogEntry"],
+    [object(), (2, 1, 8, 0), ChowClass(1, 2, 3, 4), Hypersurface(5)],
+    ids=["object", "tuple", "ChowClass", "Hypersurface"],
 )
 def test_a_value_that_is_no_node_is_not_an_expression(value):
     for function in (lambda: evaluate(value, X5), lambda: to_text(value), lambda: to_text(Dual(value))):
@@ -233,15 +233,17 @@ def test_twist_builds_one_descriptor_per_call():
 
 
 def test_a_catalog_reference_is_checked_when_built(monkeypatch):
-    for args, message in (((9, 9), "unknown catalog pair (9,9)"), ((True, 8), "c1 must be an integer, got True")):
-        with pytest.raises(ValueError) as excinfo:
-            CatRef(*args)
-        assert str(excinfo.value) == message
     calls = []
     monkeypatch.setattr("acmbundles.expr.lookup", lambda c1, c2: calls.append((c1, c2)) or lookup(c1, c2))
     tree = parse("cat(1,8)(2)")
-    assert calls == [(1, 8)]
-    assert evaluate(tree, X5) == twist(lookup(1, 8).descriptor(), 2, X5) and calls == [(1, 8)] * 2
+    assert calls == [(1, 8)] and tree.inner is lookup(1, 8)
+    assert evaluate(tree, X5) == twist(lookup(1, 8).descriptor(), 2, X5) and calls == [(1, 8)]
+
+
+def test_a_rank_one_descriptor_has_one_text():
+    assert to_text(parse("bundle(1,3,0)")) == to_text(parse("o(3)")) == to_text(BundleDescriptor(1, 3)) == "o(3)"
+    assert parse("o(3)") == parse("bundle(1,3,0)") == parse("bundle(1,3,0,0)") == BundleDescriptor(1, 3)
+    assert type(parse("o(-2)")) is BundleDescriptor
 
 
 def test_a_bad_character_is_reported_before_an_earlier_syntax_error():
@@ -293,7 +295,7 @@ def test_evaluate_checks_the_degree_of_every_nested_catalog_reference():
 @pytest.mark.parametrize("r", range(1, 9))
 def test_every_catalog_reference_evaluates_on_the_quintic_only(r):
     for entry in catalog():
-        ref = CatRef(entry.c1, entry.c2)
+        ref = lookup(entry.c1, entry.c2)
         if r == 5:
             assert evaluate(ref, Hypersurface(r)) == lookup(entry.c1, entry.c2).descriptor()
         else:
@@ -339,7 +341,7 @@ def test_printer_round_trips_the_examples():
         assert to_text(parse(to_text(ast))) == to_text(ast)
 
 
-_A, _B, _C = LineBundle(1), LineBundle(2), LineBundle(3)
+_A, _B, _C = O(1), O(2), O(3)
 
 
 @pytest.mark.parametrize(
@@ -348,7 +350,7 @@ _A, _B, _C = LineBundle(1), LineBundle(2), LineBundle(3)
         # atoms print without parentheses
         (BundleDescriptor(2, 4, 30), "bundle(2,4,30)"),
         (BundleDescriptor(3, 1, 8, 7), "bundle(3,1,8,7)"),
-        (CatRef(4, 30), "cat(4,30)"),
+        (lookup(4, 30), "cat(4,30)"),
         (Dual(Sum(_A, _B)), "dual(o(1) ++ o(2))"),
         # twist: only a sum or a tensor is wrapped
         (Twist(_A, 2), "o(1)(2)"),
@@ -389,9 +391,8 @@ def _bundle_lits():
 
 
 _atoms = st.one_of(
-    st.builds(LineBundle, st.integers(-9, 9)),
-    _bundle_lits(),
-    st.sampled_from([CatRef(entry.c1, entry.c2) for entry in catalog()]),
+    _bundle_lits(),  # o(n) among them, as rank-1 descriptors
+    st.sampled_from(catalog()),
 )
 
 _expressions = st.recursive(
@@ -427,8 +428,8 @@ def _trees(depth):
 
 @settings(max_examples=300, deadline=None)
 @given(_trees(4), st.integers(1, 8))
-@example(Sum(LineBundle(1), Dual(Twist(CatRef(1, 8), 2))), 3)
-@example(Sum(LineBundle(1), Dual(Twist(CatRef(1, 8), 2))), 5)
+@example(Sum(O(1), Dual(Twist(lookup(1, 8), 2))), 3)
+@example(Sum(O(1), Dual(Twist(lookup(1, 8), 2))), 5)
 def test_evaluate_raises_exactly_when_a_catalog_reference_meets_another_degree(tree, r):
     X = Hypersurface(r)
     if r != 5 and "cat(" in to_text(tree):

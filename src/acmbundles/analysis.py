@@ -24,11 +24,13 @@ direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
 normalized catalog entries whose c1 values add up to c1(G).  The catalog's
 pairs are built once, on first use, grouped by c1 sum, each with its
 ``direct_sum`` (the Whitney sum), c1 values, chi sum, the h0 of both entries
-and whether either has c1 = 0 (the section-count convention flag).  Two
-bounded caches hold F(m) with ch(F(m)) per (entry, m) and ch(E*) per (c1, c2),
-from which ``build_case`` computes the integral of ``euler_pairing`` without
-calling it; it reads that integral as an integer numerator and denominator
-from the formula ``integrate`` wraps in a Fraction, and so builds no Fraction.
+and whether either has c1 = 0 (the section-count convention flag).  One
+bounded cache, ``_twisted``, holds F(m) with ch(F(m)) and ch(F(m)*) per
+(c1, c2, m); ``build_case`` reads F(m) and ch(F(m)) at the case's m, and E with
+ch(E*) at m = 0, and from them computes the integral of ``euler_pairing``
+without calling it.  It reads that integral as an integer numerator and
+denominator from the formula ``integrate`` wraps in a Fraction, and so builds
+no Fraction.
 ``_classify`` disposes of each candidate by the first applicable filter and
 builds the case report:
 
@@ -55,7 +57,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, to_ch, twist
-from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, _descriptor, catalog, lookup
+from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, catalog, lookup
 from .chowring import QUINTIC, ChowClass, _integer, _point, _Record
 
 __all__ = [
@@ -148,24 +150,21 @@ def build_case(
     """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0."""
     if _integer(m, "extension twist m") > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
-    Fm, ch_Fm = _twisted(F.c1, F.c2, m)
-    num, den = _point(QUINTIC.mul(_dual_ch(E.c1, E.c2), ch_Fm), QUINTIC.todd())
+    Fm, ch_Fm, _ = _twisted(F.c1, F.c2, m)
+    E0, _, ch_E_dual = _twisted(E.c1, E.c2, 0)
+    num, den = _point(QUINTIC.mul(ch_E_dual, ch_Fm), QUINTIC.todd())
     chi_t = _exact_int(num, "chi", den)
-    G = direct_sum(Fm, E.descriptor(), QUINTIC)
+    G = direct_sum(Fm, E0, QUINTIC)
     return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), Fm, G)
 
 
 @lru_cache(maxsize=64, typed=True)
-def _twisted(c1: int, c2: int, m: int) -> tuple[BundleDescriptor, ChowClass]:
-    # F(m) and its ch for F = (c1, c2): the sweep's 56 fit; any other m evicts, never grows it.
-    Fm = twist(_descriptor(c1, c2), m, QUINTIC)
-    return Fm, to_ch(Fm, QUINTIC)
-
-
-@lru_cache(maxsize=32, typed=True)
-def _dual_ch(c1: int, c2: int) -> ChowClass:
-    # ch(E*) for the rank-2 E = (c1, c2), once per catalog entry.
-    return to_ch(dual(_descriptor(c1, c2)), QUINTIC)
+def _twisted(c1: int, c2: int, m: int) -> tuple[BundleDescriptor, ChowClass, ChowClass]:
+    # E(m), ch(E(m)) and ch(E(m)*) for the rank-2 E = (c1, c2).  The sweep's 56 keys fit,
+    # its 14 m = 0 keys serving E as well as F; any other key evicts, never grows it.
+    # ``typed`` keeps True apart from 1, so a non-integer class still fails validation.
+    Em = twist(BundleDescriptor(2, c1, c2), m, QUINTIC)
+    return Em, to_ch(Em, QUINTIC), to_ch(dual(Em), QUINTIC)
 
 
 @lru_cache(maxsize=1)

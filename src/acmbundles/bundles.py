@@ -92,8 +92,8 @@ def _exact_int(num: Rational, what: str, den: int = 1) -> int:
     return num // den
 
 
-def _newton(ch: ChowClass, X: Hypersurface) -> tuple[int, int, int, int]:
-    """(rank, c1, c2, c3) of a Chern character; a non-integral one raises NotBundleClassError."""
+def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
+    """Invert the Newton identities; reject non-integral synthetic characters."""
     r = X.r
     d, n0, n1, n2, n3 = ch.scaled
     if n0 % d or n0 <= 0:
@@ -101,14 +101,8 @@ def _newton(ch: ChowClass, X: Hypersurface) -> tuple[int, int, int, int]:
     c1 = _exact_int(n1, "c1", d)
     c2 = _exact_int(r * c1 * c1 * d - 2 * n2, "c2", 2 * d)
     c3 = _exact_int(6 * n3 - (r * c1**3 - 3 * c1 * c2) * d, "c3", 3 * d)
-    return n0 // d, c1, c2, c3
-
-
-def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
-    """Invert the Newton identities; reject non-integral synthetic characters."""
-    classes = _newton(ch, X)
     try:
-        return BundleDescriptor(*classes)
+        return BundleDescriptor(n0 // d, c1, c2, c3)
     except ValueError as exc:
         raise NotBundleClassError(str(exc)) from exc
 
@@ -122,15 +116,11 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
     """E(n) = E tensor O_X(n), through the Chern character."""
     if _integer(n, "twist n") == 0:
         return E
-    return BundleDescriptor(*_newton(X.mul(to_ch(E, X), X.exp_h(n)), X))
+    return from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
     """Tensor product via multiplied Chern characters; ranks multiply."""
-    if F.rank == 1:
-        return twist(E, F.c1, X)
-    if E.rank == 1:
-        return twist(F, E.c1, X)
     return from_ch(X.mul(to_ch(E, X), to_ch(F, X)), X)
 
 

@@ -9,8 +9,8 @@ families:
 
 Every pair in A arises on a general quintic; the pairs in B are admissible
 but their existence is conditional, and the entries (immutable value classes,
-not dataclasses) carry that distinction.  An entry's descriptor is built once
-per (c1, c2) and kept off the entry: pickling and hashing see only its fields.
+not dataclasses) carry that distinction.  An entry's descriptor is built on
+each call and kept off the entry: pickling and hashing see only its fields.
 ``lookup`` reads one (c1, c2) index, built once from ``catalog()``.
 
 Each entry comes with derived statistics, each computed by one rule: the
@@ -97,17 +97,11 @@ class CatalogEntry(_Record):
         return self.c1 >= 0
 
     def descriptor(self) -> BundleDescriptor:
-        return _descriptor(self.c1, self.c2)
-
-
-@lru_cache(maxsize=32, typed=True)
-def _descriptor(c1: int, c2: int) -> BundleDescriptor:
-    # ``typed`` keeps True apart from 1, so a non-integer class still fails validation.
-    return BundleDescriptor(2, c1, c2)
+        return BundleDescriptor(2, self.c1, self.c2)
 
 
 def _make_entry(c1: int, c2: int, family: Literal["A", "B"]) -> CatalogEntry:
-    E = _descriptor(c1, c2)
+    E = BundleDescriptor(2, c1, c2)
     return CatalogEntry(
         c1=c1,
         c2=c2,

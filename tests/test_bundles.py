@@ -109,6 +109,17 @@ def test_tensor_with_structure_sheaf_is_identity():
     E = rk2(1, 8)
     assert tensor(E, O, X5) == E
     assert tensor(O, E, X5) == E
+    # Tensoring with any O(n) is the twist by n: degrees 1..8, n in [-3, 3], ranks 1-3 in a box.
+    box = range(-2, 3)
+    grid = [BundleDescriptor(1, c1) for c1 in box]
+    grid += [BundleDescriptor(2, c1, c2) for c1 in box for c2 in box]
+    grid += [BundleDescriptor(3, c1, c2, c3) for c1 in box for c2 in box for c3 in box]
+    for r in range(1, 9):
+        X = Hypersurface(r)
+        for n in range(-3, 4):
+            L = BundleDescriptor(1, n)
+            for E in grid:
+                assert tensor(E, L, X) == tensor(L, E, X) == twist(E, n, X), (r, n, E)
 
 
 @given(descriptors(), descriptors(), hypersurfaces())

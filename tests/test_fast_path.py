@@ -3,9 +3,8 @@
 Every operation builds its result through the public constructor, which checks
 one rule on every descriptor; each result must be exactly what that constructor
 builds from the same fields, and no check in the package is an ``assert``,
-which ``python -O`` strips.  The shared catalog descriptors, the bounded F(m)
-cache and the pair table's precomputed sums are memos: a report must not
-depend on what ran before it.
+which ``python -O`` strips.  The bounded twist cache and the pair table's
+precomputed sums are memos: a report must not depend on what ran before it.
 """
 
 import ast
@@ -202,8 +201,8 @@ def test_the_twist_cache_stays_within_its_bound():
     assert 0 < info.currsize <= info.maxsize <= 64
 
 
-def test_the_dual_character_cache_stays_within_its_bound():
-    # ch(E*) is cached per (c1, c2); feed it the 98 classes of E(k), k in [-3, 3].
+def test_the_twist_cache_stays_within_its_bound_for_any_e():
+    # E and ch(E*) are cached with E(0); feed the cache the 98 classes of E(k), k in [-3, 3].
     F = catalog()[8]
     for entry in catalog():
         for k in range(-3, 4):
@@ -211,8 +210,18 @@ def test_the_dual_character_cache_stays_within_its_bound():
             E = CatalogEntry(Ek.c1, Ek.c2, entry.family, entry.exists_on_general, 0, None, False)
             case = build_case(F, E, 0)
             assert case.chi_tensor == euler_pairing(Ek, case.F_twisted, QUINTIC), (entry.pair, k)
-    info = analysis._dual_ch.cache_info()
-    assert 0 < info.currsize <= info.maxsize <= 32
+    info = analysis._twisted.cache_info()
+    assert 0 < info.currsize <= info.maxsize <= 64
+
+
+def test_a_sweep_pass_misses_the_twist_cache_once_per_twisted_entry():
+    # 14 entries at m in [-3, 0] are 56 keys; each E is read at m = 0, one of them.
+    analysis._twisted.cache_clear()
+    for F, E, m in _sweep():
+        build_case(F, E, m)
+    info = analysis._twisted.cache_info()
+    assert info.misses == 56 == info.currsize <= info.maxsize
+    assert info.hits == 2 * len(_sweep()) - 56
 
 
 def test_every_chi_of_the_sweep_is_its_riemann_roch_value():
@@ -236,7 +245,7 @@ def test_a_catalog_entry_keeps_no_memo():
         fields = list(zip(CatalogEntry._fields, entry._values()))
         assert fields == list(zip(CatalogEntry._fields, copy._values())) and not hasattr(entry, "__dict__")
         assert pickle.dumps(entry) == pickle.dumps(copy)
-        assert entry.descriptor() is copy.descriptor()
+        assert entry.descriptor() == copy.descriptor()
     with pytest.raises(ValueError, match="c1 must be an integer, got True"):
         CatalogEntry(True, 4, "A", True, 0, 0, False).descriptor()
 

@@ -158,11 +158,10 @@ def build_case(
     return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), Fm, G)
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _twisted(c1: int, c2: int, m: int) -> tuple[BundleDescriptor, ChowClass, ChowClass]:
     # E(m), ch(E(m)) and ch(E(m)*) for the rank-2 E = (c1, c2).  The sweep's 56 keys fit,
     # its 14 m = 0 keys serving E as well as F; any other key evicts, never grows it.
-    # ``typed`` keeps True apart from 1, so a non-integer class still fails validation.
     Em = twist(BundleDescriptor(2, c1, c2), m, QUINTIC)
     return Em, to_ch(Em, QUINTIC), to_ch(dual(Em), QUINTIC)
 

@@ -10,14 +10,15 @@ families:
 Every pair in A arises on a general quintic; the pairs in B are admissible
 but their existence is conditional, and the entries (immutable value classes,
 not dataclasses) carry that distinction.  An entry's descriptor is built on
-each call and kept off the entry: pickling and hashing see only its fields.
+each call and kept off the entry; hashing sees its fields, pickling its pair.
 ``lookup`` reads one (c1, c2) index, built once from ``catalog()``.
 
-Each entry comes with derived statistics, each computed by one rule: the
-Euler characteristic through the Riemann-Roch kernel ``chi_hrr``, the
-section count h0 = ``h0_acm_twist(E, 0)``, and stability from the sign of
-c1 (every entry is normalized, b = 0).  The twist oracle ``h0_acm_twist``
-gives the section count of E(n):
+An entry is its pair: ``CatalogEntry(c1, c2)`` refuses a pair outside the
+catalog and computes each statistic itself, by one rule: the family from the
+lists above, chi through the Riemann-Roch kernel ``chi_hrr``, h0 =
+``h0_acm_twist(E, 0)``, and stability from the sign of c1 (every entry is
+normalized, b = 0).  The twist oracle ``h0_acm_twist`` takes an entry, and
+nothing else, and gives the section count of E(n):
 
 * n < 0: zero, because the bundle is normalized;
 * c1 + n > 0 (and n >= 0): chi of ``twist(E, n)`` — the ACM condition kills
@@ -78,7 +79,7 @@ CASE_INDICES = range(1, len(_TABLE_ROWS) + 1)
 
 
 class CatalogEntry(_Record):
-    """One admissible (c1, c2) pair with derived statistics; always b = 0."""
+    """One admissible (c1, c2) pair and the statistics it determines, computed when built; b = 0."""
 
     c1: int
     c2: int
@@ -87,6 +88,22 @@ class CatalogEntry(_Record):
     chi: int
     h0: int | None
     stable: bool
+
+    def __init__(self, c1: int, c2: int):
+        if (_integer(c1, "c1"), _integer(c2, "c2")) not in _PAIRS:
+            raise ValueError(f"unknown catalog pair ({c1},{c2})")
+        family = "A" if (c1, c2) in FAMILY_A else "B"
+        _set = object.__setattr__  # the slot writes, past the frozen __setattr__
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "family", family)
+        _set(self, "exists_on_general", True if family == "A" else "conditional")
+        _set(self, "chi", _exact_int(chi_hrr(self.descriptor(), QUINTIC), "chi"))
+        _set(self, "h0", h0_acm_twist(self, 0))
+        _set(self, "stable", c1 > 0)  # b = 0: stable iff 2b - c1 < 0, semistable iff 2b - c1 <= 0
+
+    def __reduce__(self):
+        return (CatalogEntry, self.pair)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -100,28 +117,10 @@ class CatalogEntry(_Record):
         return BundleDescriptor(2, self.c1, self.c2)
 
 
-def _make_entry(c1: int, c2: int, family: Literal["A", "B"]) -> CatalogEntry:
-    E = BundleDescriptor(2, c1, c2)
-    return CatalogEntry(
-        c1=c1,
-        c2=c2,
-        family=family,
-        exists_on_general=True if family == "A" else "conditional",
-        chi=_exact_int(chi_hrr(E, QUINTIC), "chi"),
-        h0=h0_acm_twist(E, 0),
-        # A normalized rank-2 bundle (b = 0) is stable iff 2b - c1 < 0, i.e. c1 > 0,
-        # and semistable iff 2b - c1 <= 0, i.e. c1 >= 0.
-        stable=c1 > 0,
-    )
-
-
 @lru_cache(maxsize=1)
 def catalog() -> tuple[CatalogEntry, ...]:
     """All fourteen entries, family A first, in the fixed listed order."""
-    return tuple(
-        [_make_entry(c1, c2, "A") for c1, c2 in FAMILY_A]
-        + [_make_entry(c1, c2, "B") for c1, c2 in FAMILY_B]
-    )
+    return tuple(CatalogEntry(c1, c2) for c1, c2 in FAMILY_A + FAMILY_B)
 
 
 def lookup(c1: int, c2: int) -> CatalogEntry | None:
@@ -134,18 +133,18 @@ def _by_pair() -> dict[tuple[int, int], CatalogEntry]:
     return {entry.pair: entry for entry in catalog()}
 
 
-def h0_acm_twist(entry: CatalogEntry | BundleDescriptor, n: int) -> int | None:
-    """Number of sections of E(n) for a normalized catalog bundle E.
+def h0_acm_twist(entry: CatalogEntry, n: int) -> int | None:
+    """Number of sections of E(n) for the normalized catalog bundle E of an entry.
 
     Returns None where the Euler characteristic cannot pin the count down:
-    every 0 <= n <= -c1 of the c1 < 0 entries, n = 0 included.  Accepts the
-    BundleDescriptor of a catalog entry as well; any other descriptor raises
-    ValueError, since only the catalog pairs are known to be normalized and ACM.
+    every 0 <= n <= -c1 of the c1 < 0 entries, n = 0 included.  Anything but
+    a catalog entry raises ValueError, a descriptor included: only the catalog
+    pairs are known to be normalized and ACM.
     """
     _integer(n, "twist n")
-    E = entry.descriptor() if isinstance(entry, CatalogEntry) else entry
-    if E.rank != 2 or (E.c1, E.c2) not in _PAIRS:
-        raise ValueError(f"the section-count oracle applies to the catalog bundles, not {E}")
+    if not isinstance(entry, CatalogEntry):
+        raise ValueError(f"the section-count oracle applies to the catalog bundles, not {entry}")
+    E = entry.descriptor()
     if n < 0:
         return 0
     if E.c1 + n > 0:

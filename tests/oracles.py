@@ -13,6 +13,10 @@ Todd class: from binomials on P^4 and, for rank 2, from the Serre curve of a
 section, whose genus comes from adjunction.  They are numerical identities, so
 no section needs to exist; they only share the descriptor's Chern classes with
 the Riemann-Roch path, so a wrong Todd or tangent class shows against them.
+
+``h0_serre`` counts the sections of E(n) for a catalog entry E from the same
+Serre curve, for every n: ``h0_structure_sheaf`` gives h_X, and the ACM
+condition with Serre duality gives the curve's h1.
 """
 
 from fractions import Fraction
@@ -115,6 +119,26 @@ def serre_one_minus_genus(r, c1, c2):
 def chi_rank2_serre(r, c1, c2, n):
     # chi(E(n)) from 0 -> O_X(n) -> E(n) -> I_C(c1 + n) -> 0 and chi(O_C(k)) = k deg C + 1 - p_a.
     return chi_line(r, n) + chi_line(r, c1 + n) - (c2 * (c1 + n) + serre_one_minus_genus(r, c1, c2))
+
+
+def h0_structure_sheaf(k):
+    # h0(O_X(k)) on the quintic: degree-k forms on P^4 modulo the multiples of the quintic.
+    return 0 if k < 0 else comb(k + 4, 4) - comb(max(k - 1, 0), 4)
+
+
+def h0_serre(c1, c2, n):
+    # h0(E(n)) for a catalog E = (c1, c2), b = 0, on the quintic.  A section vanishes on C,
+    # 0 -> O_X -> E -> I_C(c1) -> 0, and H^1(O_X(n)) = 0 give h0(E(n)) = h_X(n) + h0(I_C(c1 + n))
+    # for n >= 0.  h0(I_C(k)) = h_X(k) - h0(O_C(k)) for k >= 0, where h0(O_C(0)) = 1 and, for
+    # k >= 1, h0(O_C(k)) = chi(O_C(k)) + h1(O_C(k)) with h1(O_C(k)) = h2(I_C(k)) = h_X(c1 - k):
+    # the sequence, the ACM condition and Serre duality, since h0(E(-k)) = 0.
+    if n < 0:
+        return 0
+    k = c1 + n
+    if k < 0:
+        return h0_structure_sheaf(n)
+    on_curve = 1 if k == 0 else k * c2 + serre_one_minus_genus(5, c1, c2) + h0_structure_sheaf(c1 - k)
+    return h0_structure_sheaf(n) + h0_structure_sheaf(k) - on_curve
 
 
 def pairing_serre(r, E, F, m):

@@ -1,9 +1,14 @@
-from math import comb
+import copy
+import pickle
+import re
 
 import pytest
 
-from acmbundles import QUINTIC, BundleDescriptor, Hypersurface, catalog, chi_hrr, h0_acm_twist, lookup, twist
-from acmbundles.catalog import FAMILY_A, FAMILY_B
+from acmbundles import (
+    QUINTIC, BundleDescriptor, Hypersurface, analyze_case, analyze_extension, catalog, chi_hrr, h0_acm_twist,
+    lookup, twist,
+)
+from acmbundles.catalog import FAMILY_A, FAMILY_B, CatalogEntry
 
 import oracles
 
@@ -61,12 +66,34 @@ def test_stability_partition():
 
 
 def test_descriptor_is_normalized_acm():
-    # Normalized and ACM are facts the catalog states: the oracle for them takes an
-    # entry's descriptor exactly as it takes the entry.
+    # Normalized and ACM are facts the catalog states about its entries: the oracle takes
+    # an entry and refuses the entry's descriptor like any other descriptor.
     for e in catalog():
         assert e.descriptor() == BundleDescriptor(2, e.c1, e.c2)
         for n in range(-3, 6):
-            assert h0_acm_twist(e.descriptor(), n) == h0_acm_twist(e, n), (e.pair, n)
+            assert h0_acm_twist(e, n) == _h0_oracle(e.c1, e.c2, n), (e.pair, n)
+            with pytest.raises(ValueError, match="applies to the catalog bundles"):
+                h0_acm_twist(e.descriptor(), n)
+
+
+def test_a_hand_made_entry_cannot_steer_a_verdict():
+    # An entry is built from its pair alone: no statistic can be typed in, so none can
+    # turn a certified case inconclusive.
+    with pytest.raises(TypeError):
+        CatalogEntry(0, 3, "A", True, 0, 2, False)
+    with pytest.raises(TypeError):
+        CatalogEntry(0, 3, h0=2)
+    with pytest.raises(ValueError, match=re.escape("unknown catalog pair (9,9)")):
+        CatalogEntry(9, 9)
+    for c1, c2 in FAMILY_A + FAMILY_B:
+        entry = CatalogEntry(c1, c2)
+        assert entry == lookup(c1, c2)
+        copies = [pickle.loads(pickle.dumps(entry, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies + [copy.copy(entry), copy.deepcopy(entry)]:
+            assert type(back) is CatalogEntry and back == entry, (c1, c2)
+    certified = "indecomposable-by-numeric-filters"
+    assert analyze_case(2).conclusion == certified
+    assert analyze_extension(lookup(4, 30), CatalogEntry(0, 3), -1).conclusion == certified
 
 
 def test_a_descriptor_is_its_chern_data_on_every_degree():
@@ -148,17 +175,12 @@ def test_h0_twist_oracle_accepts_normalized_descriptors_only():
 # H^1(O_X(n)) = 0 and h0(I_C(k)) = 0 for k <= 0 then give chi(E(n)) for 0 <= n <= -c1.
 
 
-def _h0_structure_sheaf(k: int) -> int:
-    # h0(O_X(k)) on the quintic: degree-k forms on P^4 modulo the multiples of the quintic.
-    return 0 if k < 0 else comb(k + 4, 4) - comb(max(k - 1, 0), 4)
-
-
 def _serre_chi(c1: int, n: int) -> int:
-    return _h0_structure_sheaf(n) - _h0_structure_sheaf(-c1 - n)
+    return oracles.h0_structure_sheaf(n) - oracles.h0_structure_sheaf(-c1 - n)
 
 
 def test_the_structure_sheaf_section_counts():
-    assert [_h0_structure_sheaf(k) for k in range(-1, 7)] == [0, 1, 5, 15, 35, 70, 125, 205]
+    assert [oracles.h0_structure_sheaf(k) for k in range(-1, 7)] == [0, 1, 5, 15, 35, 70, 125, 205]
 
 
 def test_each_entry_has_an_even_c1_c2():
@@ -184,3 +206,17 @@ def test_the_serre_count_forces_c2_for_negative_c1():
                    for n in range(-c1 + 1))
         ]
         assert fits == [c2]
+
+
+def test_the_serre_curve_gives_every_section_count():
+    # Wherever the oracle gives a count it is the Serre-curve count; it leaves exactly
+    # the five low twists of the c1 < 0 entries undetermined.
+    undetermined = {}
+    for e in catalog():
+        for n in range(-3, 40):
+            h0 = h0_acm_twist(e, n)
+            if h0 is None:
+                undetermined[e.pair, n] = oracles.h0_serre(e.c1, e.c2, n)
+            else:
+                assert h0 == oracles.h0_serre(e.c1, e.c2, n), (e.pair, n)
+    assert undetermined == {((-2, 1), 0): 1, ((-2, 1), 1): 5, ((-2, 1), 2): 15, ((-1, 2), 0): 1, ((-1, 2), 1): 5}

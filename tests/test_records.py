@@ -42,9 +42,11 @@ def values(record, names):
 _CASE_FIELDS = ("index", "F", "E", "m", "chi_tensor", "d_lower", "F_twisted", "G")
 _ENTRY_FIELDS = ("c1", "c2", "family", "exists_on_general", "chi", "h0", "stable")
 
-# (class, ((field, default or REQUIRED), ...), example arguments, hashable).
-# Arguments drawn from the analysis are built by the ``args`` fixture, when a
-# test runs, so a fault there fails named tests instead of collection.
+# (class, ((field, default or REQUIRED), ...), example field values, hashable).
+# The constructor takes a prefix of the fields (see ``given``): all of them but
+# for CatalogEntry, which takes its pair and computes the rest.  Values drawn
+# from the analysis are built by the ``args`` fixture, when a test runs, so a
+# fault there fails named tests instead of collection.
 SPECS = [
     (Hypersurface, (("r", 5),), (3,), True),
     (
@@ -53,12 +55,7 @@ SPECS = [
         (2, 1, 8, 0),
         True,
     ),
-    (
-        CatalogEntry,
-        tuple((name, REQUIRED) for name in _ENTRY_FIELDS),
-        lambda: values(lookup(1, 8), _ENTRY_FIELDS),
-        True,
-    ),
+    (CatalogEntry, tuple((name, REQUIRED) for name in _ENTRY_FIELDS), (1, 8, "A", True, 1, 1, True), True),
     (
         ExtensionCase,
         tuple((name, REQUIRED) for name in _CASE_FIELDS),
@@ -93,6 +90,11 @@ def args(request):
     return request.param() if callable(request.param) else request.param
 
 
+def given(cls, args):
+    """The constructor's arguments: the leading field values, one per parameter."""
+    return args[: len(inspect.signature(cls).parameters)]
+
+
 def twin(cls, fields):
     return make_dataclass(
         cls.__name__,
@@ -104,16 +106,16 @@ def twin(cls, fields):
 
 @pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_matches_its_frozen_dataclass_twin(cls, fields, args, hashable):
-    names = [name for name, _ in fields]
+    names, built_from = [name for name, _ in fields], given(cls, args)
     Twin = twin(cls, fields)
-    record, copy, other = cls(*args), Twin(*args), Twin(*args)
+    record, copy, other = cls(*built_from), Twin(*args), Twin(*args)
     assert repr(record) == repr(copy)
-    assert record == cls(*args) == cls(**dict(zip(names, args)))
+    assert record == cls(*built_from) == cls(**dict(zip(names, built_from)))
     assert copy == other  # the twin is a dataclass of the same shape
     assert record != copy and copy != record
     assert record != args
     if hashable:
-        assert hash(record) == hash(copy) == hash(cls(*args))
+        assert hash(record) == hash(copy) == hash(cls(*built_from))
     else:
         for value in (record, copy):
             with pytest.raises(TypeError, match="unhashable type"):
@@ -122,23 +124,25 @@ def test_a_record_matches_its_frozen_dataclass_twin(cls, fields, args, hashable)
 
 @pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_builds_from_its_required_fields_with_the_twin_defaults(cls, fields, args, hashable):
-    required = [value for (_, default), value in zip(fields, args) if default is REQUIRED]
-    assert repr(cls(*required)) == repr(twin(cls, fields)(*required))
+    built_from = given(cls, args)
+    required = [value for (_, default), value in zip(fields, built_from) if default is REQUIRED]
+    computed = args[len(built_from):]  # the fields the constructor works out itself
+    assert repr(cls(*required)) == repr(twin(cls, fields)(*required, *computed))
     with pytest.raises(TypeError):
-        cls(*args, "one too many")
+        cls(*built_from, "one too many")
     with pytest.raises(TypeError):
-        cls(*args, **{fields[0][0]: args[0]})
+        cls(*built_from, **{fields[0][0]: args[0]})
 
 
 @pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_is_frozen_and_pickles(cls, fields, args, hashable):
-    record = cls(*args)
+    record = cls(*given(cls, args))
     for name in [name for name, _ in fields] + ["extra"]:
         with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(record, name, 0)
         with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
             delattr(record, name)
-    assert repr(record) == repr(cls(*args))
+    assert repr(record) == repr(cls(*given(cls, args)))
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is cls and back == record and repr(back) == repr(record)
@@ -252,12 +256,29 @@ def _fields(record):
 
 @pytest.mark.parametrize("cls, fields, args, hashable", SPECS, ids=IDS, indirect=["args"])
 def test_a_record_keeps_its_fields_in_declaration_order(cls, fields, args, hashable):
-    names = [name for name, _ in fields]
+    names, built_from = [name for name, _ in fields], given(cls, args)
     assert list(cls._fields) == names
-    for record in (cls(*args), cls(**dict(zip(names, args)))):
+    for record in (cls(*built_from), cls(**dict(zip(names, built_from)))):
         assert _fields(record) == list(zip(names, args))
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert _fields(pickle.loads(pickle.dumps(record, protocol))) == list(zip(names, args))
+
+
+def test_a_catalog_entry_built_from_its_pair_reads_as_its_frozen_dataclass_twin():
+    # The entry's constructor takes the pair; its repr, equality and hash are still
+    # those of a frozen dataclass over all seven fields, in declaration order.
+    Twin = twin(CatalogEntry, tuple((name, REQUIRED) for name in _ENTRY_FIELDS))
+    assert CatalogEntry._fields == _ENTRY_FIELDS
+    for entry in catalog():
+        record, copy = CatalogEntry(*entry.pair), Twin(*values(entry, _ENTRY_FIELDS))
+        assert repr(record) == repr(copy) == repr(entry)
+        assert _fields(record) == list(zip(_ENTRY_FIELDS, values(entry, _ENTRY_FIELDS)))
+        assert record == entry == CatalogEntry(c1=entry.c1, c2=entry.c2) and record != copy
+        assert hash(record) == hash(copy) == hash(entry)
+    with pytest.raises(TypeError):
+        CatalogEntry(1, 8, "one too many")
+    with pytest.raises(TypeError):
+        CatalogEntry(1, c1=1)
 
 
 def test_every_operation_writes_descriptor_fields_in_declaration_order():
@@ -307,6 +328,7 @@ def _package_records():
 
 EXAMPLES = {cls: (fields, args) for cls, fields, args, _ in SPECS}
 EXAMPLES[ChowClass] = (tuple((f"a{i}", 0) for i in range(4)), (1, Fraction(1, 2), 3, Fraction(-5, 6)))
+EXAMPLES[CatalogEntry] = ((("c1", REQUIRED), ("c2", REQUIRED)), (1, 8))
 
 
 def test_every_record_class_of_the_package_has_an_example():
@@ -315,7 +337,7 @@ def test_every_record_class_of_the_package_has_an_example():
 
 @pytest.mark.parametrize("cls", _package_records(), ids=lambda cls: cls.__name__)
 def test_a_record_is_one_object_whose_fields_are_slots(cls):
-    parameters, args = EXAMPLES[cls]  # the constructor's parameters: for all but ChowClass, the fields
+    parameters, args = EXAMPLES[cls]  # the constructor's parameters: but for ChowClass and CatalogEntry, the fields
     record = cls(*(args() if callable(args) else args))
     assert cls.__slots__ == cls._fields
     assert not hasattr(record, "__dict__")

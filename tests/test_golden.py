@@ -62,10 +62,9 @@ def random_texts(count: int) -> list[str]:
     return ["".join(rng.choices(TEXT_ALPHABET, k=rng.randint(0, 16))) for _ in range(count)]
 
 
-# Texts whose parse outcome is pinned: the README and benchmark examples, each
-# kind of error message, literals at and past the digit limit, expressions at
-# and past the depth limit, and seeded random texts over TEXT_ALPHABET.
-PARSE_TEXTS = (
+# Hand-written texts that parse: the README and benchmark examples and nested
+# mixes of every node.
+PARSING_TEXTS = (
     EVAL_EXPR,
     "cat(4,30) ++ cat(1,8)",
     "bundle(2,4,30) ++ bundle(2,1,8)",
@@ -79,6 +78,22 @@ PARSE_TEXTS = (
     "(bundle(3,1,11,-5) ++ o(-3))(-2) * bundle(1,0,0)",
     "dual(dual(o(2)(-3))) ++ bundle(3,-3,-1,4)(-2) * cat(-1,2)(3) * dual(bundle(1,-2,0))",
     "cat(2,11)(-1)",
+)
+
+
+def near_misses(texts, pinned) -> tuple[str, ...]:
+    """Every proper prefix of each text and every text one character shorter, once each, unless pinned holds it."""
+    prefixes = [text[:k] for text in texts for k in range(len(text))]
+    deletions = [text[:k] + text[k + 1:] for text in texts for k in range(len(text))]
+    pinned = set(pinned)
+    return tuple(text for text in dict.fromkeys(prefixes + deletions) if text not in pinned)
+
+
+# Written texts whose parse outcome is pinned: the parsing texts, each kind of
+# error message, literals at and past the digit limit, expressions at and past
+# the depth limit, and seeded random texts over TEXT_ALPHABET.
+WRITTEN_TEXTS = (
+    *PARSING_TEXTS,
     # unexpected character
     "o(1) + o(2)",
     "o(-)",
@@ -140,6 +155,11 @@ PARSE_TEXTS = (
     *DEEP_EXPRESSIONS.values(),
     *random_texts(2000),
 )
+
+# Every pinned text: the written texts, then the near misses of the parsing
+# texts that they do not already hold, which reach each error from inside a
+# valid text.
+PARSE_TEXTS = WRITTEN_TEXTS + near_misses(PARSING_TEXTS, WRITTEN_TEXTS)
 
 
 

@@ -29,14 +29,16 @@ MAX_DIGITS digits.  The operation nodes are immutable value classes, not
 dataclasses.
 
 The whole text is tokenized, in one scan of one pattern, before any syntax
-error is raised.  The parser reads the token texts by position and keeps no
-positions: errors carry a 1-based column, which the error path finds by
-scanning the text again.
+error is raised.  The parser is a set of functions over the token list that
+pass the token index along and keep no positions.  Errors carry a 1-based
+column, which only ``parse`` computes, for an error, by scanning the text
+again.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Union
 
 from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
@@ -97,7 +99,8 @@ Expression = Union[BundleDescriptor, CatalogEntry, Dual, Twist, Tensor, Sum]
 # empty.  Only space, tab, CR and LF match neither, so a scan steps over them.
 _TOKEN_RE = re.compile(r"([(),]|[0-9]+|[A-Za-z_]+|-[0-9]+|\+\+|\*)|[^ \t\r\n]")
 
-Parsed = tuple[Expression, int]  # a tree and its height
+Parsed = tuple[Expression, int, int]  # a tree, its height and the index of the token after it
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 def _catalog_leaf(c1: int, c2: int) -> CatalogEntry:
@@ -109,136 +112,132 @@ def _catalog_leaf(c1: int, c2: int) -> CatalogEntry:
 
 # Leaf name -> (the value it builds, (fewest, most) integers and how to name them, its error prefix).
 _LEAVES = {
-    "o": (lambda n: BundleDescriptor(1, n), (1, 1, "n"), ""),
+    "o": (partial(BundleDescriptor, 1), (1, 1, "n"), ""),
     "cat": (_catalog_leaf, (2, 2, "c1 and c2"), ""),
     "bundle": (BundleDescriptor, (3, 4, "rank, c1, c2 and optional c3"), "invalid bundle literal: "),
 }
 
 
-class _Parser:
-    """Recursive descent over the token texts; ``pos`` indexes the next one.
+class _ParseError(Exception):
+    """A message and the index of the token it is about; ``parse`` turns it into an ExpressionError."""
 
-    The token after the last is "", the end of input.
-    """
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _TOKEN_RE.findall(text)
-        if "" in self.tokens:  # a character that starts no token
-            column = self.column(self.tokens.index(""))
-            raise ExpressionError(f"unexpected character {text[column - 1]!r}", column)
-        self.tokens.append("")
-        self.pos = 0
-        self.open_groups = 0
+def _expected(what: str, tokens: list[str], i: int) -> _ParseError:
+    return _ParseError(f"expected {what}, found {tokens[i] or 'end of input'!r}", i)
 
-    def column(self, index: int) -> int:
-        starts = [match.start() for match in _TOKEN_RE.finditer(self.text)]
-        return starts[index] + 1 if index < len(starts) else len(self.text) + 1
 
-    def error(self, message: str, index: int) -> ExpressionError:
-        return ExpressionError(message, self.column(index))
+# Recursive descent over the token texts.  Each function reads from token i,
+# with ``groups`` parentheses open around it, and returns what it parsed and
+# the index after it.  The token after the last is "", the end of input.
+def _sum(tokens: list[str], i: int, groups: int) -> Parsed:
+    node, height, i = _prod(tokens, i, groups)
+    while tokens[i] == "++":
+        at = i
+        right, right_height, i = _prod(tokens, i + 1, groups)
+        node, height = Sum(node, right), 1 + max(height, right_height)
+        if height > MAX_DEPTH:
+            raise _ParseError(_TOO_DEEP, at)
+    return node, height, i
 
-    def expected(self, what: str) -> ExpressionError:
-        found = self.tokens[self.pos] or "end of input"
-        return self.error(f"expected {what}, found {found!r}", self.pos)
 
-    def expect(self, token: str) -> None:
-        if self.tokens[self.pos] != token:
-            raise self.expected(repr(token))
-        self.pos += 1
+def _prod(tokens: list[str], i: int, groups: int) -> Parsed:
+    node, height, i = _unary(tokens, i, groups)
+    while tokens[i] == "*":
+        at = i
+        right, right_height, i = _unary(tokens, i + 1, groups)
+        node, height = Tensor(node, right), 1 + max(height, right_height)
+        if height > MAX_DEPTH:
+            raise _ParseError(_TOO_DEEP, at)
+    return node, height, i
 
-    def parse(self) -> Expression:
-        expr, _ = self.sum()
-        if self.tokens[self.pos]:
-            raise self.error(f"unexpected trailing {self.tokens[self.pos]!r}", self.pos)
-        return expr
 
-    def bounded(self, depth: int, index: int) -> int:
-        if depth > MAX_DEPTH:
-            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", index)
-        return depth
-
-    def chain(self, operator: str, operand, build) -> Parsed:
-        # A left-associative chain of binary operators, e.g. "a ++ b ++ c".
-        node, height = operand()
-        while self.tokens[self.pos] == operator:
-            at = self.pos
-            self.pos += 1
-            right, right_height = operand()
-            node, height = build(node, right), self.bounded(1 + max(height, right_height), at)
-        return node, height
-
-    def sum(self) -> Parsed:
-        return self.chain("++", self.prod, Sum)
-
-    def prod(self) -> Parsed:
-        return self.chain("*", self.unary, Tensor)
-
-    def unary(self) -> Parsed:
-        node, height = self.atom()
-        while self.tokens[self.pos] == "(":
-            at = self.pos
-            (n,) = self.arguments("twist", (1, 1, "n"), at)
-            node, height = Twist(node, n), self.bounded(height + 1, at)
-        return node, height
-
-    def group(self, at: int) -> Parsed:
-        # "(" expr ")", opened by token ``at``.  Bounds the parser's own
+def _unary(tokens: list[str], i: int, groups: int) -> Parsed:
+    at = i
+    name = tokens[i]
+    leaf = _LEAVES.get(name)
+    if leaf is not None:
+        build, arity, prefix = leaf
+        values, i = _arguments(tokens, i + 1, name, arity, at)
+        try:
+            node, height = build(*values), 1
+        except ValueError as exc:
+            raise _ParseError(f"{prefix}{exc}", at) from exc
+    elif name == "(" or name == "dual":
+        # "(" expr ")" or "dual(" expr ")".  Bounds the parser's own
         # recursion, which the tree height cannot: it is only known once the
         # group is parsed.
-        self.expect("(")
-        self.open_groups = self.bounded(self.open_groups + 1, at)
-        parsed = self.sum()
-        self.expect(")")
-        self.open_groups -= 1
-        return parsed
-
-    def atom(self) -> Parsed:
-        at = self.pos
-        name = self.tokens[at]
-        if name == "(":
-            return self.group(at)
-        if not name.isidentifier():
-            raise self.expected("an expression")
-        self.pos += 1
+        i += name == "dual"  # from "dual" to its "("
+        if tokens[i] != "(":
+            raise _expected("'('", tokens, i)
+        if groups == MAX_DEPTH:
+            raise _ParseError(_TOO_DEEP, at)
+        node, height, i = _sum(tokens, i + 1, groups + 1)
+        if tokens[i] != ")":
+            raise _expected("')'", tokens, i)
+        i += 1
         if name == "dual":
-            inner, height = self.group(at)
-            return Dual(inner), self.bounded(height + 1, at)
-        if name not in _LEAVES:
-            raise self.error(f"unknown name {name!r}", at)
-        build, arity, prefix = _LEAVES[name]
-        values = self.arguments(name, arity, at)
-        try:
-            return build(*values), 1
-        except ValueError as exc:
-            raise self.error(f"{prefix}{exc}", at) from exc
+            node, height = Dual(node), height + 1
+            if height > MAX_DEPTH:
+                raise _ParseError(_TOO_DEEP, at)
+    elif name.isidentifier():
+        raise _ParseError(f"unknown name {name!r}", at)
+    else:
+        raise _expected("an expression", tokens, i)
+    while tokens[i] == "(":
+        at = i
+        (n,), i = _arguments(tokens, i, "twist", (1, 1, "n"), at)
+        node, height = Twist(node, n), height + 1
+        if height > MAX_DEPTH:
+            raise _ParseError(_TOO_DEEP, at)
+    return node, height, i
 
-    def arguments(self, name: str, arity: tuple[int, int, str], at: int) -> list[int]:
-        """The list "(" int {"," int} ")" after ``name``; an arity error is reported at ``at``."""
-        fewest, most, takes = arity
-        tokens = self.tokens
-        self.expect("(")
-        values = []
-        while True:
-            token = tokens[self.pos]
-            if not token[-1:].isdigit():  # only an integer ends in a digit
-                raise self.expected("'int'")
-            if len(token.lstrip("-")) > MAX_DIGITS:
-                raise self.error(f"integer literal longer than {MAX_DIGITS} digits", self.pos)
-            values.append(int(token))
-            self.pos += 1
-            if tokens[self.pos] != ",":
-                break
-            self.pos += 1
-        self.expect(")")
-        if not fewest <= len(values) <= most:
-            raise self.error(f"{name}() takes {takes}; got {len(values)} values", at)
-        return values
+
+def _arguments(tokens: list[str], i: int, name: str, arity: tuple[int, int, str], at: int) -> tuple[list[int], int]:
+    """The integers of "(" int {"," int} ")" from token i, and the index after; arity errors go to token ``at``."""
+    fewest, most, takes = arity
+    if tokens[i] != "(":
+        raise _expected("'('", tokens, i)
+    values = []
+    while True:
+        i += 1
+        token = tokens[i]
+        if not token[-1:].isdigit():  # only an integer ends in a digit
+            raise _expected("'int'", tokens, i)
+        if len(token) > MAX_DIGITS and len(token.lstrip("-")) > MAX_DIGITS:
+            raise _ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)
+        values.append(int(token))
+        i += 1
+        if tokens[i] != ",":
+            break
+    if tokens[i] != ")":
+        raise _expected("')'", tokens, i)
+    if not fewest <= len(values) <= most:
+        raise _ParseError(f"{name}() takes {takes}; got {len(values)} values", at)
+    return values, i + 1
+
+
+def _column(text: str, index: int) -> int:
+    """The 1-based column of token ``index`` of ``text``, or the column after the text."""
+    starts = [match.start() for match in _TOKEN_RE.finditer(text)]
+    return starts[index] + 1 if index < len(starts) else len(text) + 1
 
 
 def parse(text: str) -> Expression:
     """Parse an expression; raises ExpressionError with a column on failure."""
-    return _Parser(text).parse()
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:  # a character that starts no token
+        column = _column(text, tokens.index(""))
+        raise ExpressionError(f"unexpected character {text[column - 1]!r}", column)
+    tokens.append("")
+    try:
+        expr, _, i = _sum(tokens, 0, 0)
+        if tokens[i]:
+            raise _ParseError(f"unexpected trailing {tokens[i]!r}", i)
+    except _ParseError as exc:
+        message, index = exc.args
+        # A leaf's own error stays the cause; nothing shows the internal exception.
+        raise ExpressionError(message, _column(text, index)) from exc.__cause__
+    return expr
 
 
 def to_text(expr: Expression) -> str:

@@ -1,0 +1,58 @@
+"""``tools/bench_pair.py`` writes what ``tests/test_bench_files.py`` accepts, and refuses unlike trees."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import test_bench_files as bench_checks
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("bench_pair", ROOT / "tools" / "bench_pair.py")
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _result(scale: float) -> dict:
+    """A run's last stdout line, with every end-to-end metric at ``scale``."""
+    metrics = {m["name"]: {"value": scale, "unit": m["unit"]} for m in BENCHMARK["end_to_end"]}
+    return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+
+
+def test_the_writer_builds_a_bench_file_that_its_checks_accept(tmp_path):
+    seeds = [21, 22, 23, 24]
+    workloads = {}
+    for workload in BENCHMARK["workloads"]:
+        # The change runs 10% higher than the parent on every metric.
+        results = [{"parent": _result(1.0 + k / 100), "change": _result(1.1 + k / 100)} for k in range(len(seeds))]
+        workloads[workload["name"]] = bench_pair.workload_entry(BENCHMARK["end_to_end"], seeds, results)
+    claim = {"workload": "expr", "metric": "ops_per_s", "expected": "+10%"}
+    bench = bench_pair.bench_file(BENCHMARK, "0000000", "a test change", claim, workloads)
+    path = tmp_path / "BENCH_1.json"
+    path.write_text(json.dumps(bench))
+    bench_checks.test_a_bench_file_has_the_shape_of_bench_8(path)
+    bench_checks.test_a_bench_file_agrees_with_its_own_runs(path)
+    expr = bench["workloads"]["expr"]
+    assert expr["first"] == ["parent", "change", "parent", "change"]
+    assert expr["attempted"] == {"parent": 400, "change": 400} and expr["correct"] and expr["failed"] == 0
+    assert expr["metrics"]["ops_per_s"]["change_wins"] == 4 and expr["metrics"]["setup_s"]["change_wins"] == 0
+    assert bench["method"]["seeds"] == {"sweep": "21-24", "expr": "21-24", "cli": "21-24"}
+    assert bench["method"]["command"] == "python3 perfbench/run.py --workload W --seed N --seconds 40 --trace 0"
+
+
+def test_the_writer_refuses_trees_whose_benchmark_files_differ(tmp_path, capsys):
+    trees = tmp_path / "parent", tmp_path / "change"
+    for tree in trees:
+        (tree / "perfbench" / "out").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("same\n")
+        (tree / "perfbench" / "out" / f"{tree.name}.json").write_text(tree.name)  # run records differ freely
+        (tree / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    assert bench_pair.benchmark_files_differ(*trees, ["perfbench"]) == []
+    (trees[1] / "perfbench" / "run.py").write_text("edited\n")
+    (trees[1] / "perfbench" / "extra.py").write_text("")
+    assert bench_pair.benchmark_files_differ(*trees, ["perfbench"]) == ["perfbench/extra.py", "perfbench/run.py"]
+    argv = [str(trees[0]), str(trees[1]), "--parent-rev", "0", "--change", "x", "--claim", "expr", "ops_per_s", "+1%"]
+    assert bench_pair.main(argv + ["--out", str(tmp_path / "BENCH_1.json")]) == 2
+    assert "perfbench/extra.py, perfbench/run.py" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_1.json").exists()

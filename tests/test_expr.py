@@ -1,6 +1,7 @@
 import ast
 import re
 import sys
+import traceback
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +135,55 @@ def test_expressions_at_the_depth_limit_parse_print_and_evaluate():
         ast = parse(text)
         assert parse(to_text(ast)) == ast
         evaluate(ast, X5)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_the_depth_limit_keeps_the_parser_within_five_frames_per_level():
+    # The two deepest accepted texts parse with 5 frames per level, and 10
+    # to spare, above the caller's depth.
+    deepest = ("dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1), "(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 5 * MAX_DEPTH + 10)
+    try:
+        trees = [parse(text) for text in deepest]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert trees[1] == O(1)
+    for _ in range(MAX_DEPTH - 1):
+        assert type(trees[0]) is Dual
+        trees[0] = trees[0].inner
+    assert trees[0] == O(1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("bundle(2,1,8,7)", "invalid bundle literal: a rank-2 bundle has c3 = 0"), ("cat(9,9)", "unknown catalog pair (9,9)")],
+)
+def test_a_leaf_error_keeps_the_constructor_error_as_its_cause(text, message):
+    with pytest.raises(ExpressionError) as excinfo:
+        parse(text)
+    cause = excinfo.value.__cause__
+    assert type(cause) is ValueError and message.endswith(str(cause))
+    assert str(excinfo.value) == f"{message} (column 1)"
+    shown = "".join(traceback.format_exception(excinfo.value))
+    assert shown.count("The above exception was the direct cause") == 1 and "During handling" not in shown
+    assert shown.index(f"ValueError: {cause}") < shown.index(f"ExpressionError: {message}")
+
+
+@pytest.mark.parametrize("text", ["o(1) + o(2)", "o(1"])
+def test_a_syntax_error_has_no_cause_and_shows_no_other_exception(text):
+    with pytest.raises(ExpressionError) as excinfo:
+        parse(text)
+    assert excinfo.value.__cause__ is None
+    shown = "".join(traceback.format_exception(excinfo.value))
+    assert "direct cause" not in shown and "During handling" not in shown
+    assert shown.count("Error: ") == 1 and shown.endswith(f"ExpressionError: {excinfo.value}\n")
 
 
 def test_overlong_integer_literals_are_rejected_with_their_column():

@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     for tree in (args.parent, args.change):
         if any((tree / "src").rglob("__pycache__")):
-            print(f"error: {tree}/src holds bytecode caches; benchmark trees without them", file=sys.stderr)
+            print(f"error: {tree}/src holds bytecode caches; export the trees without them", file=sys.stderr)
             return 2
     differ = benchmark_files_differ(args.parent, args.change, benchmark["paths"])
     if differ:

@@ -7,11 +7,11 @@
 Each tree is a source checkout without bytecode caches (``git archive`` of
 a commit, for instance), and both must hold the same benchmark files: those
 under the ``paths`` of ``BENCHMARK.json``, and ``BENCHMARK.json`` itself.
-Each workload of ``BENCHMARK.json`` gets ``--pairs`` pairs of runs.  Pair i
-(0-based) runs the benchmark command on seed ``--first-seed`` + i, with
-``--seconds`` set to the declared ``run_seconds`` and ``--trace 0``: in the
-parent first when i is even, in the change first when i is odd.  Every run
-has ``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains caches.  The file
+Each workload of ``BENCHMARK.json`` gets ten pairs of runs.  Pair i
+(0-based) runs the benchmark command on seed 21 + i, with ``--seconds`` set
+to the declared ``run_seconds`` and ``--trace 0``: in the parent first when
+i is even, in the change first when i is odd.  Every run has
+``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains caches.  The file
 gets the shape of ``BENCH_8.json``, which ``tests/test_bench_files.py``
 checks, with the calibrated end-to-end metrics of each run's last stdout
 line.
@@ -31,6 +31,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+FIRST_SEED = 21
 
 
 def first_side(pair: int) -> str:
@@ -138,8 +140,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--parent-rev", required=True, help="the parent commit, as the file names it")
     parser.add_argument("--change", dest="description", required=True, help="one line on what the change does")
     parser.add_argument("--claim", nargs=3, required=True, metavar=("WORKLOAD", "METRIC", "EXPECTED"))
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default: 10)")
-    parser.add_argument("--first-seed", type=int, default=21)
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
 
@@ -148,9 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     names = [workload["name"] for workload in benchmark["workloads"]]
-    if args.pairs < 2:  # quartiles need two runs a side
-        print("error: --pairs must be at least 2", file=sys.stderr)
-        return 2
     workload, metric, expected = args.claim
     if workload not in names or metric not in {m["name"] for m in benchmark["end_to_end"]}:
         print("error: the claim must name a workload and an end-to-end metric of BENCHMARK.json", file=sys.stderr)
@@ -165,8 +162,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     trees = {"parent": args.parent, "change": args.change}
     workloads = {}
+    seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
     for name in names:
-        seeds = list(range(args.first_seed, args.first_seed + args.pairs))
         results = []
         for i, seed in enumerate(seeds):
             order = SIDES if first_side(i) == "parent" else SIDES[::-1]

@@ -15,9 +15,9 @@ ROADMAP item 1 replaces.  The seven (F, E, m) triples of the table are
 
 All chi values are computed through the Riemann-Roch pipeline, never stored.
 Everything here is a statement about the quintic, so no function takes a
-degree: each uses ``QUINTIC``.  ``chowring.require_quintic`` guards a caller
-that gets a degree from outside; the table rows and ``CASE_INDICES`` live in
-``catalog``.  The records are immutable value classes, not dataclasses.
+degree: each uses ``QUINTIC``, and ``expr.evaluate`` checks the degree at each
+cat() it meets.  The table rows and ``CASE_INDICES`` live in ``catalog``.
+The records are immutable value classes, not dataclasses.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are

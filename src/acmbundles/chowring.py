@@ -26,7 +26,7 @@ Hypersurface, the descriptors, catalog entries, analysis records, expression
 nodes): immutable, but not dataclasses, so ``dataclasses.fields``, ``replace``
 and ``asdict`` do not apply.  Fields are slots, with no instance dict; a
 subclass that defines its own ``__init__`` keeps it (ChowClass does).
-``require_quintic`` guards everything that needs the quintic.
+``expr.evaluate`` checks the degree at each cat() (``UnsupportedDegreeError``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "QUINTIC",
     "UnsupportedDegreeError",
     "integrate",
-    "require_quintic",
 ]
 
 Rational = int | Fraction
@@ -266,10 +265,4 @@ QUINTIC = Hypersurface()
 
 
 class UnsupportedDegreeError(ValueError):
-    """The catalog-backed analysis only exists on the quintic."""
-
-
-def require_quintic(X: Hypersurface, what: str) -> None:
-    """The one degree guard for everything that rests on the quintic catalog."""
-    if X != QUINTIC:
-        raise UnsupportedDegreeError(f"{what} requires degree {QUINTIC.r}, got {X.r}")
+    """A catalog bundle, cat(), exists only on the quintic."""

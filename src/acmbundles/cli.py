@@ -9,16 +9,15 @@ Subcommands:
   verbose output includes the Chern-rejected candidate pairs.
 * ``catalog``: the fourteen rank-2 entries with derived statistics.
 
-Global options: ``--degree r`` (default 5) and ``--format text|json|tsv``
-(default text).  ``table``, ``analyze`` and ``catalog`` are statements about
-the quintic: ``main`` checks their degree once, before dispatch, and the
-analysis functions they call take no degree.  ``eval`` works on any degree;
+Options: ``--format text|json|tsv`` (default text) on every subcommand and
+``--degree r`` (default 5) on ``eval`` alone.  ``table``, ``analyze`` and
+``catalog`` are statements about the quintic and take no degree.
 ``expr.evaluate`` checks the degree of each cat() bundle, and a rank query,
 the same on every degree, is evaluated on the quintic.
 Results go to stdout, from one place in ``main``, errors to stderr.  Exit
-codes: 0 on success, 1 on domain errors (e.g. any of those degree checks
-failing) or a stdout closed before the output is written (stderr stays
-empty), 2 on usage or parse errors.
+codes: 0 on success, 1 on domain errors (e.g. a cat() off the quintic) or a
+stdout that cannot take the output (one error line on stderr; none when the
+reader closed the pipe), 2 on usage or parse errors.
 
 Each record's fields are named once, in its JSON form; text and TSV cells
 come from that form through one rule, ``_cell``.  JSON schemas (rationals
@@ -42,7 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 from .bundles import BundleDescriptor, chi_hrr, to_ch
 from .catalog import CASE_INDICES, CatalogEntry, catalog
-from .chowring import QUINTIC, Hypersurface, require_quintic
+from .chowring import QUINTIC, Hypersurface
 
 if TYPE_CHECKING:
     from .analysis import CaseReport, ExtensionCase, SplitVerdict
@@ -51,14 +50,6 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 QUERIES = ("chi", "chern", "ch", "rank")
-
-# The subcommands that rest on the quintic catalog, each with the name its
-# degree error gives it.  Their library calls take no degree.
-QUINTIC_ONLY = {
-    "table": "the extension table",
-    "analyze": "the extension table",
-    "catalog": "the catalog",
-}
 
 
 def _rational(q: Fraction | int) -> int | str:
@@ -265,10 +256,6 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--degree", type=_positive_int, default=QUINTIC.r,
-        help="degree r of the hypersurface (default %(default)s)",
-    )
-    common.add_argument(
         "--format", choices=("text", "json", "tsv"), default="text", help="output format"
     )
     parser = argparse.ArgumentParser(
@@ -277,6 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate a bundle expression")
+    p_eval.add_argument(
+        "--degree", type=_positive_int, default=QUINTIC.r,
+        help="degree r of the hypersurface (default %(default)s)",
+    )
     p_eval.add_argument("query", choices=QUERIES)
     p_eval.add_argument("expr")
     sub.add_parser("table", parents=[common], help="the seven extension cases")
@@ -292,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eval" and args.expr == []:  # argparse's reading of "eval chi -- --"
+        parser.error("the following arguments are required: expr")
     try:
-        X = Hypersurface(args.degree)
-        if args.command in QUINTIC_ONLY:
-            require_quintic(X, QUINTIC_ONLY[args.command])
         # Each subcommand imports only the layers it uses.
         if args.command == "eval":
             from .expr import ExpressionError, evaluate, parse
@@ -306,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
             except ExpressionError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+            X = Hypersurface(args.degree)
             # A rank is the same on every degree, so a rank query may name cat().
             result = evaluate(expression, QUINTIC if args.query == "rank" else X)
             text = render_eval(expression, args.query, result, X, args.format)
@@ -320,12 +312,16 @@ def main(argv: list[str] | None = None) -> int:
                 indices = CASE_INDICES if args.case is None else [args.case]
                 reports = [analysis.analyze_case(i) for i in indices]
                 text = render_reports(reports, args.format, args.verbose)
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
         print(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so that the
-        # interpreter's final flush cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # stdout cannot take the output.  Point fd 1 at devnull so that the interpreter's
+        # final flush cannot fail again.  A reader that closed the pipe gets no error line.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

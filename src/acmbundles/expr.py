@@ -43,7 +43,7 @@ from typing import Union
 
 from .bundles import BundleDescriptor, dual as dual_bundle, direct_sum, tensor, twist
 from .catalog import CatalogEntry, lookup
-from .chowring import Hypersurface, _Record, require_quintic
+from .chowring import QUINTIC, Hypersurface, UnsupportedDegreeError, _Record
 
 __all__ = [
     "Expression",
@@ -275,7 +275,8 @@ def evaluate(expr: Expression, X: Hypersurface) -> BundleDescriptor:
     if kind is BundleDescriptor:
         return expr  # a literal is its descriptor, checked when it was built
     if kind is CatalogEntry:
-        require_quintic(X, "cat()")
+        if X != QUINTIC:
+            raise UnsupportedDegreeError(f"cat() requires degree {QUINTIC.r}, got {X.r}")
         return expr.descriptor()
     if kind is Dual:
         return dual_bundle(evaluate(expr.inner, X))

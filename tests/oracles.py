@@ -121,9 +121,9 @@ def chi_rank2_serre(r, c1, c2, n):
     return chi_line(r, n) + chi_line(r, c1 + n) - (c2 * (c1 + n) + serre_one_minus_genus(r, c1, c2))
 
 
-def h0_structure_sheaf(k):
-    # h0(O_X(k)) on the quintic: degree-k forms on P^4 modulo the multiples of the quintic.
-    return 0 if k < 0 else comb(k + 4, 4) - comb(max(k - 1, 0), 4)
+def h0_structure_sheaf(k, r=5):
+    # h0(O_X(k)) on X_r: degree-k forms on P^4 modulo the multiples of the equation of X_r.
+    return sum(sign * comb(d + 4, 4) for d, sign in ((k, 1), (k - r, -1)) if d >= 0)
 
 
 def h0_serre(c1, c2, n):
@@ -161,3 +161,41 @@ def descriptor_rule(rank, c1, c2, c3):
         raise ValueError("a rank-1 bundle has c2 = c3 = 0")
     if rank == 2 and c3 != 0:
         raise ValueError("a rank-2 bundle has c3 = 0")
+
+
+def macaulay_bound(h, k):
+    # h^<k>, the most that degree k + 1 of an O-sequence can hold after h in degree k >= 1 (Macaulay):
+    # write h greedily as C(a_k, k) + C(a_{k-1}, k-1) + ... with a_k > a_{k-1} > ..., raise each binomial.
+    bound = 0
+    while h > 0:  # the greedy step in degree 1 takes all that is left
+        a = k
+        while comb(a + 1, k) <= h:
+            a += 1
+        h -= comb(a, k)
+        bound += comb(a + 1, k + 1)
+        k -= 1
+    return bound
+
+
+def passes_serre_screen(r, c1, c2):
+    # Whether (c1, c2) passes the numerical screen for a normalized indecomposable rank-2 ACM bundle
+    # E on X_r, r <= 5, read from the Serre curve C of a section, in integers only.
+    # omega_X = O_X(r - 5), so omega_C = O_C(c1 + r - 5), and C is ACM, so its Hilbert function is
+    # H(0) = 1 and H(k) = h0(O_C(k)) = k c2 + 1 - p_a + h_X(c1 + r - 5 - k) for k >= 1: by Serre
+    # duality h1(O_C(k)) = h0(O_C(c1 + r - 5 - k)), which is h_X there as h0(E(r - 5 - k)) = 0.
+    # Its h-vector h = Delta^2 H is the Hilbert function of an Artinian ring in 3 variables.
+    # c2 > 0, h(0) = 1 and sum(h) = c2 need no rule: H(0) = 1 and H ends linear of slope c2, so
+    # the last two hold by construction, and with h >= 0 they force c2 >= 1.
+    top = 60  # k < top; Delta^2 H vanishes from k = c1 + r - 2 on, inside top for every c1 <= 20
+    try:
+        one_minus_genus = serre_one_minus_genus(r, c1, c2)  # p_a must be an integer
+    except ValueError:
+        return False
+    H = [0, 0, 1] + [k * c2 + one_minus_genus + h0_structure_sheaf(c1 + r - 5 - k, r) for k in range(1, top)]
+    h = [H[k + 2] - 2 * H[k + 1] + H[k] for k in range(top)]
+    return (
+        all(H[k + 2] <= h0_structure_sheaf(k, r) for k in range(top))  # h0(I_C(k)) >= 0
+        and min(h) >= 0
+        and all(h[k + 1] <= macaulay_bound(h[k], k) for k in range(1, top - 1))
+        and (c1 < 1 or H[c1 + 1] == h0_structure_sheaf(c1 - 1, r))  # h0(E(-1)) = h0(I_C(c1 - 1)) = 0
+    )

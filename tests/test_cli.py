@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from acmbundles import analyze_case, analyze_extension, catalog
 from acmbundles.analysis import FILTER_UNDECIDED
 from acmbundles.catalog import CASE_INDICES
-from acmbundles.cli import QUERIES, main, render_reports, report_json
+from acmbundles.cli import QUERIES, build_parser, main, render_reports, report_json
 
 from strategies import DEEP_EXPRESSIONS, HUGE_LITERAL
 
@@ -63,21 +63,32 @@ def test_table_json(capsys):
     }
 
 
+# The table, the analysis and the catalog are statements about the quintic:
+# they take no degree, not even 5.
 @pytest.mark.parametrize(
-    "argv, what",
+    "argv",
     [
-        (["table", "--degree", "4"], "the extension table"),
-        (["analyze", "--case", "2", "--degree", "3"], "the extension table"),
-        (["analyze", "--all", "--degree", "7"], "the extension table"),
-        (["catalog", "--degree", "2"], "the catalog"),
+        ["table", "--degree", "4"],
+        ["analyze", "--case", "2", "--degree", "3"],
+        ["analyze", "--all", "--degree", "7"],
+        ["catalog", "--degree", "5"],
     ],
     ids=["table", "analyze-case", "analyze-all", "catalog"],
 )
-def test_table_requires_degree_five(capsys, argv, what):
-    code, out, err = run(capsys, *argv)
-    assert code == 1
+def test_table_requires_degree_five(argv):
+    code, out, err = _call(argv)
+    assert code == 2
     assert out == ""
-    assert err == f"error: {what} requires degree 5, got {argv[-1]}\n"
+    assert err.endswith(f"error: unrecognized arguments: --degree {argv[-1]}\n")
+
+
+def test_only_eval_has_a_degree_option():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    with_degree = {
+        name for name, parser in subcommands.items()
+        if any("--degree" in action.option_strings for action in parser._actions)
+    }
+    assert with_degree == {"eval"}
 
 
 def test_analyze_single_case_text(capsys):
@@ -332,6 +343,42 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(argv):
     assert err == b""
 
 
+def _run_with_stdout(argv, stdout):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        argv, cwd=ROOT, env=dict(env, PYTHONPATH=str(ROOT / "src")),
+        stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["table"], ["eval", "chi", "o(1)"]], ids=["table", "eval"])
+def test_a_full_stdout_exits_one_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = _run_with_stdout([sys.executable, "-m", "acmbundles", *argv], full)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write the output: [Errno 28] No space left on device\n"
+
+
+def test_a_missing_stdout_exits_one_with_one_error_line():
+    # The shell starts the command with file descriptor 1 closed, so sys.stdout is None.
+    proc = _run_with_stdout(["sh", "-c", 'exec "$0" -m acmbundles table >&-', sys.executable], None)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write the output: stdout is closed\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "chi", "--", "--"], ["eval", "--", "chi", "--"]], ids=["after-query", "before-query"]
+)
+def test_eval_with_a_double_dash_for_its_expression_exits_two(argv):
+    # Depending on the Python release, argparse drops the second "--" and hands main [] for the
+    # expression, which main makes a usage error, or passes "--" as the expression, which does not parse.
+    code, out, err = _call(argv)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(("error: the following arguments are required: expr\n", "(column 1)\n"))
+
+
 def test_eval_unknown_catalog_pair_exits_two(capsys):
     code, _, err = run(capsys, "eval", "chi", "cat(3,19)")
     assert code == 2
@@ -343,7 +390,7 @@ def test_usage_errors_exit_two():
         main(["analyze", "--case", "9"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
-        main(["table", "--degree", "0"])
+        main(["eval", "rank", "o(1)", "--degree", "0"])
     assert excinfo.value.code == 2
 
 
@@ -361,10 +408,11 @@ def test_an_integer_option_is_ascii_digits_only(capsys, argv, spelling):
     assert capsys.readouterr().err.endswith(f"error: argument {argv[-1]}: not an integer: {spelling!r}\n")
 
 
-def test_catalog_requires_degree_five(capsys):
-    code, _, err = run(capsys, "catalog", "--degree", "2")
-    assert code == 1
-    assert "degree" in err
+def test_catalog_requires_degree_five():
+    code, out, err = _call(["catalog", "--degree", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: --degree 2\n")
 
 
 _FRAGMENTS = (
@@ -409,6 +457,7 @@ def _call(argv):
 @example(["eval", "chi", DEEP_EXPRESSIONS["sum_chain"]])
 @example(["eval", "chi", DEEP_EXPRESSIONS["twist_chain"]])
 @example(["eval", "chi", HUGE_LITERAL])
+@example(["eval", "chi", "--", "--"])
 def test_cli_contract_holds_for_arbitrary_arguments(argv):
     # Any other exception escaping main fails the test with its traceback.
     code, out, err = _call(argv)

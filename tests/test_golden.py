@@ -81,12 +81,10 @@ PARSING_TEXTS = (
 )
 
 
-def near_misses(texts, pinned) -> tuple[str, ...]:
-    """Every proper prefix of each text and every text one character shorter, once each, unless pinned holds it."""
+def near_misses(texts) -> list[str]:
+    """Every proper prefix of each text, then every text one character shorter."""
     prefixes = [text[:k] for text in texts for k in range(len(text))]
-    deletions = [text[:k] + text[k + 1:] for text in texts for k in range(len(text))]
-    pinned = set(pinned)
-    return tuple(text for text in dict.fromkeys(prefixes + deletions) if text not in pinned)
+    return prefixes + [text[:k] + text[k + 1:] for text in texts for k in range(len(text))]
 
 
 # Written texts whose parse outcome is pinned: the parsing texts, each kind of
@@ -156,11 +154,10 @@ WRITTEN_TEXTS = (
     *random_texts(2000),
 )
 
-# Every pinned text: the written texts, then the near misses of the parsing
-# texts that they do not already hold, which reach each error from inside a
-# valid text.
-PARSE_TEXTS = WRITTEN_TEXTS + near_misses(PARSING_TEXTS, WRITTEN_TEXTS)
-
+# Every pinned text, once, where it first comes: the written texts, then the
+# near misses of the parsing texts, which reach each error from inside a valid
+# text.  An outcome depends only on its text, so a repeat would pin nothing.
+PARSE_TEXTS = tuple(dict.fromkeys([*WRITTEN_TEXTS, *near_misses(PARSING_TEXTS)]))
 
 
 def parse_outcome(text: str) -> str:
@@ -193,6 +190,10 @@ def test_rendering_outside_the_table_matches_its_golden(name):
     assert [r.case.index for r in reports] == [None, None, None]
     text = RENDERINGS[name](reports) + "\n"
     assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_parse_texts_hold_no_repeats():
+    assert len(set(PARSE_TEXTS)) == len(PARSE_TEXTS)
 
 
 def test_parse_outcomes_match_their_golden():

@@ -27,10 +27,10 @@ pairs are built once, on first use, grouped by c1 sum, each with its
 and whether either has c1 = 0 (the section-count convention flag).  One
 bounded cache, ``_twisted``, holds F(m) with ch(F(m)) and ch(F(m)*) per
 (c1, c2, m); ``build_case`` reads F(m) and ch(F(m)) at the case's m, and E with
-ch(E*) at m = 0, and from them computes the integral of ``euler_pairing``
-without calling it.  It reads that integral as an integer numerator and
-denominator from the formula ``integrate`` wraps in a Fraction, and so builds
-no Fraction.
+ch(E*) at m = 0, and reads from them the integral of ``euler_pairing`` with
+its reader, ``Hypersurface._point``: an integer numerator and denominator, with
+no product formed and no Fraction built.  ``_classify`` reads chi(G) from
+``chi_hrr``, which builds no Chern character.
 ``_classify`` disposes of each candidate by the first applicable filter and
 builds the case report:
 
@@ -58,7 +58,7 @@ from itertools import combinations_with_replacement
 
 from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, to_ch, twist
 from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, catalog, lookup
-from .chowring import QUINTIC, ChowClass, _integer, _point, _Record
+from .chowring import QUINTIC, ChowClass, _integer, _Record
 
 __all__ = [
     "QUINTIC",
@@ -152,7 +152,7 @@ def build_case(
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm, ch_Fm, _ = _twisted(F.c1, F.c2, m)
     E0, _, ch_E_dual = _twisted(E.c1, E.c2, 0)
-    num, den = _point(QUINTIC.mul(ch_E_dual, ch_Fm), QUINTIC.todd())
+    num, den = QUINTIC._point(ch_E_dual, ch_Fm, QUINTIC.todd())
     chi_t = _exact_int(num, "chi", den)
     G = direct_sum(Fm, E0, QUINTIC)
     return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), Fm, G)

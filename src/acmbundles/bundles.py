@@ -21,7 +21,7 @@ identities truncated at codimension three; on this ring
 Euler characteristics come from Hirzebruch-Riemann-Roch, chi(E) = chi(O_X, E)
 = integral of ch(E).td(X), and so does the Euler pairing chi(E, F) = sum
 (-1)^i ext^i(E, F) = integral of ch(E*).ch(F).td(X), with no tensor built;
-``integrate`` reads the point coefficient of the last product unformed.
+``Hypersurface._point`` reads its point coefficient with no product formed.
 ``chi_rank2`` is chi of a rank-2 bundle on the quintic: 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record
 
 __all__ = [
     "BundleDescriptor",
@@ -138,16 +138,22 @@ def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Bun
 def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
     """Euler characteristic by Hirzebruch-Riemann-Roch: integral of ch(E).td(X).
 
-    This is the Euler pairing chi(O_X, E), with no product formed.  The exact
-    value is an integer whenever the descriptor satisfies the parity constraint
-    of an honest bundle class (so for every catalog and analysis bundle).
+    This is the Euler pairing chi(O_X, E), read from the Newton numerators of
+    ``to_ch``, written out again so that ``to_ch`` stays one call, with no class
+    built.  The exact value is an integer whenever the descriptor satisfies the
+    parity constraint of an honest bundle class (every catalog and analysis bundle).
     """
-    return integrate(to_ch(E, X), X.todd())
+    r, c1, c2 = X.r, E.c1, E.c2
+    f, t0, t1, t2, t3 = X.todd().scaled
+    return Fraction(
+        6 * E.rank * t3 + 6 * c1 * t2 + 3 * (r * c1 * c1 - 2 * c2) * t1 + (r * c1**3 - 3 * c1 * c2 + 3 * E.c3) * t0,
+        6 * f,
+    )
 
 
 def euler_pairing(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Fraction:
     """chi(E, F) = sum (-1)^i ext^i(E, F), by Riemann-Roch the integral of ch(E*).ch(F).td(X)."""
-    return integrate(X.mul(to_ch(dual(E), X), to_ch(F, X)), X.todd())
+    return Fraction(*X._point(to_ch(dual(E), X), to_ch(F, X), X.todd()))
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:

@@ -204,15 +204,10 @@ def _over(d: int, n0: int, n1: int, n2: int, n3: int) -> ChowClass:
 
 
 def integrate(x: ChowClass, y: ChowClass = ChowClass(1)) -> Fraction:
-    """Degree map: the pt-coefficient of x.y, read without forming the product (y = 1: of x)."""
-    return Fraction(*_point(x, y))
-
-
-def _point(x: ChowClass, y: ChowClass) -> tuple[int, int]:
-    # integrate(x, y) as (numerator, positive denominator), for a caller that wants an int.
+    """Degree map: the pt-coefficient of x.y, with no product formed (y = 1: of x); x.y.z needs r."""
     d, x0, x1, x2, x3 = x.scaled
     e, y0, y1, y2, y3 = y.scaled
-    return x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0, d * e
+    return Fraction(x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0, d * e)
 
 
 # The Todd class of X_r for each degree r that has asked for it.
@@ -238,6 +233,20 @@ class Hypersurface(_Record):
             x0 * y1 + x1 * y0,
             x0 * y2 + x2 * y0 + self.r * x1 * y1,
             x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+        )
+
+    def _point(self, x: ChowClass, y: ChowClass, z: ChowClass) -> tuple[int, int]:
+        """The pt-coefficient of x.y.z as (numerator, positive denominator), with no product formed."""
+        # The sum of x_i y_j z_k over i + j + k = 3, plus (r - 1) x_1 y_1 z_1, as H^3 = r pt.
+        d, x0, x1, x2, x3 = x.scaled
+        e, y0, y1, y2, y3 = y.scaled
+        f, z0, z1, z2, z3 = z.scaled
+        return (
+            x0 * (y0 * z3 + y1 * z2 + y2 * z1 + y3 * z0)
+            + x1 * (y0 * z2 + y2 * z0 + self.r * y1 * z1)
+            + x2 * (y0 * z1 + y1 * z0)
+            + x3 * y0 * z0,
+            d * e * f,
         )
 
     def exp_h(self, n: int) -> ChowClass:

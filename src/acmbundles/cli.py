@@ -33,7 +33,6 @@ serialize as lowest-term "p/q" strings, integers as bare numbers):
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -107,6 +106,12 @@ def entry_json(entry: CatalogEntry) -> dict[str, Any]:
     return dict(zip(entry._fields, entry._values()))
 
 
+def _json(value: Any) -> str:
+    import json  # only a json output loads it
+
+    return json.dumps(value, indent=2)
+
+
 def _tsv(header: str, rows: Any) -> str:
     return "\n".join([header] + ["\t".join(map(_cell, row)) for row in rows])
 
@@ -117,7 +122,7 @@ def _tsv(header: str, rows: Any) -> str:
 def render_table(cases: tuple[ExtensionCase, ...], fmt: str) -> str:
     records = [case_json(c) for c in cases]
     if fmt == "json":
-        return json.dumps(records, indent=2)
+        return _json(records)
     if fmt == "tsv":
         rows = [[*head, *g] for *head, g in map(dict.values, records)]
         return _tsv("case\tF\tE\tm\tchi\td_min\tG_c1\tG_c2\tG_c3", rows)
@@ -154,7 +159,7 @@ def _verdict_text(verdict: dict[str, Any]) -> str:
 def render_reports(reports: list[CaseReport], fmt: str, verbose: bool) -> str:
     records = [report_json(r, verbose) for r in reports]
     if fmt == "json":
-        return json.dumps(records[0] if len(records) == 1 else records, indent=2)
+        return _json(records[0] if len(records) == 1 else records)
     if fmt == "tsv":
         rows = []
         for record in records:
@@ -188,7 +193,7 @@ def render_reports(reports: list[CaseReport], fmt: str, verbose: bool) -> str:
 def render_catalog(entries: tuple[CatalogEntry, ...], fmt: str) -> str:
     records = [entry_json(e) for e in entries]
     if fmt == "json":
-        return json.dumps(records, indent=2)
+        return _json(records)
     rows = [list(CatalogEntry._fields)] + [
         ["undetermined" if value is None else _cell(value) for value in record.values()]
         for record in records
@@ -218,14 +223,13 @@ def render_eval(
         text = f"{query} = {value}"
     if fmt == "json":
         values = {name: _rational(v) for name, v in fields.items()}
-        return json.dumps(
+        return _json(
             {
                 "query": query,
                 "degree": X.r,
                 "expr": to_text(expression),
                 "value": values[query] if len(values) == 1 else values,
-            },
-            indent=2,
+            }
         )
     if fmt == "tsv":
         return _tsv("\t".join(fields), [fields.values()])

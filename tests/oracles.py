@@ -16,7 +16,8 @@ the Riemann-Roch path, so a wrong Todd or tangent class shows against them.
 
 ``h0_serre`` counts the sections of E(n) for a catalog entry E from the same
 Serre curve, for every n: ``h0_structure_sheaf`` gives h_X, and the ACM
-condition with Serre duality gives the curve's h1.
+condition with Serre duality gives the curve's h1.  ``hom_bounds`` bounds
+hom(F(m), E) from both sides by such counts, with no stability assumption.
 """
 
 from fractions import Fraction
@@ -139,6 +140,15 @@ def h0_serre(c1, c2, n):
         return h0_structure_sheaf(n)
     on_curve = 1 if k == 0 else k * c2 + serre_one_minus_genus(5, c1, c2) + h0_structure_sheaf(c1 - k)
     return h0_structure_sheaf(n) + h0_structure_sheaf(k) - on_curve
+
+
+def hom_bounds(F, E, m):
+    # (lower, upper) bounds on hom(F(m), E) = ext3(E, F(m)) (omega_X = O_X) for catalog entries F, E.
+    # F* = F(-c1F) for rank 2, so hom(F(m), E) = h0(E (x) F(-c1F - m)).  E's sequence
+    # 0 -> O_X -> E -> I_C(c1E) -> 0 tensored with F(-c1F - m) puts h0(F(-c1F - m)) below it, and as
+    # I_C (x) F(k) lies inside F(k), the quotient adds at most h0(F(k)), k = c1E - c1F - m.
+    lower = h0_serre(F.c1, F.c2, -F.c1 - m)
+    return lower, lower + h0_serre(F.c1, F.c2, E.c1 - F.c1 - m)
 
 
 def pairing_serre(r, E, F, m):

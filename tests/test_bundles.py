@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from acmbundles import (
     dual,
     euler_pairing,
     from_ch,
+    integrate,
     tensor,
     to_ch,
     twist,
@@ -195,6 +197,37 @@ def test_euler_pairing_is_chi_of_the_tensor_with_the_dual(E, F, X):
 def test_chi_is_the_euler_pairing_with_the_structure_sheaf(F, X):
     assert euler_pairing(O, F, X) == chi_hrr(F, X)
     assert euler_pairing(F, O, X) == chi_hrr(dual(F), X)
+
+
+# Every descriptor of rank 1 to 4 with Chern classes in [-3, 3]: 742 of them.
+CHERN_BOX = [
+    BundleDescriptor(rank, c1, c2, c3)
+    for rank in range(1, 5)
+    for c1 in range(-3, 4)
+    for c2 in (range(-3, 4) if rank >= 2 else (0,))
+    for c3 in (range(-3, 4) if rank >= 3 else (0,))
+]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_chi_is_the_integral_of_the_character_against_todd_on_a_chern_box(r):
+    # chi_hrr writes the Newton numerators of to_ch again; this ties the two copies together.
+    # On the quintic td_1 = 0, so the other degrees are the ones that read ch_2.
+    X = Hypersurface(r)
+    assert len(CHERN_BOX) == 742
+    for E in CHERN_BOX:
+        chi = chi_hrr(E, X)
+        assert type(chi) is Fraction and chi == integrate(to_ch(E, X), X.todd()), E
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_euler_pairing_is_chi_of_the_tensor_with_the_dual_on_a_chern_box(r):
+    X = Hypersurface(r)
+    box = [E for E in CHERN_BOX if max(map(abs, E.chern_tuple())) <= 1]
+    assert len(box) == 66
+    for E, F in product(box, repeat=2):
+        chi = euler_pairing(E, F, X)
+        assert type(chi) is Fraction and chi == chi_hrr(tensor(F, dual(E), X), X), (E, F)
 
 
 def test_chi_of_structure_sheaf_on_the_quintic():

@@ -2,6 +2,7 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -62,6 +63,28 @@ def test_two_factor_integrate_is_the_integral_of_the_product(r, x, y):
     assert integrate(x, y) == integrate(Hypersurface(r).mul(x, y))
     assert integrate(x, y) == integrate(y, x)
     assert integrate(x) == integrate(x, ChowClass(1))
+
+
+# Each basis class over a denominator of its own, and two dense classes.  The triple
+# reader is linear in each factor, so the 6^3 ordered triples on a degree meet every
+# term x_i y_j z_k, and every denominator, in every position.
+TRIPLE_FACTORS = (
+    ChowClass(Fraction(2, 3)),
+    ChowClass(0, Fraction(-5, 4)),
+    ChowClass(0, 0, Fraction(7, 2)),
+    ChowClass(0, 0, 0, Fraction(1, 6)),
+    ChowClass(Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4), Fraction(-5, 6)),
+    ChowClass(2, Fraction(7, 5), -3, Fraction(11, 10)),
+)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_the_triple_reader_is_the_integral_of_the_product(r):
+    X = Hypersurface(r)
+    for x, y, z in product(TRIPLE_FACTORS, repeat=3):
+        num, den = X._point(x, y, z)
+        assert type(num) is type(den) is int and den > 0
+        assert Fraction(num, den) == integrate(X.mul(X.mul(x, y), z)) == integrate(X.mul(x, y), z), (x, y, z)
 
 
 def test_tangent_chern_quintic():

@@ -69,6 +69,24 @@ def test_each_command_loads_only_its_layers(name, argv):
         assert ("acmbundles.analysis" in loaded) == (argv[0] != "catalog")
 
 
+# PROBE prints with json, so it cannot show whether a command loads json: this one
+# prints with repr whether the command loaded it.
+JSON_PROBE = """
+import contextlib, io, sys
+from acmbundles import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(repr((code, "json" in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("name, argv", CLI_MIX, ids=[name for name, _ in CLI_MIX])
+def test_only_a_json_output_loads_json(name, argv):
+    proc = python("-c", JSON_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == repr((0, "json" in argv))
+
+
 @pytest.mark.parametrize(
     "first",
     ["", "import acmbundles.cli", "import acmbundles.analysis", "import acmbundles.expr",

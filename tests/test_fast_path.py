@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -262,3 +263,24 @@ def test_a_sweep_pass_hashes_no_hypersurface(monkeypatch):
     for F, E, m in _sweep():
         analyze_extension(F, E, m)
     assert len(hashed) == 0
+
+
+def test_a_warm_sweep_pass_forms_no_product_and_reads_todd_twice_per_triple(monkeypatch):
+    # build_case reads chi(E, F(m)) and _classify chi(G) from integer formulas: once the
+    # twist cache holds the sweep's keys, a pass multiplies no classes, and each triple
+    # reads td(X) once for each of its two integrals.
+    triples = _sweep()
+    for F, E, m in triples:
+        analyze_extension(F, E, m)
+    calls = Counter()
+    for name in ("mul", "todd"):
+        original = getattr(Hypersurface, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Hypersurface, name, counting)
+    for F, E, m in triples:
+        analyze_extension(F, E, m)
+    assert (len(triples), calls["mul"], calls["todd"]) == (784, 0, 1568)

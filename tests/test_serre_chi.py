@@ -12,7 +12,18 @@ from itertools import product
 
 import pytest
 
-from acmbundles import BundleDescriptor, Hypersurface, build_case, catalog, chi_hrr, twist
+from acmbundles import (
+    BundleDescriptor,
+    Hypersurface,
+    analyze_extension,
+    build_case,
+    catalog,
+    chi_hrr,
+    extension_cases,
+    lookup,
+    twist,
+)
+from acmbundles.analysis import CONCLUSION_INDECOMPOSABLE
 from acmbundles.catalog import FAMILY_A, FAMILY_B
 
 import oracles
@@ -37,6 +48,35 @@ def test_every_sweep_pairing_matches_the_serre_curve():
     assert len(triples) == 784
     for F, E, m in triples:
         assert build_case(F, E, m).chi_tensor == oracles.pairing_serre(5, E.pair, F.pair, m), (F.pair, E.pair, m)
+
+
+def test_hom_is_bounded_by_sections_on_every_sweep_triple():
+    # hom(F(m), E) = ext3(E, F(m)).  Its upper bound vanishes exactly on the band
+    # c1(F) + m > max(0, c1(E)), where ext3 = 0 is computed; its lower bound is positive
+    # exactly where c1(F) + m <= 0, so that predicate is necessary for ext3 = 0.  Between
+    # them, 0 < c1(F) + m <= c1(E), the sections do not decide.
+    band, certified, d_positive = set(), set(), set()
+    for F, E, m in product(catalog(), catalog(), range(-3, 1)):
+        key = (F.pair, E.pair, m)
+        lower, upper = oracles.hom_bounds(F, E, m)
+        assert 0 <= lower <= upper, key
+        assert (upper == 0) == (F.c1 + m > max(0, E.c1)), key
+        assert (lower >= 1) == (F.c1 + m <= 0), key
+        if upper == 0:
+            band.add(key)
+        report = analyze_extension(F, E, m)
+        if report.conclusion == CONCLUSION_INDECOMPOSABLE:
+            certified.add(key)
+        if report.case.d_lower > 0:
+            d_positive.add(key)
+    assert (len(certified), len(certified & band)) == (209, 120)
+    assert (len(d_positive), len(d_positive & band)) == (487, 52)
+    rows = {(case.F.pair, case.E.pair, case.m) for case in extension_cases()}
+    assert len(rows) == 7 and rows <= band
+    # F = E = (1,8), m = 0 is certified today, yet the bounds leave it undecided: they give
+    # 0 <= hom(E, E) <= 1, and the identity makes it 1.
+    E = lookup(1, 8)
+    assert oracles.hom_bounds(E, E, 0) == (0, 1) and (E.pair, E.pair, 0) in certified
 
 
 # The (c1, c2) that oracles.passes_serre_screen admits on X_r, c1 in [-20, 20], c2 in [-5, 400].

@@ -23,8 +23,11 @@ The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
 normalized catalog entries whose c1 values add up to c1(G).  The catalog's
 pairs are built once, on first use, grouped by c1 sum, each with its
-``direct_sum`` (the Whitney sum), c1 values, chi sum, the h0 of both entries
-and whether either has c1 = 0 (the section-count convention flag).  One
+``direct_sum`` (the Whitney sum), c1 values, the h0 of both entries, whether
+either has c1 = 0 (the section-count convention flag) and the case-free half
+of its ``details``: c2 and c3 of the sum and the chi sum, in the final key
+order.  Each verdict gets its own copy of that dict, with the case's three
+targets and, for a Chern rejection, ``c1_disjoint`` filled in.  One
 bounded cache, ``_twisted``, holds F(m) with ch(F(m)) and ch(F(m)*) per
 (c1, c2, m); ``build_case`` reads F(m) and ch(F(m)) at the case's m, and E with
 ch(E*) at m = 0, and reads from them the integral of ``euler_pairing`` with
@@ -176,8 +179,9 @@ def extension_cases() -> tuple[ExtensionCase, ...]:
 
 
 # A catalog pair: (P, Q), its key, the Chern classes of the Whitney sum P + Q and
-# again its c2 and c3, {c1(P), c1(Q)}, chi(P) + chi(Q), (h0(P), h0(Q)) and
-# whether either entry has c1 = 0, so that its h0 rests on the c1 = 0 convention.
+# again its c2, {c1(P), c1(Q)}, (h0(P), h0(Q)), whether either entry has c1 = 0, so
+# that its h0 rests on the c1 = 0 convention, and the case-free half of its details,
+# in their final key order, which _classify copies and fills in for each verdict.
 @lru_cache(maxsize=1)
 def _catalog_pairs() -> dict[int, list[tuple]]:
     """The catalog's unordered pairs by c1 sum, in ``pair_key`` order, with their static facts.
@@ -189,8 +193,9 @@ def _catalog_pairs() -> dict[int, list[tuple]]:
     for P, Q in combinations_with_replacement(sorted(catalog(), key=lambda entry: entry.pair), 2):
         S = direct_sum(P.descriptor(), Q.descriptor(), QUINTIC)
         table.setdefault(S.c1, []).append(
-            ((P, Q), (P.pair, Q.pair), S.chern_tuple(), S.c2, S.c3, frozenset((P.c1, Q.c1)),
-             P.chi + Q.chi, (P.h0, Q.h0), 0 in (P.c1, Q.c1))
+            ((P, Q), (P.pair, Q.pair), S.chern_tuple(), S.c2, frozenset((P.c1, Q.c1)), (P.h0, Q.h0),
+             0 in (P.c1, Q.c1), {"c2_sum": S.c2, "c2_target": None, "c3_sum": S.c3, "c3_target": None,
+                                 "chi_sum": P.chi + Q.chi, "chi_target": None, "c1_disjoint": None})
         )
     return table
 
@@ -201,31 +206,30 @@ def _classify(case: ExtensionCase) -> CaseReport:
     Whitney survivors become the verdicts and Chern rejections the
     ``rejected`` list, both in the pair table's ``pair_key`` order.
     """
-    G = case.G
-    c2_target, c3_target = G.c2, G.c3
-    Fm = case.F_twisted
-    f_pair, e_pair = (Fm.c1, Fm.c2), case.E.pair
-    trivial_key = (min(f_pair, e_pair), max(f_pair, e_pair))
-    target_c1s = {Fm.c1, case.E.c1}
+    G, Fm, E = case.G, case.F_twisted, case.E
+    c2_target, c3_target, e_c1 = G.c2, G.c3, E.c1
     chi_target = _exact_int(chi_hrr(G, QUINTIC), "chi")
-    h0_Fm, h0_E = case.F.h0 if case.m == 0 else 0, case.E.h0
-    case_convention = (case.m == 0 and case.F.c1 == 0) or case.E.c1 == 0
 
     survivors: list[SplitVerdict] = []
     rejected: list[SplitVerdict] = []
     used_convention = undecided = False
 
-    for pair, key, sum_chern, c2_sum, c3_sum, c1s, chi_sum, h0s, pair_convention in _catalog_pairs().get(G.c1, ()):
-        details = {"c2_sum": c2_sum, "c2_target": c2_target, "c3_sum": c3_sum, "c3_target": c3_target,
-                   "chi_sum": chi_sum, "chi_target": chi_target, "c1_disjoint": c1s.isdisjoint(target_c1s)}
+    for pair, key, sum_chern, c2_sum, c1s, h0s, pair_convention, row_details in _catalog_pairs().get(G.c1, ()):
+        details = row_details.copy()
+        details["c2_target"] = c2_target
+        details["c3_target"] = c3_target
+        details["chi_target"] = chi_target
         if c2_sum != c2_target:
+            # c1(P) + c1(Q) = c1(F(m)) + c1(E): a pair holds c1(F(m)) exactly when it holds c1(E).
+            details["c1_disjoint"] = e_c1 not in c1s
             rejected.append(SplitVerdict(pair, sum_chern, FILTER_CHERN_MISMATCH, details))
             continue
         del details["c1_disjoint"]  # only a Chern rejection carries it
-        if key == trivial_key:
+        if key == tuple(sorted(((Fm.c1, Fm.c2), E.pair))):
             kind = FILTER_TRIVIAL_SPLIT
         else:
-            used_convention = used_convention or case_convention or pair_convention
+            h0_Fm, h0_E = case.F.h0 if case.m == 0 else 0, E.h0
+            used_convention = used_convention or pair_convention or (case.m == 0 and case.F.c1 == 0) or e_c1 == 0
             details |= {"h0_F_m": h0_Fm, "h0_E": h0_E, "h0_pair": list(h0s)}
             kind = FILTER_UNDECIDED
             if None in (h0_Fm, h0_E, *h0s):

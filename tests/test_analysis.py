@@ -1,3 +1,4 @@
+import copy
 import importlib
 import inspect
 import re
@@ -304,6 +305,45 @@ def test_verdict_pairs_are_canonical_and_unique():
             P, Q = (ChowClass(1, *member.descriptor().chern_tuple()) for member in v.pair)
             product = QUINTIC.mul(P, Q)
             assert v.sum_chern == (product.a1, product.a2, product.a3), v.pair_key
+
+
+REJECTION_DETAILS = ["c2_sum", "c2_target", "c3_sum", "c3_target", "chi_sum", "chi_target", "c1_disjoint"]
+
+
+def test_every_chern_rejection_has_details_of_its_own_with_the_pair_sums_and_the_case_targets():
+    # The pair table builds each row's case-free details once; every report must get
+    # copies, so that a caller that edits one report's details edits nothing else.
+    table_before = copy.deepcopy(_catalog_pairs())
+    pair_sums = {}
+    handed_out = set()
+    reports = []  # kept alive, so that the ids of their details stay distinct
+    for F, E, m in _sweep():
+        report = analyze_extension(F, E, m)
+        reports.append(report)
+        G = report.case.G
+        chi_G = chi_hrr(G, QUINTIC)
+        for v in report.rejected:
+            if v.pair_key not in pair_sums:
+                P, Q = (member.descriptor() for member in v.pair)
+                S = direct_sum(P, Q, QUINTIC)
+                pair_sums[v.pair_key] = S.c2, S.c3, chi_hrr(P, QUINTIC) + chi_hrr(Q, QUINTIC)
+            c2_sum, c3_sum, chi_sum = pair_sums[v.pair_key]
+            key = (F.pair, E.pair, m, v.pair_key)
+            assert v.filter == FILTER_CHERN_MISMATCH and c2_sum != G.c2, key
+            assert list(v.details) == REJECTION_DETAILS, key
+            disjoint = not {member.c1 for member in v.pair} & {F.c1 + 2 * m, E.c1}
+            assert v.details == {
+                "c2_sum": c2_sum, "c2_target": G.c2, "c3_sum": c3_sum, "c3_target": G.c3,
+                "chi_sum": chi_sum, "chi_target": chi_G, "c1_disjoint": disjoint,
+            }, key
+        for v in report.verdicts + report.rejected:
+            assert id(v.details) not in handed_out, (F.pair, E.pair, m, v.pair_key)
+            handed_out.add(id(v.details))
+            # Every later report is checked after this one's details were edited.
+            v.details.clear()
+            v.details["edited"] = True
+    assert sum(len(report.rejected) for report in reports) == 5949
+    assert _catalog_pairs() == table_before
 
 
 def test_the_pair_table_holds_each_catalog_pair_once_by_c1_sum_in_key_order():

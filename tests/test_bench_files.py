@@ -5,7 +5,8 @@ what changed, the claim, how the runs were made, and per workload the
 calibrated end-to-end metrics of both sides.  Its metric names must be the
 end-to-end metrics that ``BENCHMARK.json`` declares.  Each summary (median,
 quartiles, relative change, wins, the bound verdict) must follow from the
-runs it summarises, and the claimed metric must have moved the better way.
+runs it summarises, the claimed metric must have moved the better way, and
+every workload's runs must have answered correctly with none failed.
 """
 
 import json
@@ -54,6 +55,15 @@ def test_a_bench_file_has_the_shape_of_bench_8(path):
             for side in ("parent", "change"):
                 assert set(entry[side]) == {"median", "q1", "q3"}, (name, metric, side)
                 assert entry[side]["q1"] <= entry[side]["median"] <= entry[side]["q3"], (name, metric, side)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_every_run_of_a_bench_file_answered_correctly(path):
+    # A run that answered wrongly measured a wrong program, whatever its speed.
+    workloads = json.loads(path.read_text())["workloads"]
+    assert {name: (w["correct"], w["failed"]) for name, w in workloads.items()} == {
+        name: (True, 0) for name in WORKLOADS
+    }
 
 
 def _better(better, value, than):

@@ -1,9 +1,10 @@
-"""``tools/bench_pair.py`` writes what ``tests/test_bench_files.py`` accepts, and refuses unlike trees."""
+"""``tools/bench_pair.py`` writes what ``tests/test_bench_files.py`` accepts, and refuses unlike trees and wrong runs."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
 import test_bench_files as bench_checks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +34,7 @@ def test_the_writer_builds_a_bench_file_that_its_checks_accept(tmp_path):
     path.write_text(json.dumps(bench))
     bench_checks.test_a_bench_file_has_the_shape_of_bench_8(path)
     bench_checks.test_a_bench_file_agrees_with_its_own_runs(path)
+    bench_checks.test_every_run_of_a_bench_file_answered_correctly(path)
     expr = bench["workloads"]["expr"]
     assert expr["first"] == ["parent", "change", "parent", "change"]
     assert expr["attempted"] == {"parent": 400, "change": 400} and expr["correct"] and expr["failed"] == 0
@@ -56,3 +58,38 @@ def test_the_writer_refuses_trees_whose_benchmark_files_differ(tmp_path, capsys)
     assert bench_pair.main(argv + ["--out", str(tmp_path / "BENCH_1.json")]) == 2
     assert "perfbench/extra.py, perfbench/run.py" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_1.json").exists()
+
+
+# A stand-in for perfbench/run.py: prints the tree's own verdict.json as its result line.
+FAKE_RUN = """import json, pathlib
+print(json.dumps(json.loads(pathlib.Path("verdict.json").read_text())))
+"""
+
+
+@pytest.mark.parametrize(
+    "wrong_side, verdict",
+    [
+        ("change", {"correct": False, "failed": 0}),
+        ("change", {"correct": True, "failed": 3}),
+        ("parent", {"correct": None, "failed": 0}),
+    ],
+    ids=["change-incorrect", "change-failed", "parent-no-verdict"],
+)
+def test_the_writer_refuses_a_run_whose_answers_are_wrong(tmp_path, capsys, wrong_side, verdict):
+    trees = {side: tmp_path / side for side in bench_pair.SIDES}
+    for side, tree in trees.items():
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tree / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+        (tree / "verdict.json").write_text(json.dumps({**_result(1.0), **(verdict if side == wrong_side else {})}))
+    out = tmp_path / "BENCH_1.json"
+    argv = [str(trees["parent"]), str(trees["change"]), "--parent-rev", "0", "--change", "x"]
+    with pytest.raises(SystemExit) as stopped:
+        bench_pair.main(argv + ["--claim", "sweep", "ops_per_s", "+1%", "--out", str(out)])
+    assert stopped.value.code == 2
+    # Pair 0 runs the parent first, so either side's wrong answer stops the first pair.
+    err = capsys.readouterr().err
+    assert f"error: {trees[wrong_side]}: workload sweep, seed 21 read correct: {verdict['correct']}," in err
+    assert f"failed: {verdict['failed']}" in err
+    assert not out.exists()

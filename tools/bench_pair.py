@@ -11,7 +11,9 @@ Each workload of ``BENCHMARK.json`` gets ten pairs of runs.  Pair i
 (0-based) runs the benchmark command on seed 21 + i, with ``--seconds`` set
 to the declared ``run_seconds`` and ``--trace 0``: in the parent first when
 i is even, in the change first when i is odd.  Every run has
-``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains caches.  The file
+``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains caches.  A run that
+exits nonzero, or whose result reads other than ``correct: true`` and
+``failed: 0``, stops the writer with no file written.  The file
 gets the shape of ``BENCH_8.json``, which ``tests/test_bench_files.py``
 checks, with the calibrated end-to-end metrics of each run's last stdout
 line.
@@ -130,7 +132,13 @@ def run_once(tree: Path, benchmark: dict, workload: str, seed: int) -> dict:
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
+    result = json.loads(done.stdout.splitlines()[-1])
+    # run.py exits 0 on wrong answers too; a wrong program's speed is no measurement.
+    if result.get("correct") is not True or result.get("failed") != 0:
+        print(f"error: {tree}: workload {workload}, seed {seed} read correct: {result.get('correct')},"
+              f" failed: {result.get('failed')}", file=sys.stderr)
+        raise SystemExit(2)
+    return result
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:

@@ -24,8 +24,9 @@ arithmetic with one gcd reduction; a0..a3 still read back as Fractions.
 ``_Record`` is the base of the package's value classes (ChowClass,
 Hypersurface, the descriptors, catalog entries, analysis records, expression
 nodes): immutable, but not dataclasses, so ``dataclasses.fields``, ``replace``
-and ``asdict`` do not apply.  Fields are slots, with no instance dict; a
-subclass that defines its own ``__init__`` keeps it (ChowClass does).
+and ``asdict`` do not apply.  Fields are slots, with no instance dict, stored
+through a hidden mutable twin that ``__subclasses__()`` lists; a subclass
+that defines its own ``__init__`` keeps it, with no twin (ChowClass does).
 ``expr.evaluate`` checks the degree at each cat() (``UnsupportedDegreeError``).
 """
 
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 Rational = int | Fraction
+_TWIN = {"__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__}
 
 
 def _rat(value: Rational) -> Rational:
@@ -73,10 +75,12 @@ class _RecordType(type):
         defaults = {n: ns.pop(n) for n in names if n in ns}  # a slot cannot share a class attribute's name
         cls = super().__new__(meta, name, bases, {**ns, "__slots__": names, "_fields": names})
         s = "_" * (1 + max(map(len, names), default=0))  # longer than any field, so no field shadows it
-        env = {f"{s}d{n}": v for n, v in defaults.items()} | {f"{s}s{n}": cls.__dict__[n].__set__ for n in names}
+        env = {f"{s}d{n}": v for n, v in defaults.items()} | {f"{s}c": cls, f"{s}r": object.__dict__["__class__"].__set__}
+        if "__init__" not in ns:  # __setattr__ and __delattr__ share a type slot, so _TWIN resets both
+            env[f"{s}t"] = super().__new__(meta, name, (cls,), {**_TWIN, "__module__": cls.__module__})
         exec(compile(
             f"def __init__({s}, {', '.join(f'{n}={s}d{n}' if n in defaults else n for n in names)}):\n"
-            + "".join(f" {s}s{n}({s}, {n})\n" for n in names)
+            + f" {s}r({s}, {s}t)\n" + "".join(f" {s}.{n} = {n}\n" for n in names) + f" {s}.__class__ = {s}c\n"
             + (f" {s}._validate()\n" if cls._validate is not _Record._validate else "")
             + f"def _values({s}):\n return ({''.join(f'{s}.{n}, ' for n in names)})",
             f"<record {cls.__qualname__}>", "exec",  # a filename per class, so profilers count each apart
@@ -93,10 +97,11 @@ class _Record(metaclass=_RecordType):
     ``__init__`` over its fields (unless it defines its own) that calls
     ``_validate`` if a class below this base defines one, and the repr,
     equality (within one class), hash and frozenness of a frozen dataclass.
-    Each field is a slot that ``__init__`` writes through its descriptor, so a
-    record is one object with no instance dict, and ``vars()`` does not apply
-    (tracemalloc on CPython 3.11: 72 rather than 176 bytes per four-field
-    record held in a list).  Pickling and copying go through the constructor.
+    Each field is a slot, so a record is one object with no instance dict, and
+    ``vars()`` does not apply (tracemalloc on CPython 3.11: 72 rather than 176
+    bytes per four-field record held in a list).  ``__init__`` stores the
+    fields through a hidden twin subclass with object's ``__setattr__``, which
+    ``__subclasses__()`` lists; pickling and copying go through the constructor.
     """
 
     __slots__ = ()

@@ -37,6 +37,8 @@ DEEP_EXPRESSIONS = {
     "nested_groups": "(" * 2000 + "o(1)" + ")" * 2000,
     "sum_chain": " ++ ".join(["o(1)"] * 1500),
     "twist_chain": "o(1)" + "(1)" * 1500,
+    "tensor_chain": " * ".join(["o(1)"] * 1500),
+    "dual_over_chain": "dual(" + " * ".join(["o(1)"] * 64) + ")",
 }
 
 # An integer literal past the interpreter's default 4,300-digit limit on

@@ -346,6 +346,24 @@ def test_every_chern_rejection_has_details_of_its_own_with_the_pair_sums_and_the
     assert _catalog_pairs() == table_before
 
 
+def test_a_trivial_split_occurs_only_at_m_zero():
+    # No twist F(m), m in [-3, -1], of a catalog entry is a catalog pair, so the
+    # trivial key {F(m), E} can only match at m = 0: its twisted half is dead.
+    pairs = {entry.pair for entry in catalog()}
+    for F in catalog():
+        for m in range(-3, 0):
+            Fm = twist(F.descriptor(), m, QUINTIC)
+            assert (Fm.c1, Fm.c2) not in pairs, (F.pair, m)
+    trivial = [
+        (F.pair, E.pair, m)
+        for F, E, m in _sweep()
+        for v in analyze_extension(F, E, m).verdicts
+        if v.filter == FILTER_TRIVIAL_SPLIT
+    ]
+    assert len(trivial) == 196
+    assert {m for *_, m in trivial} == {0}
+
+
 def test_the_pair_table_holds_each_catalog_pair_once_by_c1_sum_in_key_order():
     # The catalog's pairs are distinct, so combinations of the sorted catalog
     # need no second sort; check that premise on all 105 unordered pairs.

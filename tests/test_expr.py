@@ -117,7 +117,10 @@ def test_arity_errors_name_the_arguments_at_the_constructor_column(text, message
 
 @pytest.mark.parametrize(
     "shape, column",
-    [("nested_duals", 321), ("nested_groups", 65), ("sum_chain", 510), ("twist_chain", 194)],
+    [
+        ("nested_duals", 321), ("nested_groups", 65), ("sum_chain", 510), ("twist_chain", 194),
+        ("tensor_chain", 447), ("dual_over_chain", 1),
+    ],
 )
 def test_deep_expressions_are_rejected_at_the_level_past_the_limit(shape, column):
     with pytest.raises(ExpressionError, match=f"nested deeper than {MAX_DEPTH}") as excinfo:

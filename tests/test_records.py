@@ -4,8 +4,10 @@ Each record is compared with a frozen dataclass twin built here with the same
 name, fields and defaults: the same arguments must give the same repr and
 hash, and the record must equal only records of its own class.  A record is
 one object: its fields are slots, read back in declaration order however it
-was built, and it has no instance dict.  A sweep report keeps few objects
-for the cyclic GC to track.
+was built, and it has no instance dict.  The generated constructor stores
+the fields through a hidden mutable twin of the class, and no record it
+builds, in a sweep pass, an expression chunk or any record class, stays a
+twin.  A sweep report keeps few objects for the cyclic GC to track.
 """
 
 import copy
@@ -15,9 +17,11 @@ import inspect
 import operator
 import pickle
 import pstats
+import sys
 from dataclasses import FrozenInstanceError, field, make_dataclass
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +32,12 @@ from acmbundles import (
 from acmbundles.analysis import CaseReport, ExtensionCase, SplitVerdict
 from acmbundles.catalog import CatalogEntry
 from acmbundles.chowring import _Record
-from acmbundles.expr import Dual, Sum, Tensor, Twist
+from acmbundles.expr import Dual, Sum, Tensor, Twist, evaluate, parse
 
 from oracles import descriptor_rule
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import expr_chunk  # noqa: E402
 
 REQUIRED = object()
 
@@ -315,13 +322,18 @@ def test_no_field_is_shadowed_by_the_generated_init():
     assert _fields(_Shadowing(**keywords)) == list(keywords.items())
 
 
+def _is_twin(cls):
+    """Whether cls is the hidden mutable twin that a generated __init__ stores fields through."""
+    return cls.__setattr__ is object.__setattr__
+
+
 def _package_records():
-    """Every _Record subclass the package defines, found through __subclasses__()."""
+    """Every _Record subclass the package defines, found through __subclasses__(), less the twins."""
     found, todo = [], [_Record]
     while todo:
         for cls in todo.pop().__subclasses__():
             todo.append(cls)
-            if cls.__module__.startswith("acmbundles."):
+            if cls.__module__.startswith("acmbundles.") and not _is_twin(cls):
                 found.append(cls)
     return sorted(found, key=lambda cls: cls.__name__)
 
@@ -380,3 +392,70 @@ def test_a_sweep_report_keeps_few_objects_the_gc_tracks():
     reports, tracked = _tracked_after(lambda: [analyze_extension(F, E, m) for F, E, m in triples])
     assert len(reports) == 784
     assert tracked <= 15 * len(reports), tracked / len(reports)
+
+
+_TEST_RECORDS = {_Checked: (3,), _CheckedChild: (3, "x"), _Plain: (-1,), _CheckedBelowPlain: (3,),
+                 _Shadowing: (0, 1, 5, 6, 7)}
+
+
+def _records_built(run):
+    """(class, record) for each record a generated __init__ built during ``run()``, read as it returns."""
+    classes = _package_records() + list(_TEST_RECORDS)
+    by_code = {id(cls.__init__.__code__): cls for cls in classes}  # code objects compare by value
+    built = []
+
+    def hook(frame, event, arg):
+        if event == "return" and id(frame.f_code) in by_code:
+            built.append((by_code[id(frame.f_code)], frame.f_locals[frame.f_code.co_varnames[0]]))
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+def _sweep_pass():
+    for F in catalog():
+        for E in catalog():
+            for m in range(-3, 1):
+                analyze_extension(F, E, m)
+
+
+def _expr_chunk():
+    for r, _, text, _ in expr_chunk(1, 0):
+        evaluate(parse(text), Hypersurface(r))
+
+
+def _each_record_class():
+    for cls in _package_records():
+        _, args = EXAMPLES[cls]
+        cls(*(args() if callable(args) else args))
+    for cls, args in _TEST_RECORDS.items():
+        cls(*args)
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (_sweep_pass, {BundleDescriptor, ExtensionCase, SplitVerdict, CaseReport}),
+        (_expr_chunk, {BundleDescriptor, Hypersurface, Dual, Twist, Tensor, Sum}),
+        (_each_record_class, {*_package_records(), *_TEST_RECORDS} - {ChowClass, CatalogEntry}),
+    ],
+    ids=["sweep-pass", "expr-chunk", "each-record-class"],
+)
+def test_every_record_a_generated_init_builds_leaves_it_as_its_own_class_and_frozen(run, expected):
+    # The generated __init__ stores the fields through a hidden mutable twin of
+    # the class and re-tags the record back: no record may stay a twin.
+    built = _records_built(run)
+    assert {cls for cls, _ in built} >= expected
+    assert all(not _is_twin(cls) and cls.__slots__ == cls._fields for cls in expected)
+    for cls, record in built:
+        assert type(record) is cls
+    for cls, record in {cls: record for cls, record in built}.items():
+        for name in cls._fields:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 0)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)

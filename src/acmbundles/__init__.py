@@ -31,7 +31,7 @@ from .bundles import (
     twist,
 )
 from .catalog import CatalogEntry, catalog, h0_acm_twist, lookup
-from .chowring import QUINTIC, ChowClass, Hypersurface, UnsupportedDegreeError, integrate
+from .chowring import QUINTIC, ChowClass, Hypersurface, UnsupportedDegreeError
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "Hypersurface",
     "QUINTIC",
     "UnsupportedDegreeError",
-    "integrate",
     "BundleDescriptor",
     "NotBundleClassError",
     "to_ch",

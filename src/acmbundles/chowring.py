@@ -15,6 +15,10 @@ elsewhere in this package integral.
 The ring operations are methods of Hypersurface; QUINTIC is X_5 (the field
 default), the one degree the rank-2 catalog lives on.  ``todd`` is memoised
 in a dict keyed by the integer degree r, so chi never hashes a Hypersurface.
+A ChowClass is read, not combined: a0..a3, ``coefficients()``, equality,
+hash, ``repr`` (which ``str`` falls back to) and pickling.  It has no +, -
+or scalar *; the one product is ``Hypersurface.mul``, and the degree map is
+the pt-coefficient ``x.a3``.
 
 All coefficients are exact rationals; floats are rejected, as equality tests
 must be exact.  A ChowClass keeps four integer numerators over one positive
@@ -40,7 +44,6 @@ __all__ = [
     "Hypersurface",
     "QUINTIC",
     "UnsupportedDegreeError",
-    "integrate",
 ]
 
 Rational = int | Fraction
@@ -158,43 +161,9 @@ class ChowClass(_Record):
     def __reduce__(self):
         return (_over, self.scaled)
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        d, *x = self.scaled
-        e, *y = other.scaled
-        return _over(d * e, *(a * e + b * d for a, b in zip(x, y)))
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ChowClass":
-        d, *x = self.scaled
-        return _over(d, *(-a for a in x))
-
-    def __mul__(self, scalar: Rational) -> "ChowClass":
-        # Products of two classes need the ambient degree r: use Hypersurface.mul.
-        if isinstance(scalar, ChowClass):
-            raise TypeError("use Hypersurface.mul(x, y) to multiply two classes")
-        k = _rat(scalar)
-        d, *x = self.scaled
-        return _over(d * k.denominator, *(k.numerator * a for a in x))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         fields = (f"a{i}={coeff!r}" for i, coeff in enumerate(self.coefficients()))
         return f"ChowClass({', '.join(fields)})"
-
-    def __str__(self) -> str:
-        parts = []
-        for coeff, symbol in zip(self.coefficients(), ("", "H", "ell", "pt")):
-            if coeff == 0:
-                continue
-            parts.append(str(coeff) if not symbol else f"{coeff}*{symbol}")
-        return " + ".join(parts) if parts else "0"
 
 
 _store = ChowClass.scaled.__set__  # the one write, past the frozen __setattr__
@@ -206,13 +175,6 @@ def _over(d: int, n0: int, n1: int, n2: int, n3: int) -> ChowClass:
     x = object.__new__(ChowClass)
     _store(x, (d // g, n0 // g, n1 // g, n2 // g, n3 // g))
     return x
-
-
-def integrate(x: ChowClass, y: ChowClass = ChowClass(1)) -> Fraction:
-    """Degree map: the pt-coefficient of x.y, with no product formed (y = 1: of x); x.y.z needs r."""
-    d, x0, x1, x2, x3 = x.scaled
-    e, y0, y1, y2, y3 = y.scaled
-    return Fraction(x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0, d * e)
 
 
 # The Todd class of X_r for each degree r that has asked for it.

@@ -104,10 +104,7 @@ _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 def _catalog_leaf(c1: int, c2: int) -> CatalogEntry:
-    entry = lookup(c1, c2)
-    if entry is None:
-        raise ValueError(f"unknown catalog pair ({c1},{c2})")
-    return entry
+    return lookup(c1, c2) or CatalogEntry(c1, c2)  # the constructor refuses an unknown pair
 
 
 # Leaf name -> (the value it builds, (fewest, most) integers and how to name them, its error prefix).

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acmbundles import BundleDescriptor, ChowClass, Hypersurface, integrate
+from acmbundles import BundleDescriptor, ChowClass, Hypersurface
 from acmbundles.chowring import _over
 
 import oracles
@@ -17,6 +17,11 @@ from strategies import chow_classes, hypersurfaces
 
 X5 = Hypersurface(5)
 H = ChowClass(0, 1, 0, 0)
+
+
+def _add(x, y):
+    # A class has no +: the sum of two classes, built from their coefficients.
+    return ChowClass(*(a + b for a, b in zip(x.coefficients(), y.coefficients())))
 
 
 def test_h_squared_is_r_ell():
@@ -34,7 +39,7 @@ def test_character_product_pt_coefficient():
     # ch(F) . ch(E*) for F = (4,30), E = (1,8) on the quintic.
     ch_f = ChowClass(2, 4, 10, Fraction(-20, 3))
     ch_e_dual = ChowClass(2, -1, Fraction(-11, 2), Fraction(19, 6))
-    assert integrate(X5.mul(ch_f, ch_e_dual)) == -39
+    assert X5.mul(ch_f, ch_e_dual).a3 == -39
 
 
 def test_exp_h_values():
@@ -50,19 +55,6 @@ def test_exp_h_is_a_homomorphism():
         for n in range(-5, 6):
             for m in range(-5, 6):
                 assert X.mul(X.exp_h(n), X.exp_h(m)) == X.exp_h(n + m)
-
-
-def test_integrate_reads_point_coefficient():
-    assert integrate(ChowClass(0, 0, 0, 7)) == 7
-    assert integrate(ChowClass(1, 2, 3, Fraction(-1, 2))) == Fraction(-1, 2)
-
-
-@pytest.mark.parametrize("r", range(1, 9))
-@given(chow_classes(), chow_classes())
-def test_two_factor_integrate_is_the_integral_of_the_product(r, x, y):
-    assert integrate(x, y) == integrate(Hypersurface(r).mul(x, y))
-    assert integrate(x, y) == integrate(y, x)
-    assert integrate(x) == integrate(x, ChowClass(1))
 
 
 # Each basis class over a denominator of its own, and two dense classes.  The triple
@@ -84,7 +76,7 @@ def test_the_triple_reader_is_the_integral_of_the_product(r):
     for x, y, z in product(TRIPLE_FACTORS, repeat=3):
         num, den = X._point(x, y, z)
         assert type(num) is type(den) is int and den > 0
-        assert Fraction(num, den) == integrate(X.mul(X.mul(x, y), z)) == integrate(X.mul(x, y), z), (x, y, z)
+        assert Fraction(num, den) == X.mul(X.mul(x, y), z).a3 == X.mul(x, X.mul(y, z)).a3, (x, y, z)
 
 
 def test_tangent_chern_quintic():
@@ -107,7 +99,7 @@ def test_tangent_chern_quadric():
     [(1, 4), (2, 4), (3, -6), (4, -56), (5, -200)],
 )
 def test_topological_euler_characteristics(r, euler):
-    assert integrate(Hypersurface(r).tangent_chern()) == euler
+    assert Hypersurface(r).tangent_chern().a3 == euler
 
 
 def test_todd_quintic():
@@ -117,12 +109,12 @@ def test_todd_quintic():
 def test_todd_degree_one_is_p3():
     X = Hypersurface(1)
     assert X.todd() == ChowClass(1, 2, Fraction(11, 6), 1)
-    assert integrate(X.todd()) == 1
+    assert X.todd().a3 == 1
 
 
 @pytest.mark.parametrize("r, chi", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 0), (6, -4)])
 def test_integrated_todd_is_chi_of_structure_sheaf(r, chi):
-    assert integrate(Hypersurface(r).todd()) == chi
+    assert Hypersurface(r).todd().a3 == chi
 
 
 def test_tangent_chern_and_todd_for_every_degree_up_to_50():
@@ -148,7 +140,7 @@ def test_mul_associative(x, y, z, X):
 
 @given(chow_classes(), chow_classes(), chow_classes(), hypersurfaces())
 def test_mul_distributive(x, y, z, X):
-    assert X.mul(x, y + z) == X.mul(x, y) + X.mul(x, z)
+    assert X.mul(x, _add(y, z)) == _add(X.mul(x, y), X.mul(x, z))
 
 
 @given(chow_classes(), hypersurfaces())
@@ -156,30 +148,26 @@ def test_one_is_neutral(x, X):
     assert X.mul(ChowClass(1), x) == x
 
 
-@given(chow_classes())
-def test_additive_inverse(x):
-    assert x - x == ChowClass()
-
-
-def test_scalar_multiplication():
-    x = ChowClass(1, 2, 3, 4)
-    assert 2 * x == ChowClass(2, 4, 6, 8)
-    assert Fraction(1, 2) * x == ChowClass(Fraction(1, 2), 1, Fraction(3, 2), 2)
-
-
-def test_class_times_class_needs_hypersurface():
-    with pytest.raises(TypeError):
-        ChowClass(1) * ChowClass(1)
-
-
 @pytest.mark.parametrize(
-    "operation",
-    [lambda: ChowClass(1) + 1, lambda: 1 + ChowClass(1), lambda: ChowClass(1) - 1, lambda: 1 - ChowClass(1)],
-    ids=["class+int", "int+class", "class-int", "int-class"],
+    "operation, message",
+    [
+        (lambda: ChowClass(1) + 1, "unsupported operand"),
+        (lambda: 1 + ChowClass(1), "unsupported operand"),
+        (lambda: ChowClass(1) - 1, "unsupported operand"),
+        (lambda: 1 - ChowClass(1), "unsupported operand"),
+        (lambda: ChowClass(1) + ChowClass(1), "unsupported operand"),
+        (lambda: ChowClass(1) - ChowClass(1), "unsupported operand"),
+        (lambda: -ChowClass(1), "bad operand type for unary -"),
+        (lambda: 2 * ChowClass(1), "unsupported operand"),
+        (lambda: ChowClass(1) * ChowClass(1), "unsupported operand"),
+    ],
+    ids=["class+int", "int+class", "class-int", "int-class", "class+class", "class-class", "-class", "int*class",
+         "class*class"],
 )
-def test_adding_or_subtracting_a_number_is_a_type_error(operation):
-    # A number is no class: __add__ and __sub__ return NotImplemented, and Python raises.
-    with pytest.raises(TypeError, match="unsupported operand"):
+def test_adding_or_subtracting_a_number_is_a_type_error(operation, message):
+    # A class has no arithmetic operator at all: Python itself refuses each of these.  The
+    # product of two classes needs the degree r, so it is Hypersurface.mul.
+    with pytest.raises(TypeError, match=message):
         operation()
 
 
@@ -194,10 +182,6 @@ def test_floats_bools_and_other_types_are_rejected_everywhere(bad):
         ChowClass(bad, 0, 0, 0)
     with pytest.raises(TypeError):
         ChowClass(0, 0, 0, a3=bad)
-    with pytest.raises(TypeError):
-        bad * ChowClass(1)
-    with pytest.raises(TypeError):
-        ChowClass(1) * bad
 
 
 def _is_canonical(x):
@@ -208,8 +192,8 @@ def test_built_and_computed_classes_are_equal_and_hash_equal():
     pairs = [
         (ChowClass(1, -1, Fraction(5, 2), Fraction(-5, 6)), X5.exp_h(-1)),
         (ChowClass(0, 0, 5, 0), X5.mul(H, H)),
-        (ChowClass(Fraction(4, 2), Fraction(3, 3), 0, 0), ChowClass(1) + ChowClass(1, 1)),
-        (ChowClass(), X5.exp_h(3) - X5.exp_h(3)),
+        (ChowClass(Fraction(4, 2), Fraction(3, 3), 0, 0), X5.mul(ChowClass(2), ChowClass(1, Fraction(1, 2)))),
+        (ChowClass(), X5.mul(ChowClass(0, 0, Fraction(1, 2)), ChowClass(0, 0, Fraction(1, 3)))),
         (ChowClass(1, 0, Fraction(25, 6), 0), X5.todd()),
     ]
     for built, computed in pairs:
@@ -220,8 +204,11 @@ def test_built_and_computed_classes_are_equal_and_hash_equal():
 
 @given(chow_classes(), chow_classes(), hypersurfaces(), st.integers(-6, 6))
 def test_operations_keep_the_canonical_form(x, y, X, n):
-    for z in (x, y, X.mul(x, y), x + y, x - y, -x, Fraction(3, 4) * x, X.exp_h(n), X.todd()):
+    scaled_by_three_quarters = X.mul(ChowClass(Fraction(3, 4)), x)
+    over_six_times = _over(*(6 * v for v in x.scaled))
+    for z in (x, y, X.mul(x, y), _add(x, y), scaled_by_three_quarters, over_six_times, X.exp_h(n), X.todd()):
         assert _is_canonical(z)
+    assert over_six_times == x
     assert (x == y) == (x.coefficients() == y.coefficients())
     assert X.mul(x, y).coefficients() == oracles.mul(X.r, x.coefficients(), y.coefficients())
 
@@ -229,7 +216,7 @@ def test_operations_keep_the_canonical_form(x, y, X, n):
 def test_coefficients_read_back_as_fractions():
     x = X5.exp_h(1)
     assert x.scaled == (6, 6, 6, 15, 5)
-    for value in (*x.coefficients(), x.a0, x.a1, x.a2, x.a3, integrate(x)):
+    for value in (*x.coefficients(), x.a0, x.a1, x.a2, x.a3):
         assert type(value) is Fraction
     assert x.coefficients() == (1, 1, Fraction(5, 2), Fraction(5, 6))
     assert (x.a0, x.a1, x.a2, x.a3) == x.coefficients()
@@ -250,12 +237,11 @@ def test_classes_are_immutable():
 
 def test_text_forms_and_pickling():
     x = X5.exp_h(-1)
-    assert str(x) == "1 + -1*H + 5/2*ell + -5/6*pt"
-    assert str(ChowClass()) == "0"
     assert repr(x) == (
         "ChowClass(a0=Fraction(1, 1), a1=Fraction(-1, 1), "
         "a2=Fraction(5, 2), a3=Fraction(-5, 6))"
     )
+    assert str(x) == repr(x)
     assert pickle.loads(pickle.dumps(x)) == x
 
 
@@ -293,7 +279,7 @@ def test_pickle_bytes_are_unchanged_and_load(protocol):
 
 
 def test_equality_is_only_with_a_class_and_equal_classes_hash_equal():
-    x, y = ChowClass(1, 2, 3, 4), X5.exp_h(1) - X5.exp_h(1) + ChowClass(1, 2, 3, 4)
+    x, y = ChowClass(1, 2, 3, 4), X5.mul(ChowClass(Fraction(1, 2), 1, Fraction(3, 2), 2), ChowClass(2))
     assert x == y and hash(x) == hash(y)
     assert x != x.scaled and x.scaled != x
     assert x != Hypersurface(5) and ChowClass(5) != Hypersurface(5)

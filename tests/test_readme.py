@@ -38,6 +38,7 @@ def test_library_block_runs_and_states_its_values():
     assert values["chi_hrr(E, X)"] == 10
     assert values["chi_rank2(4, 30)"] == 10
     assert values["to_ch(E, X)"].coefficients() == (2, 4, 10, Fraction(-20, 3))
+    assert values["X.mul(to_ch(E, X), X.todd()).a3"] == 10
     assert values["extension_cases()[0].chi_tensor"] == -14
     pairing = values["euler_pairing(BundleDescriptor(2, 1, 8), E, X)"]
     assert type(pairing) is Fraction and pairing == -14

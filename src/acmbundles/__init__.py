@@ -13,25 +13,15 @@ The package has four library layers and a CLI:
 * :mod:`acmbundles.cli` / :mod:`acmbundles.expr` — command line and a small
   expression language for bundle arithmetic.
 
-Only the analysis names are loaded on first access; ``acmbundles.catalog`` is
-the function, not the submodule.
+The package re-exports ``chowring.__all__``, ``bundles.__all__`` and the
+catalog's four names; the analysis names are loaded on first access, and
+``acmbundles.catalog`` is the function, not the submodule.
 """
 
-from .bundles import (
-    BundleDescriptor,
-    NotBundleClassError,
-    chi_hrr,
-    chi_rank2,
-    direct_sum,
-    dual,
-    euler_pairing,
-    from_ch,
-    tensor,
-    to_ch,
-    twist,
-)
+from . import bundles, chowring
+from .bundles import *  # noqa: F403
 from .catalog import CatalogEntry, catalog, h0_acm_twist, lookup
-from .chowring import QUINTIC, ChowClass, Hypersurface, UnsupportedDegreeError
+from .chowring import *  # noqa: F403
 
 __version__ = "0.1.0"
 
@@ -46,29 +36,8 @@ _ANALYSIS = (
     "analyze_extension",
 )
 
-__all__ = [
-    "__version__",
-    "ChowClass",
-    "Hypersurface",
-    "QUINTIC",
-    "UnsupportedDegreeError",
-    "BundleDescriptor",
-    "NotBundleClassError",
-    "to_ch",
-    "from_ch",
-    "dual",
-    "twist",
-    "tensor",
-    "direct_sum",
-    "chi_hrr",
-    "chi_rank2",
-    "euler_pairing",
-    "CatalogEntry",
-    "catalog",
-    "lookup",
-    "h0_acm_twist",
-    *_ANALYSIS,
-]
+__all__ = ["__version__", *chowring.__all__, *bundles.__all__,
+           "CatalogEntry", "catalog", "lookup", "h0_acm_twist", *_ANALYSIS]
 
 
 def __getattr__(name: str):

@@ -21,29 +21,25 @@ The records are immutable value classes, not dataclasses.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
-normalized catalog entries whose c1 values add up to c1(G).  The catalog's
-pairs are built once, on first use, grouped by c1 sum, each with its
-``direct_sum`` (the Whitney sum), c1 values, the h0 of both entries, whether
-either has c1 = 0 (the section-count convention flag) and the case-free half
-of its ``details``: c2 and c3 of the sum and the chi sum, in the final key
-order.  Each verdict gets its own copy of that dict, with the case's three
-targets and, for a Chern rejection, ``c1_disjoint`` filled in.  One
-bounded cache, ``_twisted``, holds F(m) with ch(F(m)) and ch(F(m)*) per
-(c1, c2, m); ``build_case`` reads F(m) and ch(F(m)) at the case's m, and E with
-ch(E*) at m = 0, and reads from them the integral of ``euler_pairing`` with
-its reader, ``Hypersurface._point``: an integer numerator and denominator, with
-no product formed and no Fraction built.  ``_classify`` reads chi(G) from
-``chi_hrr``, which builds no Chern character.
+normalized catalog entries whose c1 values add up to c1(G).  The pair table is
+built once, grouped by c1 sum; a row holds six fields: the pair, its key, the
+Whitney sum's Chern classes, the two c1 values, the two h0 and the case-free
+half of the ``details`` each verdict copies (c2 and c3 of the sum, the chi sum).
+The trivial key {F(m), E} and the counts h0(F(m)), h0(E) are facts of the case,
+decided once per case.  ``build_case`` reads chi(E, F(m)) with
+``Hypersurface._point`` from the Chern characters ``_twisted`` caches.
 ``_classify`` disposes of each candidate by the first applicable filter and
 builds the case report:
 
 * ``chern-mismatch``  — the direct sum's c2 misses c2(G);
 * ``trivial-split``   — the pair is exactly {F(m), E}, which a nontrivial
-  extension class rules out;
+  extension class rules out.  It needs m = 0: no F(m) with m < 0 is a catalog
+  pair (checked for m in [-3, -1]; below, c1(F(m)) <= 4 - 8 is under the least
+  catalog c1, -2);
 * ``h0-mismatch``     — section counts differ: an extension of ACM bundles
   has h0(G) = h0(F(m)) + h0(E), while a sum has h0(G1) + h0(G2).  Every count
   is the catalog's ``h0`` (each entry is normalized, so F(m) has none for
-  m < 0); the pair's two counts come with its row of the pair table;
+  m < 0), and a count of a c1 = 0 entry brings in ``NOTE_H0_CONVENTION``;
 * ``undecided``       — no numeric filter applies (never happens in the
   seven table cases).
 
@@ -178,10 +174,8 @@ def extension_cases() -> tuple[ExtensionCase, ...]:
     )
 
 
-# A catalog pair: (P, Q), its key, the Chern classes of the Whitney sum P + Q and
-# again its c2, {c1(P), c1(Q)}, (h0(P), h0(Q)), whether either entry has c1 = 0, so
-# that its h0 rests on the c1 = 0 convention, and the case-free half of its details,
-# in their final key order, which _classify copies and fills in for each verdict.
+# A row: the pair (P, Q), its key, the Whitney sum's Chern classes, {c1(P), c1(Q)},
+# (h0(P), h0(Q)) and the case-free half of the verdict's details, in their final key order.
 @lru_cache(maxsize=1)
 def _catalog_pairs() -> dict[int, list[tuple]]:
     """The catalog's unordered pairs by c1 sum, in ``pair_key`` order, with their static facts.
@@ -193,9 +187,9 @@ def _catalog_pairs() -> dict[int, list[tuple]]:
     for P, Q in combinations_with_replacement(sorted(catalog(), key=lambda entry: entry.pair), 2):
         S = direct_sum(P.descriptor(), Q.descriptor(), QUINTIC)
         table.setdefault(S.c1, []).append(
-            ((P, Q), (P.pair, Q.pair), S.chern_tuple(), S.c2, frozenset((P.c1, Q.c1)), (P.h0, Q.h0),
-             0 in (P.c1, Q.c1), {"c2_sum": S.c2, "c2_target": None, "c3_sum": S.c3, "c3_target": None,
-                                 "chi_sum": P.chi + Q.chi, "chi_target": None, "c1_disjoint": None})
+            ((P, Q), (P.pair, Q.pair), S.chern_tuple(), frozenset((P.c1, Q.c1)), (P.h0, Q.h0),
+             {"c2_sum": S.c2, "c2_target": None, "c3_sum": S.c3, "c3_target": None,
+              "chi_sum": P.chi + Q.chi, "chi_target": None, "c1_disjoint": None})
         )
     return table
 
@@ -206,30 +200,33 @@ def _classify(case: ExtensionCase) -> CaseReport:
     Whitney survivors become the verdicts and Chern rejections the
     ``rejected`` list, both in the pair table's ``pair_key`` order.
     """
-    G, Fm, E = case.G, case.F_twisted, case.E
+    G, F, E, m = case.G, case.F, case.E, case.m
     c2_target, c3_target, e_c1 = G.c2, G.c3, E.c1
     chi_target = _exact_int(chi_hrr(G, QUINTIC), "chi")
+    # Only m = 0 can split trivially: no F(m), m < 0, is a catalog pair (see the module docstring).
+    trivial = m == 0 and tuple(sorted((F.pair, E.pair)))
+    h0_Fm, h0_E = F.h0 if m == 0 else 0, E.h0
+    case_convention = (m == 0 and F.c1 == 0) or e_c1 == 0
 
     survivors: list[SplitVerdict] = []
     rejected: list[SplitVerdict] = []
     used_convention = undecided = False
 
-    for pair, key, sum_chern, c2_sum, c1s, h0s, pair_convention, row_details in _catalog_pairs().get(G.c1, ()):
+    for pair, key, sum_chern, c1s, h0s, row_details in _catalog_pairs().get(G.c1, ()):
         details = row_details.copy()
         details["c2_target"] = c2_target
         details["c3_target"] = c3_target
         details["chi_target"] = chi_target
-        if c2_sum != c2_target:
+        if sum_chern[1] != c2_target:
             # c1(P) + c1(Q) = c1(F(m)) + c1(E): a pair holds c1(F(m)) exactly when it holds c1(E).
             details["c1_disjoint"] = e_c1 not in c1s
             rejected.append(SplitVerdict(pair, sum_chern, FILTER_CHERN_MISMATCH, details))
             continue
         del details["c1_disjoint"]  # only a Chern rejection carries it
-        if key == tuple(sorted(((Fm.c1, Fm.c2), E.pair))):
+        if key == trivial:
             kind = FILTER_TRIVIAL_SPLIT
         else:
-            h0_Fm, h0_E = case.F.h0 if case.m == 0 else 0, E.h0
-            used_convention = used_convention or pair_convention or (case.m == 0 and case.F.c1 == 0) or e_c1 == 0
+            used_convention = used_convention or case_convention or 0 in c1s
             details |= {"h0_F_m": h0_Fm, "h0_E": h0_E, "h0_pair": list(h0s)}
             kind = FILTER_UNDECIDED
             if None in (h0_Fm, h0_E, *h0s):

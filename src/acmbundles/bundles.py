@@ -62,8 +62,8 @@ class BundleDescriptor(_Record):
         rank, c1, c2, c3 = self.rank, self.c1, self.c2, self.c3
         # Every descriptor an operation returns is checked here; one type test keeps that cheap.
         if not (type(rank) is type(c1) is type(c2) is type(c3) is int):
-            for name in ("rank", "c1", "c2", "c3"):  # names the first bad field
-                _integer(getattr(self, name), name)
+            for name, value in zip(self._fields, self._values()):  # names the first bad field
+                _integer(value, name)
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         if rank == 1 and (c2 != 0 or c3 != 0):

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 from .bundles import BundleDescriptor, chi_hrr, to_ch
 from .catalog import CASE_INDICES, CatalogEntry, catalog
-from .chowring import QUINTIC, Hypersurface
+from .chowring import QUINTIC, Hypersurface, _Record
 
 if TYPE_CHECKING:
     from .analysis import CaseReport, ExtensionCase, SplitVerdict
@@ -102,8 +102,8 @@ def report_json(report: CaseReport, verbose: bool = False) -> dict[str, Any]:
     return out
 
 
-def entry_json(entry: CatalogEntry) -> dict[str, Any]:
-    return dict(zip(entry._fields, entry._values()))
+def fields_json(record: _Record) -> dict[str, Any]:
+    return dict(zip(record._fields, record._values()))
 
 
 def _json(value: Any) -> str:
@@ -191,7 +191,7 @@ def render_reports(reports: list[CaseReport], fmt: str, verbose: bool) -> str:
 
 
 def render_catalog(entries: tuple[CatalogEntry, ...], fmt: str) -> str:
-    records = [entry_json(e) for e in entries]
+    records = [fields_json(e) for e in entries]
     if fmt == "json":
         return _json(records)
     rows = [list(CatalogEntry._fields)] + [
@@ -212,8 +212,8 @@ def render_eval(
     from .expr import to_text
 
     if query == "chern":
-        fields = {"rank": result.rank, "c1": result.c1, "c2": result.c2, "c3": result.c3}
-        text = f"rank {result.rank}, c = {_cell((result.c1, result.c2, result.c3))}"
+        fields = fields_json(result)
+        text = f"rank {result.rank}, c = {_cell(result.chern_tuple())}"
     elif query == "ch":
         fields = dict(zip(("ch0", "ch1", "ch2", "ch3"), to_ch(result, X).coefficients()))
         text = "ch = (" + ", ".join(str(v) for v in fields.values()) + ")"

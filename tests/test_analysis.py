@@ -347,13 +347,19 @@ def test_every_chern_rejection_has_details_of_its_own_with_the_pair_sums_and_the
 
 
 def test_a_trivial_split_occurs_only_at_m_zero():
-    # No twist F(m), m in [-3, -1], of a catalog entry is a catalog pair, so the
-    # trivial key {F(m), E} can only match at m = 0: its twisted half is dead.
+    # No twist F(m), m < 0, of a catalog entry is a catalog pair, so _classify
+    # builds the trivial key {F(m), E} at m = 0 only.
     pairs = {entry.pair for entry in catalog()}
     for F in catalog():
         for m in range(-3, 0):
             Fm = twist(F.descriptor(), m, QUINTIC)
             assert (Fm.c1, Fm.c2) not in pairs, (F.pair, m)
+    # Below m = -3, c1(F(m)) = c1(F) + 2m falls under the least catalog c1.
+    c1s = [entry.c1 for entry in catalog()]
+    assert max(c1s) + 2 * -4 < min(c1s)
+    for F in catalog():
+        for m in range(-12, -3):
+            assert twist(F.descriptor(), m, QUINTIC).c1 == F.c1 + 2 * m < min(c1s), (F.pair, m)
     trivial = [
         (F.pair, E.pair, m)
         for F, E, m in _sweep()
@@ -372,9 +378,10 @@ def test_the_pair_table_holds_each_catalog_pair_once_by_c1_sum_in_key_order():
     for c1_sum, rows in table.items():
         group = [row[1] for row in rows]
         assert group == sorted(group), c1_sum
-        for (P, Q), key, *_ in rows:
+        for (P, Q), key, sum_chern, c1s, h0s, _ in rows:
             assert key == (P.pair, Q.pair) and P.pair <= Q.pair
-            assert P.c1 + Q.c1 == c1_sum, key
+            assert P.c1 + Q.c1 == c1_sum == sum_chern[0], key
+            assert c1s == {P.c1, Q.c1} and h0s == (P.h0, Q.h0), key
         keys += group
     pairs = sorted(entry.pair for entry in catalog())
     expected = {(p, q) for i, p in enumerate(pairs) for q in pairs[i:]}

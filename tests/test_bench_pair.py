@@ -66,6 +66,21 @@ print(json.dumps(json.loads(pathlib.Path("verdict.json").read_text())))
 """
 
 
+def _fake_trees(tmp_path: Path, benchmark: dict = BENCHMARK, wrong: dict | None = None) -> dict[str, Path]:
+    """Parent and change trees running ``FAKE_RUN``; ``wrong`` maps a side to the verdict keys it overrides."""
+    trees = {side: tmp_path / side for side in bench_pair.SIDES}
+    for side, tree in trees.items():
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tree / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        (tree / "verdict.json").write_text(json.dumps({**_result(1.0), **(wrong or {}).get(side, {})}))
+    return trees
+
+
+CLAIM = ["--parent-rev", "0", "--change", "x", "--claim", "sweep", "ops_per_s", "+1%"]
+
+
 @pytest.mark.parametrize(
     "wrong_side, verdict",
     [
@@ -76,20 +91,46 @@ print(json.dumps(json.loads(pathlib.Path("verdict.json").read_text())))
     ids=["change-incorrect", "change-failed", "parent-no-verdict"],
 )
 def test_the_writer_refuses_a_run_whose_answers_are_wrong(tmp_path, capsys, wrong_side, verdict):
-    trees = {side: tmp_path / side for side in bench_pair.SIDES}
-    for side, tree in trees.items():
-        (tree / "src").mkdir(parents=True)
-        (tree / "perfbench").mkdir()
-        (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
-        (tree / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-        (tree / "verdict.json").write_text(json.dumps({**_result(1.0), **(verdict if side == wrong_side else {})}))
+    trees = _fake_trees(tmp_path, wrong={wrong_side: verdict})
     out = tmp_path / "BENCH_1.json"
-    argv = [str(trees["parent"]), str(trees["change"]), "--parent-rev", "0", "--change", "x"]
     with pytest.raises(SystemExit) as stopped:
-        bench_pair.main(argv + ["--claim", "sweep", "ops_per_s", "+1%", "--out", str(out)])
+        bench_pair.main([str(trees["parent"]), str(trees["change"]), *CLAIM, "--out", str(out)])
     assert stopped.value.code == 2
     # Pair 0 runs the parent first, so either side's wrong answer stops the first pair.
     err = capsys.readouterr().err
     assert f"error: {trees[wrong_side]}: workload sweep, seed 21 read correct: {verdict['correct']}," in err
     assert f"failed: {verdict['failed']}" in err
     assert not out.exists()
+
+
+def test_without_a_claim_a_wrong_run_still_exits_2(tmp_path, capsys):
+    trees = _fake_trees(tmp_path, wrong={"change": {"correct": False}})
+    with pytest.raises(SystemExit) as stopped:
+        bench_pair.main([str(trees["parent"]), str(trees["change"])])
+    assert stopped.value.code == 2
+    assert f"error: {trees['change']}: workload sweep, seed 21 read correct: False, failed: 0" in capsys.readouterr().err
+
+
+def test_without_a_claim_the_pairs_run_and_are_summarised_but_no_file_is_written(tmp_path, capsys):
+    # One workload keeps the stand-in to 20 runs; the other declarations stay as BENCHMARK.json has them.
+    trees = _fake_trees(tmp_path, {**BENCHMARK, "workloads": BENCHMARK["workloads"][:1]})
+    before = sorted(tmp_path.rglob("*"))
+    assert bench_pair.main([str(trees["parent"]), str(trees["change"])]) == 0
+    assert sorted(tmp_path.rglob("*")) == before
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in err.splitlines()] == [f"sweep seed {seed}" for seed in range(21, 31)]
+    moves = ", ".join(f"{m['name']} +0.0% (0/10)" for m in BENCHMARK["end_to_end"])
+    assert out == f"sweep: correct True, failed 0; {moves}\n"
+
+
+@pytest.mark.parametrize(
+    "given",
+    [["--out", "BENCH_1.json"], ["--parent-rev", "0"], ["--change", "x"], CLAIM[:4], CLAIM[2:]],
+    ids=["out", "parent-rev", "change", "rev-and-change", "claim-without-rev-or-out"],
+)
+def test_the_claim_options_go_together(tmp_path, capsys, given):
+    trees = _fake_trees(tmp_path)
+    with pytest.raises(SystemExit) as stopped:
+        bench_pair.main([str(trees["parent"]), str(trees["change"]), *given])
+    assert stopped.value.code == 2
+    assert "--claim, --parent-rev, --change and --out go together" in capsys.readouterr().err

@@ -1,8 +1,9 @@
-"""Benchmark a change against its parent in alternating pairs and write a ``BENCH_<n>.json``.
+"""Benchmark a change against its parent in alternating pairs, and write a ``BENCH_<n>.json`` for a claim.
 
     python3 tools/bench_pair.py PARENT_TREE CHANGE_TREE --parent-rev SHA \\
         --change "what changed" --claim expr ops_per_s "+10% or more on the parent's median" \\
         --out BENCH_27.json
+    python3 tools/bench_pair.py PARENT_TREE CHANGE_TREE    # no claim: summary only
 
 Each tree is a source checkout without bytecode caches (``git archive`` of
 a commit, for instance), and both must hold the same benchmark files: those
@@ -13,10 +14,11 @@ to the declared ``run_seconds`` and ``--trace 0``: in the parent first when
 i is even, in the change first when i is odd.  Every run has
 ``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains caches.  A run that
 exits nonzero, or whose result reads other than ``correct: true`` and
-``failed: 0``, stops the writer with no file written.  The file
-gets the shape of ``BENCH_8.json``, which ``tests/test_bench_files.py``
-checks, with the calibrated end-to-end metrics of each run's last stdout
-line.
+``failed: 0``, stops the writer with no file written.  Every run prints one
+summary line per workload.  With ``--claim`` (which ``--parent-rev``,
+``--change`` and ``--out`` go with) the file gets the shape of
+``BENCH_8.json``, which ``tests/test_bench_files.py`` checks, with the
+calibrated end-to-end metrics of each run's last stdout line.
 Uses the standard library only.
 """
 
@@ -145,19 +147,22 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
     parser.add_argument("change", type=Path, help="source tree of the change")
-    parser.add_argument("--parent-rev", required=True, help="the parent commit, as the file names it")
-    parser.add_argument("--change", dest="description", required=True, help="one line on what the change does")
-    parser.add_argument("--claim", nargs=3, required=True, metavar=("WORKLOAD", "METRIC", "EXPECTED"))
-    parser.add_argument("--out", type=Path, required=True)
-    return parser.parse_args(argv)
+    parser.add_argument("--parent-rev", help="the parent commit, as the file names it")
+    parser.add_argument("--change", dest="description", help="one line on what the change does")
+    parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "EXPECTED"))
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    bench = (args.claim, args.parent_rev, args.description, args.out)
+    if None in bench and any(value is not None for value in bench):
+        parser.error("--claim, --parent-rev, --change and --out go together")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     names = [workload["name"] for workload in benchmark["workloads"]]
-    workload, metric, expected = args.claim
-    if workload not in names or metric not in {m["name"] for m in benchmark["end_to_end"]}:
+    if args.claim and (args.claim[0] not in names or args.claim[1] not in {m["name"] for m in benchmark["end_to_end"]}):
         print("error: the claim must name a workload and an end-to-end metric of BENCHMARK.json", file=sys.stderr)
         return 2
     for tree in (args.parent, args.change):
@@ -180,9 +185,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name} seed {seed}: ops_per_s {values}", file=sys.stderr, flush=True)
             results.append(pair)
         workloads[name] = workload_entry(benchmark["end_to_end"], seeds, results)
-    claim = {"workload": workload, "metric": metric, "expected": expected}
-    bench = bench_file(benchmark, args.parent_rev, args.description, claim, workloads)
-    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    if args.claim:
+        claim = dict(zip(("workload", "metric", "expected"), args.claim))
+        bench = bench_file(benchmark, args.parent_rev, args.description, claim, workloads)
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
     for name, entry in workloads.items():
         moves = ", ".join(f"{m} {e['relative_change']:+.1%} ({e['change_wins']}/{entry['pairs']})"
                           for m, e in entry["metrics"].items())

@@ -99,7 +99,6 @@ class ExtensionCase(_Record):
     m: int
     chi_tensor: int
     d_lower: int
-    F_twisted: BundleDescriptor
     G: BundleDescriptor
 
     @property
@@ -154,7 +153,7 @@ def build_case(
     num, den = QUINTIC._point(ch_E_dual, ch_Fm, QUINTIC.todd())
     chi_t = _exact_int(num, "chi", den)
     G = direct_sum(Fm, E0, QUINTIC)
-    return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), Fm, G)
+    return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), G)
 
 
 @lru_cache(maxsize=64)

@@ -10,8 +10,9 @@ onto another.  Descriptors are immutable value classes, not dataclasses.
 
 Every descriptor, whichever operation returns it, is built through the one
 constructor, which checks the same rule on every value it is given.
-``_exact_int`` reads every integer off an exact value (a Chern class, a chi),
-an int or a Fraction alike, through ``as_integer_ratio``.
+``_exact_int`` reads an integer off an exact value (a chi), an int or a
+Fraction alike, through ``as_integer_ratio``; ``from_ch`` reads c1..c3 by one
+``%`` on ints each, and calls it only for the message of a failing one.
 
 Conversion between Chern classes and the Chern character uses the Newton
 identities truncated at codimension three; on this ring
@@ -98,9 +99,16 @@ def from_ch(ch: ChowClass, X: Hypersurface) -> BundleDescriptor:
     d, n0, n1, n2, n3 = ch.scaled
     if n0 % d or n0 <= 0:
         raise NotBundleClassError(f"rank must be a positive integer, got {Fraction(n0, d)}")
-    c1 = _exact_int(n1, "c1", d)
-    c2 = _exact_int(r * c1 * c1 * d - 2 * n2, "c2", 2 * d)
-    c3 = _exact_int(6 * n3 - (r * c1**3 - 3 * c1 * c2) * d, "c3", 3 * d)
+    # A failing numerator goes to _exact_int only for its message.
+    if n1 % d:
+        _exact_int(n1, "c1", d)
+    c1 = n1 // d
+    if (num := r * c1 * c1 * d - 2 * n2) % (2 * d):
+        _exact_int(num, "c2", 2 * d)
+    c2 = num // (2 * d)
+    if (num := 6 * n3 - (r * c1**3 - 3 * c1 * c2) * d) % (3 * d):
+        _exact_int(num, "c3", 3 * d)
+    c3 = num // (3 * d)
     try:
         return BundleDescriptor(n0 // d, c1, c2, c3)
     except ValueError as exc:
@@ -114,7 +122,7 @@ def dual(E: BundleDescriptor) -> BundleDescriptor:
 
 def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
     """E(n) = E tensor O_X(n), through the Chern character."""
-    if _integer(n, "twist n") == 0:
+    if (n if type(n) is int else _integer(n, "twist n")) == 0:
         return E
     return from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
 

@@ -14,7 +14,8 @@ elsewhere in this package integral.
 
 The ring operations are methods of Hypersurface; QUINTIC is X_5 (the field
 default), the one degree the rank-2 catalog lives on.  ``todd`` is memoised
-in a dict keyed by the integer degree r, so chi never hashes a Hypersurface.
+in a dict keyed by the integer degree r, so chi never hashes a Hypersurface;
+``exp_h`` per (r, n) in a typed, bounded ``lru_cache``, ``_exp_h``.
 A ChowClass is read, not combined: a0..a3, ``coefficients()``, equality,
 hash, ``repr`` (which ``str`` falls back to) and pickling.  It has no +, -
 or scalar *; the one product is ``Hypersurface.mul``, and the degree map is
@@ -23,7 +24,8 @@ the pt-coefficient ``x.a3``.
 All coefficients are exact rationals; floats are rejected, as equality tests
 must be exact.  A ChowClass keeps four integer numerators over one positive
 common denominator in lowest terms, so each ring operation is integer
-arithmetic with one gcd reduction; a0..a3 still read back as Fractions.
+arithmetic with one gcd, whose division a gcd of 1 skips; a0..a3 still read
+back as Fractions.
 
 ``_Record`` is the base of the package's value classes (ChowClass,
 Hypersurface, the descriptors, catalog entries, analysis records, expression
@@ -37,6 +39,7 @@ that defines its own ``__init__`` keeps it, with no twin (ChowClass does).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
@@ -173,12 +176,19 @@ def _over(d: int, n0: int, n1: int, n2: int, n3: int) -> ChowClass:
     """The class (n0 + n1*H + n2*ell + n3*pt)/d for integers n_i and d > 0."""
     g = gcd(d, n0, n1, n2, n3)
     x = object.__new__(ChowClass)
-    _store(x, (d // g, n0 // g, n1 // g, n2 // g, n3 // g))
+    _store(x, (d, n0, n1, n2, n3) if g == 1 else (d // g, n0 // g, n1 // g, n2 // g, n3 // g))
     return x
 
 
 # The Todd class of X_r for each degree r that has asked for it.
 _TODD: dict[int, ChowClass] = {}
+
+
+# ch(O_X(n)) by (r, n).  Bounded, as n comes from user expressions; typed, so that
+# exp_h(1.0) or exp_h(Fraction(2)) still raises once exp_h(1) or exp_h(2) is held.
+@lru_cache(maxsize=256, typed=True)
+def _exp_h(r: int, n: int) -> ChowClass:
+    return _over(6, 6, 6 * n, 3 * r * n * n, r * n**3)
 
 
 class Hypersurface(_Record):
@@ -220,9 +230,9 @@ class Hypersurface(_Record):
         """Chern character of O_X(n): the truncated exponential of n*H.
 
         The series 1 + nH + n^2 H^2/2 + n^3 H^3/6 becomes
-        (1, n, r n^2/2, r n^3/6) in basis units.
+        (1, n, r n^2/2, r n^3/6) in basis units, memoised per (r, n).
         """
-        return _over(6, 6, 6 * n, 3 * self.r * n * n, self.r * n**3)
+        return _exp_h(self.r, n)
 
     def tangent_chern(self) -> ChowClass:
         """Total Chern class of the tangent bundle T_X: (1+H)^5/(1+rH) up to H^3."""

@@ -119,8 +119,29 @@ def test_without_a_claim_the_pairs_run_and_are_summarised_but_no_file_is_written
     assert sorted(tmp_path.rglob("*")) == before
     out, err = capsys.readouterr()
     assert [line.split(":")[0] for line in err.splitlines()] == [f"sweep seed {seed}" for seed in range(21, 31)]
-    moves = ", ".join(f"{m['name']} +0.0% (0/10)" for m in BENCHMARK["end_to_end"])
-    assert out == f"sweep: correct True, failed 0; {moves}\n"
+    lines = [f"  {m['name']} 1 -> 1 (+0.0%, 0/10 wins, parent IQR 0.0%)\n" for m in BENCHMARK["end_to_end"]]
+    assert out == "sweep: correct True, failed 0\n" + "".join(lines)
+
+
+def test_the_summary_gives_each_metric_its_medians_change_wins_and_the_parents_iqr_share(tmp_path, capsys):
+    # The stand-in reads 1.0 in the parent and 1.1 in the change, on every metric and seed.
+    trees = _fake_trees(tmp_path, {**BENCHMARK, "workloads": BENCHMARK["workloads"][:1]})
+    (trees["change"] / "verdict.json").write_text(json.dumps(_result(1.1)))
+    assert bench_pair.main([str(trees["parent"]), str(trees["change"])]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "sweep: correct True, failed 0"
+    wins = {"higher": 10, "lower": 0}
+    assert out[1:] == [
+        f"  {m['name']} 1 -> 1.1 (+10.0%, {wins[m['better']]}/10 wins, parent IQR 0.0%)" for m in BENCHMARK["end_to_end"]
+    ]
+
+
+def test_the_parents_iqr_share_is_its_quartile_gap_over_its_median():
+    # Parent runs 80, 90, 100, 110, 120: quartiles 90 and 110 over a median of 100.
+    results = [{"parent": _result(80.0 + 10 * k), "change": _result(95.0 + 10 * k)} for k in range(5)]
+    entry = bench_pair.workload_entry(BENCHMARK["end_to_end"][:1], [21, 22, 23, 24, 25], results)
+    line = bench_pair.metric_line("ops_per_s", entry["metrics"]["ops_per_s"], entry["pairs"])
+    assert line == "ops_per_s 100 -> 115 (+15.0%, 5/5 wins, parent IQR 20.0%)"
 
 
 @pytest.mark.parametrize(

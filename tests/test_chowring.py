@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acmbundles import BundleDescriptor, ChowClass, Hypersurface
+from acmbundles import BundleDescriptor, ChowClass, Hypersurface, chowring
 from acmbundles.chowring import _over
 
 import oracles
@@ -55,6 +55,34 @@ def test_exp_h_is_a_homomorphism():
         for n in range(-5, 6):
             for m in range(-5, 6):
                 assert X.mul(X.exp_h(n), X.exp_h(m)) == X.exp_h(n + m)
+
+
+def test_exp_h_is_its_oracle_and_a_repeat_is_the_same_object():
+    chowring._exp_h.cache_clear()
+    for r in range(1, 9):
+        X = Hypersurface(r)
+        for n in range(-12, 13):
+            first = X.exp_h(n)
+            assert first.coefficients() == oracles.exp_h(r, n), (r, n)
+            assert X.exp_h(n) is first, (r, n)
+
+
+def test_the_exp_h_memo_stays_within_its_bound():
+    for r in (3, 5):
+        for n in range(-250, 250):  # 1,000 distinct keys
+            Hypersurface(r).exp_h(n)
+    info = chowring._exp_h.cache_info()
+    assert 0 < info.currsize <= info.maxsize <= 256
+    assert X5.exp_h(-250).coefficients() == oracles.exp_h(5, -250)  # evicted, then built again
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.0, Fraction(1), Fraction(2), 1.5, "1", None])
+def test_exp_h_rejects_a_non_int_even_when_the_int_of_its_value_is_held(bad):
+    # A memo keyed by value alone would answer 1.0 or Fraction(2) with the class of 1 or 2.
+    held = X5.exp_h(1), X5.exp_h(2)
+    with pytest.raises(TypeError):
+        X5.exp_h(bad)
+    assert X5.exp_h(True) == held[0]  # typed keys hold True apart from 1, with the same class
 
 
 # Each basis class over a denominator of its own, and two dense classes.  The triple

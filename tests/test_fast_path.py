@@ -83,10 +83,11 @@ def test_every_catalog_direct_sum_is_valid():
 def test_every_sweep_descriptor_is_valid():
     for F, E, m in _sweep():
         case = build_case(F, E, m)
-        assert_as_if_validated(case.F_twisted)
+        Fm = analysis._twisted(F.c1, F.c2, m)[0]
+        assert_as_if_validated(Fm)
         assert_as_if_validated(dual(E.descriptor()))
         assert_as_if_validated(case.G)
-        assert case.F_twisted == twist(BundleDescriptor(2, F.c1, F.c2), m, QUINTIC)
+        assert Fm == twist(BundleDescriptor(2, F.c1, F.c2), m, QUINTIC)
 
 
 def test_no_check_in_the_package_is_an_assert_statement():
@@ -197,7 +198,7 @@ def test_the_twist_cache_stays_within_its_bound():
     F, E = catalog()[8], catalog()[7]  # (4, 30) and (1, 8)
     for m in range(-500, 1):
         case = analyze_extension(F, E, m).case
-        assert case.F_twisted == twist(F.descriptor(), m, QUINTIC), m
+        assert case.G == direct_sum(twist(F.descriptor(), m, QUINTIC), E.descriptor(), QUINTIC), m
     info = analysis._twisted.cache_info()
     assert 0 < info.currsize <= info.maxsize <= 64
 
@@ -209,7 +210,8 @@ def test_the_twist_cache_stays_within_its_bound_for_any_e():
         for m in range(-6, 1):
             for E in catalog():
                 case = build_case(F, E, m)
-                assert case.chi_tensor == euler_pairing(E.descriptor(), case.F_twisted, QUINTIC), (F.pair, E.pair, m)
+                Fm = twist(F.descriptor(), m, QUINTIC)
+                assert case.chi_tensor == euler_pairing(E.descriptor(), Fm, QUINTIC), (F.pair, E.pair, m)
     info = analysis._twisted.cache_info()
     assert 0 < info.currsize <= info.maxsize <= 64
 
@@ -229,11 +231,11 @@ def test_every_chi_of_the_sweep_is_its_riemann_roch_value():
     # tensor product's chi for the pairing, chi_hrr(G) for each verdict.
     for F, E, m in _sweep():
         report = analyze_extension(F, E, m)
-        case = report.case
-        chi = euler_pairing(E.descriptor(), case.F_twisted, QUINTIC)
-        assert case.chi_tensor == chi == chi_hrr(tensor(case.F_twisted, dual(E.descriptor()), QUINTIC), QUINTIC)
+        case, Fm = report.case, twist(F.descriptor(), m, QUINTIC)
+        chi = euler_pairing(E.descriptor(), Fm, QUINTIC)
+        assert case.chi_tensor == chi == chi_hrr(tensor(Fm, dual(E.descriptor()), QUINTIC), QUINTIC)
         chi_G = chi_hrr(case.G, QUINTIC)
-        assert chi_G == chi_hrr(case.F_twisted, QUINTIC) + E.chi
+        assert chi_G == chi_hrr(Fm, QUINTIC) + E.chi
         for verdict in report.verdicts + report.rejected:
             assert verdict.details["chi_target"] == chi_G, (F.pair, E.pair, m, verdict.pair_key)
 

@@ -46,7 +46,7 @@ def values(record, names):
     return tuple(getattr(record, name) for name in names)
 
 
-_CASE_FIELDS = ("index", "F", "E", "m", "chi_tensor", "d_lower", "F_twisted", "G")
+_CASE_FIELDS = ("index", "F", "E", "m", "chi_tensor", "d_lower", "G")
 _ENTRY_FIELDS = ("c1", "c2", "family", "exists_on_general", "chi", "h0", "stable")
 
 # (class, ((field, default or REQUIRED), ...), example field values, hashable).

@@ -14,9 +14,12 @@ to the declared ``run_seconds`` and ``--trace 0``: in the parent first when
 i is even, in the change first when i is odd.  Every run has
 ``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains caches.  A run that
 exits nonzero, or whose result reads other than ``correct: true`` and
-``failed: 0``, stops the writer with no file written.  Every run prints one
-summary line per workload.  With ``--claim`` (which ``--parent-rev``,
-``--change`` and ``--out`` go with) the file gets the shape of
+``failed: 0``, stops the writer with no file written.  Every run prints, per
+workload, its verdict and one line per end-to-end metric: the parent and
+change medians, the relative change, the pairs the change won, and the
+parent's interquartile range as a share of its median.  With ``--claim``
+(which ``--parent-rev``, ``--change`` and ``--out`` go with) the file gets
+the shape of
 ``BENCH_8.json``, which ``tests/test_bench_files.py`` checks, with the
 calibrated end-to-end metrics of each run's last stdout line.
 Uses the standard library only.
@@ -83,6 +86,14 @@ def metric_entry(declared: dict, parent_runs: list[float], change_runs: list[flo
         "parent_runs": parent_runs,
         "change_runs": change_runs,
     }
+
+
+def metric_line(name: str, entry: dict, pairs: int) -> str:
+    """A metric's summary: the medians, the relative change, the change's wins and the parent's IQR share."""
+    parent = entry["parent"]
+    iqr = (parent["q3"] - parent["q1"]) / parent["median"]
+    return (f"{name} {parent['median']:.6g} -> {entry['change']['median']:.6g}"
+            f" ({entry['relative_change']:+.1%}, {entry['change_wins']}/{pairs} wins, parent IQR {iqr:.1%})")
 
 
 def workload_entry(end_to_end: list[dict], seeds: list[int], results: list[dict[str, dict]]) -> dict:
@@ -190,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
         bench = bench_file(benchmark, args.parent_rev, args.description, claim, workloads)
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
     for name, entry in workloads.items():
-        moves = ", ".join(f"{m} {e['relative_change']:+.1%} ({e['change_wins']}/{entry['pairs']})"
-                          for m, e in entry["metrics"].items())
-        print(f"{name}: correct {entry['correct']}, failed {entry['failed']}; {moves}")
+        print(f"{name}: correct {entry['correct']}, failed {entry['failed']}")
+        for metric, e in entry["metrics"].items():
+            print(f"  {metric_line(metric, e, entry['pairs'])}")
     return 0
 
 

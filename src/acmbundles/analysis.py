@@ -9,15 +9,14 @@ of catalog bundles E by twisted catalog bundles F(m).  The Euler pairing
 chi(E, F(m)) = hom - ext^1 + ext^2 - ext^3 (``euler_pairing``) bounds ext^1 from
 below by -chi (``d_lower``), and so makes Ext^1(E, F(m)) nonempty when chi < 0,
 only once ext^3 vanishes.  As omega_X = O_X, ext^3(E, F(m)) = hom(F(m), E), which
-nothing here computes: ``h3_vanishes`` is the predicate c1(F) + m > 0, which
-ROADMAP item 1 replaces.  The seven (F, E, m) triples of the table are
+nothing here computes: the report's ``rank1_hypothesis_ok`` is c1(F) + m > 0,
+which ROADMAP item 1 replaces.  The seven (F, E, m) triples of the table are
 ``catalog._TABLE_ROWS``; ``extension_cases`` finds their entries by ``lookup``.
 
 All chi values are computed through the Riemann-Roch pipeline, never stored.
 Everything here is a statement about the quintic, so no function takes a
 degree: each uses ``QUINTIC``, and ``expr.evaluate`` checks the degree at each
 cat() it meets.  The table rows and ``CASE_INDICES`` live in ``catalog``.
-The records are immutable value classes, not dataclasses.
 
 The splitting engine then certifies that a nontrivial extension G cannot be a
 direct sum of two rank-2 catalog bundles.  Candidate pairs {G1, G2} are
@@ -105,12 +104,6 @@ class ExtensionCase(_Record):
     def g_chern(self) -> tuple[int, int, int]:
         return self.G.chern_tuple()
 
-    @property
-    def h3_vanishes(self) -> bool:
-        """c1(F) + m > 0, which does not compute ext^3(E, F(m)) = hom(F(m), E) (omega_X = O_X):
-        F = E = (1,8), m = 0 passes with hom(E, E) >= 1.  ROADMAP item 1 replaces it."""
-        return self.F.c1 + self.m > 0
-
 
 class SplitVerdict(_Record):
     """One candidate decomposition {G1, G2} and the filter that disposed of it."""
@@ -132,6 +125,8 @@ class CaseReport(_Record):
     chern-mismatch verdicts for the remaining c1-compatible pairs.  The
     conclusion is ``indecomposable-by-numeric-filters`` exactly when the
     rank-1-summand hypothesis holds and no surviving verdict is undecided.
+    ``rank1_hypothesis_ok`` is c1(F) + m > 0, not ext^3(E, F(m)) = 0: F = E =
+    (1,8), m = 0 passes it with hom(E, E) >= 1.
     """
 
     case: ExtensionCase
@@ -188,7 +183,7 @@ def _catalog_pairs() -> dict[int, list[tuple]]:
         table.setdefault(S.c1, []).append(
             ((P, Q), (P.pair, Q.pair), S.chern_tuple(), frozenset((P.c1, Q.c1)), (P.h0, Q.h0),
              {"c2_sum": S.c2, "c2_target": None, "c3_sum": S.c3, "c3_target": None,
-              "chi_sum": P.chi + Q.chi, "chi_target": None, "c1_disjoint": None})
+              "chi_sum": P.chi + Q.chi, "chi_target": None})
         )
     return table
 
@@ -221,7 +216,6 @@ def _classify(case: ExtensionCase) -> CaseReport:
             details["c1_disjoint"] = e_c1 not in c1s
             rejected.append(SplitVerdict(pair, sum_chern, FILTER_CHERN_MISMATCH, details))
             continue
-        del details["c1_disjoint"]  # only a Chern rejection carries it
         if key == trivial:
             kind = FILTER_TRIVIAL_SPLIT
         else:
@@ -239,13 +233,13 @@ def _classify(case: ExtensionCase) -> CaseReport:
             undecided = undecided or kind == FILTER_UNDECIDED
         survivors.append(SplitVerdict(pair, sum_chern, kind, details))
 
-    h3_vanishes = case.h3_vanishes
+    rank1 = F.c1 + m > 0
     return CaseReport(
         case,
-        h3_vanishes,
+        rank1,
         tuple(survivors),
         tuple(rejected),
-        CONCLUSION_INDECOMPOSABLE if h3_vanishes and not undecided else CONCLUSION_INCONCLUSIVE,
+        CONCLUSION_INDECOMPOSABLE if rank1 and not undecided else CONCLUSION_INCONCLUSIVE,
         (NOTE_H0_CONVENTION,) if used_convention else (),
     )
 

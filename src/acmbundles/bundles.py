@@ -6,7 +6,7 @@ of the second Chern class), c3 in pt-units, and nothing else.  It records no
 degree and no cohomology: whether a bundle is normalized, ACM or stable is a
 fact about a particular bundle on a particular threefold (the catalog states
 it for its fourteen entries), not data that duals, twists and sums could carry
-onto another.  Descriptors are immutable value classes, not dataclasses.
+onto another.
 
 Every descriptor, whichever operation returns it, is built through the one
 constructor, which checks the same rule on every value it is given.

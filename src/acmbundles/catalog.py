@@ -8,9 +8,9 @@ families:
     B = {(2,11), (2,12), (2,13), (2,14), (3,20)}
 
 Every pair in A arises on a general quintic; the pairs in B are admissible
-but their existence is conditional, and the entries (immutable value classes,
-not dataclasses) carry that distinction.  An entry's descriptor is built on
-each call and kept off the entry; hashing sees its fields, pickling its pair.
+but their existence is conditional, and the entries carry that distinction.
+An entry's descriptor is built on each call and kept off the entry; hashing
+sees its fields, pickling its pair.
 ``lookup`` reads one (c1, c2) index, built once from ``catalog()``.
 
 An entry is its pair: ``CatalogEntry(c1, c2)`` refuses a pair outside the
@@ -148,10 +148,7 @@ def h0_acm_twist(entry: CatalogEntry, n: int) -> int | None:
     if n < 0:
         return 0
     if E.c1 + n > 0:
-        value = _exact_int(chi_hrr(twist(E, n, QUINTIC), QUINTIC), "chi")
-        if value < 0:
-            raise ValueError(f"chi = {value} < 0 for {E} twisted by {n}: no normalized ACM bundle")
-        return value
+        return _exact_int(chi_hrr(twist(E, n, QUINTIC), QUINTIC), "chi")
     if n == 0 and E.c1 == 0:
         return 1
     return None

@@ -25,8 +25,7 @@ catalog leaf, the one place that rule is stated.
 Neither the parsed tree nor the nesting of parentheses may be deeper than
 MAX_DEPTH, so that printing and evaluating a tree stay within the
 interpreter's recursion limit, and an integer literal may have at most
-MAX_DIGITS digits.  The operation nodes are immutable value classes, not
-dataclasses.
+MAX_DIGITS digits.
 
 The whole text is tokenized, in one scan of one pattern, before any syntax
 error is raised.  The parser is a set of functions over the token list that

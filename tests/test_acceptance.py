@@ -158,8 +158,8 @@ def test_criterion_7_ext_bounds():
         failures.append(bounds)
     if not all(b >= 1 for b in bounds):
         failures.append("empty extension space")
-    if not all(c.h3_vanishes for c in cases):
-        failures.append("h3 premise")
+    if not all(c.F.c1 + c.m > 0 for c in cases):
+        failures.append("rank-1 premise")
     _criterion(7, "Ext^1 lower bounds (14, 6, 8, 10, 1, 2, 3), all >= 1", failures)
 
 

@@ -79,21 +79,20 @@ def test_extension_bundle_is_normalized_acm():
 
 
 def test_vanishing_conditions():
-    # The h3 predicate and the Ext^1 bound on every sweep triple: the report's
-    # rank-1 hypothesis reads ``h3_vanishes``, which is c1(F) + m > 0, and the
-    # bound ``d_lower`` is max(0, -chi) whatever the predicate says.
+    # The rank-1 premise and the Ext^1 bound on every sweep triple: the report's
+    # ``rank1_hypothesis_ok`` is c1(F) + m > 0, and the bound ``d_lower`` is
+    # max(0, -chi) whatever the premise says.
     for F, E, m in _sweep():
         case = build_case(F, E, m)
         key = (F.pair, E.pair, m)
-        assert analyze_extension(F, E, m).rank1_hypothesis_ok == case.h3_vanishes, key
-        assert case.h3_vanishes == (F.c1 + m > 0), key
+        assert analyze_extension(F, E, m).rank1_hypothesis_ok == (F.c1 + m > 0), key
         assert case.d_lower == max(0, -case.chi_tensor), key
 
 
 def test_ext1_lower_bounds():
     cases = extension_cases()
     assert [c.d_lower for c in cases] == [14, 6, 8, 10, 1, 2, 3]
-    assert all(c.d_lower >= 1 and c.h3_vanishes for c in cases)
+    assert all(c.d_lower >= 1 and c.F.c1 + c.m > 0 for c in cases)
 
 
 def test_ext1_bound_degenerates_when_chi_is_nonnegative():
@@ -103,7 +102,7 @@ def test_ext1_bound_degenerates_when_chi_is_nonnegative():
 
 
 def test_the_guarded_ext1_bound_api_is_gone():
-    # The Ext^1 bound is ``case.d_lower``, read under ``case.h3_vanishes``.
+    # The Ext^1 bound is ``case.d_lower``, read under the report's ``rank1_hypothesis_ok``.
     import acmbundles
 
     with pytest.raises(AttributeError):
@@ -304,7 +303,27 @@ def test_verdict_pairs_are_canonical_and_unique():
             assert v.sum_chern == (product.a1, product.a2, product.a3), v.pair_key
 
 
-REJECTION_DETAILS = ["c2_sum", "c2_target", "c3_sum", "c3_target", "chi_sum", "chi_target", "c1_disjoint"]
+CASE_FREE_DETAILS = ["c2_sum", "c2_target", "c3_sum", "c3_target", "chi_sum", "chi_target"]
+REJECTION_DETAILS = CASE_FREE_DETAILS + ["c1_disjoint"]
+# A Whitney survivor carries no c1_disjoint: its keys by filter (and, if undecided, by reason).
+_H0_DETAILS = CASE_FREE_DETAILS + ["h0_F_m", "h0_E", "h0_pair"]
+SURVIVOR_DETAILS = {
+    (FILTER_TRIVIAL_SPLIT, None): CASE_FREE_DETAILS,
+    (FILTER_H0_MISMATCH, None): _H0_DETAILS + ["h0_lhs", "h0_rhs"],
+    (FILTER_UNDECIDED, "h0 undetermined"): _H0_DETAILS + ["reason"],
+    (FILTER_UNDECIDED, "all numeric filters agree"): _H0_DETAILS + ["h0_lhs", "h0_rhs", "reason"],
+}
+
+
+def test_every_survivor_has_the_details_keys_of_its_filter_in_order():
+    seen = set()
+    reports = [analyze_case(index) for index in CASE_INDICES]
+    for report in reports + [analyze_extension(F, E, m) for F, E, m in _sweep()]:
+        for v in report.verdicts:
+            shape = (v.filter, v.details.get("reason"))
+            assert list(v.details) == SURVIVOR_DETAILS[shape], (report.case.F.pair, report.case.E.pair, v.pair_key)
+            seen.add(shape)
+    assert seen == set(SURVIVOR_DETAILS)
 
 
 def test_every_chern_rejection_has_details_of_its_own_with_the_pair_sums_and_the_case_targets():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+from math import comb
 
 import pytest
 
@@ -142,12 +143,33 @@ def _h0_oracle(c1: int, c2: int, n: int):
     return 1 if n == 0 and c1 == 0 else None
 
 
+def _chi_differences(c1: int, c2: int) -> list[int]:
+    # The forward differences D^0..D^3 of the cubic n -> chi(E(n)) at n0 = max(0, 1 - c1),
+    # the first n the oracle reads as chi.  chi(E(n0 + j)) = sum_k D^k C(j, k), so four
+    # nonnegative differences make chi(E(n)) >= 0 for every n >= n0.
+    n0 = max(0, 1 - c1)
+    row = [chi_hrr(twist(BundleDescriptor(2, c1, c2), n0 + j, QUINTIC), QUINTIC) for j in range(4)]
+    differences = []
+    for _ in range(4):
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return differences
+
+
 def test_h0_twist_oracle_positive_twists_use_chi():
     assert h0_acm_twist(lookup(0, 5), 1) == oracles.chi_rank2(2, 10) == 5
     assert h0_acm_twist(lookup(-2, 1), 3) == oracles.chi_rank2(4, 16) == 38
     for e in catalog():
         for n in range(-3, 4):
             assert h0_acm_twist(e, n) == _h0_oracle(e.c1, e.c2, n), (e.pair, n)
+        # So the count is never negative, for every n: the oracle needs no guard on it.
+        differences = _chi_differences(e.c1, e.c2)
+        assert min(differences) >= 0 and differences[3] == 10, (e.pair, differences)
+        n0 = max(0, 1 - e.c1)
+        for j in range(12):
+            assert h0_acm_twist(e, n0 + j) == sum(d * comb(j, k) for k, d in enumerate(differences)), (e.pair, j)
+    # The check can fail: (1, 20) is no catalog pair, and its chi is -5 at n0 = 0.
+    assert _chi_differences(1, 20)[0] == -5
 
 
 def test_h0_twist_oracle_undetermined_cases():

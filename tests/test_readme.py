@@ -42,7 +42,7 @@ def test_library_block_runs_and_states_its_values():
     assert values["extension_cases()[0].chi_tensor"] == -14
     pairing = values["euler_pairing(BundleDescriptor(2, 1, 8), E, X)"]
     assert type(pairing) is Fraction and pairing == -14
-    assert values["extension_cases()[0].h3_vanishes"] is True
+    assert values["analyze_case(1).rank1_hypothesis_ok"] is True
     assert values["report.conclusion"] == "indecomposable-by-numeric-filters"
 
 

@@ -19,6 +19,20 @@ identities truncated at codimension three; on this ring
 
     ch1 = c1,   ch2 = (r c1^2 - 2 c2)/2,   ch3 = (r c1^3 - 3 c1 c2 + 3 c3)/6.
 
+``twist`` multiplies two characters and reads the product back.  ``tensor``
+builds no character: for E = (s; a1, a2, a3) and F = (t; b1, b2, b3) it is
+(st; c1, c2, c3) with
+
+    c1 = t a1 + s b1,
+    c2 = r (C(t,2) a1^2 + (st - 1) a1 b1 + C(s,2) b1^2) + s b2 + t a2,
+    c3 = (6 P3 - r c1^3 + 3 c1 c2)/3,
+
+where 6 P3 = s(r b1^3 - 3 b1 b2 + 3 b3) + t(r a1^3 - 3 a1 a2 + 3 a3)
++ 3 a1 (r b1^2 - 2 b2) + 3 b1 (r a1^2 - 2 a2) is six times the product's ch3.
+The division by 3 is exact: mod 3, 6 P3 - r c1^3 + 3 c1 c2 is
+r (s b1^3 + t a1^3 - (t a1 + s b1)^3), and (x + y)^3 = x^3 + y^3, t^3 = t
+there.  So ``tensor`` of two valid descriptors never raises.
+
 Euler characteristics come from Hirzebruch-Riemann-Roch, chi(E) = chi(O_X, E)
 = integral of ch(E).td(X), and so does the Euler pairing chi(E, F) = sum
 (-1)^i ext^i(E, F) = integral of ch(E*).ch(F).td(X), with no tensor built;
@@ -128,8 +142,14 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
-    """Tensor product via multiplied Chern characters; ranks multiply."""
-    return from_ch(X.mul(to_ch(E, X), to_ch(F, X)), X)
+    """Tensor product by the closed form in the integer Chern classes; ranks multiply."""
+    r, s, t = X.r, E.rank, F.rank
+    a1, a2, a3, b1, b2, b3 = E.c1, E.c2, E.c3, F.c1, F.c2, F.c3
+    c1 = t * a1 + s * b1
+    c2 = r * (t * (t - 1) // 2 * a1 * a1 + (s * t - 1) * a1 * b1 + s * (s - 1) // 2 * b1 * b1) + s * b2 + t * a2
+    p3 = (s * (r * b1**3 - 3 * b1 * b2 + 3 * b3) + t * (r * a1**3 - 3 * a1 * a2 + 3 * a3)
+          + 3 * a1 * (r * b1 * b1 - 2 * b2) + 3 * b1 * (r * a1 * a1 - 2 * a2))  # 6 P3 of the docstring
+    return BundleDescriptor(s * t, c1, c2, (p3 - r * c1**3 + 3 * c1 * c2) // 3)
 
 
 def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from acmbundles import bundles, chowring
 from acmbundles import (
     QUINTIC,
     BundleDescriptor,
@@ -126,6 +128,48 @@ def test_tensor_with_structure_sheaf_is_identity():
 @given(descriptors(), descriptors(), hypersurfaces())
 def test_tensor_commutes(E, F, X):
     assert tensor(E, F, X) == tensor(F, E, X)
+
+
+# Ranks 1-3 with c1 in [-2, 2], c2 in [-1, 2] and c3 in [-1, 1], where the rank allows them: 85.
+TENSOR_BOX = [
+    BundleDescriptor(rank, c1, c2, c3)
+    for rank in range(1, 4)
+    for c1 in range(-2, 3)
+    for c2 in (range(-1, 3) if rank >= 2 else (0,))
+    for c3 in (range(-1, 2) if rank >= 3 else (0,))
+]
+
+
+def test_tensor_is_the_product_of_characters_on_every_pair_of_a_box():
+    # The closed form against the per-coefficient Fraction product read back by from_ch,
+    # on all 36,125 (E, F, r); that route raises where an integer would not come out.
+    assert len(TENSOR_BOX) == 85
+    for r in range(1, 6):
+        X = Hypersurface(r)
+        for E, F in product(TENSOR_BOX, repeat=2):
+            assert tensor(E, F, X) == oracles.tensor(r, E, F), (r, E, F)
+
+
+def test_tensor_builds_no_chern_character(monkeypatch):
+    # No class is stored, multiplied or read back: the closed form is integer arithmetic only.
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Hypersurface, "mul", counting("mul", Hypersurface.mul))
+    for module, name in ((bundles, "to_ch"), (bundles, "from_ch"), (chowring, "_store")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    box = TENSOR_BOX[::4]
+    for r in (1, 5, 8):
+        for E, F in product(box, repeat=2):
+            tensor(E, F, Hypersurface(r))
+    bundles.to_ch(O, X5)  # the counters do count
+    assert dict(calls) == {"to_ch": 1, "_store": 1}
 
 
 def test_extension_tensor_euler_characteristics():

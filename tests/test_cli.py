@@ -394,6 +394,14 @@ def test_usage_errors_exit_two():
     assert excinfo.value.code == 2
 
 
+def test_degree_one_is_the_least_degree_accepted():
+    # X_1 is a hyperplane, a P^3, where chi(O(1)) = 4.
+    assert _call(["eval", "--degree", "1", "chi", "o(1)"]) == (0, "chi = 4\n", "")
+    code, out, err = _call(["eval", "--degree", "0", "chi", "o(1)"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --degree: degree must be positive, got 0\n")
+
+
 @pytest.mark.parametrize(
     "spelling", ["\u0665", "\uff15", "1_0", " 5 ", "+5", pytest.param("9" * 5000, id="5000-digits")]
 )

@@ -94,6 +94,27 @@ MUTANTS = (
         "    if n == 0 and E.c1 == 0:\n        return 0\n",
         "killed",
     ),
+    Mutant(
+        "tensor-c2-cross-term-unshifted",
+        "src/acmbundles/bundles.py",
+        "(s * t - 1) * a1 * b1",
+        "s * t * a1 * b1",
+        "killed",
+    ),
+    Mutant(
+        "tensor-c3-drops-c1-c2",
+        "src/acmbundles/bundles.py",
+        "(p3 - r * c1**3 + 3 * c1 * c2) // 3",
+        "(p3 - r * c1**3) // 3",
+        "killed",
+    ),
+    Mutant(
+        "degree-one-refused",
+        "src/acmbundles/cli.py",
+        "if value < 1:",
+        "if value <= 1:",
+        "killed",
+    ),
 )
 
 

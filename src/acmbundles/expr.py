@@ -28,8 +28,10 @@ interpreter's recursion limit, and an integer literal may have at most
 MAX_DIGITS digits.
 
 The whole text is tokenized, in one scan of one pattern, before any syntax
-error is raised.  The parser is a set of functions over the token list that
-pass the token index along and keep no positions.  Errors carry a 1-based
+error is raised.  The parser is one precedence loop over the binary operators
+of ``_BINARY`` and the postfix twist, which binds tightest, with ``_unary``
+reading its operands; both pass the token index along and keep no positions.
+A nesting level costs two interpreter frames.  Errors carry a 1-based
 column, which only ``parse`` computes, for an error, by scanning the text
 again.
 """
@@ -122,29 +124,29 @@ def _expected(what: str, tokens: list[str], i: int) -> _ParseError:
     return _ParseError(f"expected {what}, found {tokens[i] or 'end of input'!r}", i)
 
 
-# Recursive descent over the token texts.  Each function reads from token i,
-# with ``groups`` parentheses open around it, and returns what it parsed and
-# the index after it.  The token after the last is "", the end of input.
-def _sum(tokens: list[str], i: int, groups: int) -> Parsed:
-    node, height, i = _prod(tokens, i, groups)
-    while tokens[i] == "++":
-        at = i
-        right, right_height, i = _prod(tokens, i + 1, groups)
-        node, height = Sum(node, right), 1 + max(height, right_height)
-        if height > MAX_DEPTH:
-            raise _ParseError(_TOO_DEEP, at)
-    return node, height, i
+# Binary operator -> (its binding power, the node it builds); a postfix twist binds tighter than both.
+_BINARY = {"++": (1, Sum), "*": (2, Tensor)}
 
 
-def _prod(tokens: list[str], i: int, groups: int) -> Parsed:
+# One precedence loop over _BINARY, with _unary reading its operands.  Each
+# function reads from token i, with ``groups`` parentheses open around it, and
+# returns what it parsed and the index after it; "" is the token after the last.
+def _expression(tokens: list[str], i: int, groups: int, least: int = 1) -> Parsed:
+    """An operand, then each twist and each operator of binding power at least ``least``."""
     node, height, i = _unary(tokens, i, groups)
-    while tokens[i] == "*":
+    while True:
         at = i
-        right, right_height, i = _unary(tokens, i + 1, groups)
-        node, height = Tensor(node, right), 1 + max(height, right_height)
+        if tokens[i] == "(":
+            (n,), i = _arguments(tokens, i, "twist", (1, 1, "n"), at)
+            node, height = Twist(node, n), height + 1
+        else:
+            op = _BINARY.get(tokens[i])
+            if op is None or op[0] < least:
+                return node, height, i
+            right, right_height, i = _expression(tokens, i + 1, groups, op[0] + 1)  # left associative
+            node, height = op[1](node, right), 1 + max(height, right_height)
         if height > MAX_DEPTH:
             raise _ParseError(_TOO_DEEP, at)
-    return node, height, i
 
 
 def _unary(tokens: list[str], i: int, groups: int) -> Parsed:
@@ -155,10 +157,10 @@ def _unary(tokens: list[str], i: int, groups: int) -> Parsed:
         build, arity, prefix = leaf
         values, i = _arguments(tokens, i + 1, name, arity, at)
         try:
-            node, height = build(*values), 1
+            return build(*values), 1, i
         except ValueError as exc:
             raise _ParseError(f"{prefix}{exc}", at) from exc
-    elif name == "(" or name == "dual":
+    if name == "(" or name == "dual":
         # "(" expr ")" or "dual(" expr ")".  Bounds the parser's own
         # recursion, which the tree height cannot: it is only known once the
         # group is parsed.
@@ -167,25 +169,17 @@ def _unary(tokens: list[str], i: int, groups: int) -> Parsed:
             raise _expected("'('", tokens, i)
         if groups == MAX_DEPTH:
             raise _ParseError(_TOO_DEEP, at)
-        node, height, i = _sum(tokens, i + 1, groups + 1)
+        node, height, i = _expression(tokens, i + 1, groups + 1)
         if tokens[i] != ")":
             raise _expected("')'", tokens, i)
-        i += 1
         if name == "dual":
             node, height = Dual(node), height + 1
             if height > MAX_DEPTH:
                 raise _ParseError(_TOO_DEEP, at)
-    elif name.isidentifier():
+        return node, height, i + 1
+    if name.isidentifier():
         raise _ParseError(f"unknown name {name!r}", at)
-    else:
-        raise _expected("an expression", tokens, i)
-    while tokens[i] == "(":
-        at = i
-        (n,), i = _arguments(tokens, i, "twist", (1, 1, "n"), at)
-        node, height = Twist(node, n), height + 1
-        if height > MAX_DEPTH:
-            raise _ParseError(_TOO_DEEP, at)
-    return node, height, i
+    raise _expected("an expression", tokens, i)
 
 
 def _arguments(tokens: list[str], i: int, name: str, arity: tuple[int, int, str], at: int) -> tuple[list[int], int]:
@@ -226,7 +220,7 @@ def parse(text: str) -> Expression:
         raise ExpressionError(f"unexpected character {text[column - 1]!r}", column)
     tokens.append("")
     try:
-        expr, _, i = _sum(tokens, 0, 0)
+        expr, _, i = _expression(tokens, 0, 0)
         if tokens[i]:
             raise _ParseError(f"unexpected trailing {tokens[i]!r}", i)
     except _ParseError as exc:

@@ -49,6 +49,7 @@ def test_tensor_binds_tighter_than_sum():
 def test_twist_binds_tightest():
     assert parse("dual(o(1))(2)") == Twist(Dual(O(1)), 2)
     assert parse("o(1)(2)(3)") == Twist(Twist(O(1), 2), 3)
+    assert parse("o(0) * o(1)(2) ++ o(3)(4)") == Sum(Tensor(O(0), Twist(O(1), 2)), Twist(O(3), 4))
 
 
 def test_grouped_expression_can_be_twisted():
@@ -162,6 +163,28 @@ def test_the_depth_limit_keeps_the_parser_within_five_frames_per_level():
         assert type(trees[0]) is Dual
         trees[0] = trees[0].inner
     assert trees[0] == O(1)
+
+
+def _parses_within(text: str, frames: int) -> bool:
+    """Whether ``parse(text)`` succeeds under a recursion limit ``frames`` above this function's depth."""
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(_frame_depth() + frames)
+        parse(text)
+        return True
+    except RecursionError:
+        return False
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_nesting_level_costs_the_parser_two_frames():
+    # A leaf needs some frames above the caller (on Python 3.10 and 3.11 the
+    # limit also counts C calls, which no frame shows).  Each level of the two
+    # deepest accepted texts adds at most 2: the precedence loop and _unary.
+    leaf = next(frames for frames in range(100) if _parses_within("o(1)", frames))
+    assert _parses_within("dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1), leaf + 2 * (MAX_DEPTH - 1))
+    assert _parses_within("(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH, leaf + 2 * MAX_DEPTH)
 
 
 @pytest.mark.parametrize(

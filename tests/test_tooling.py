@@ -7,8 +7,8 @@ interpreter the package admits is the one that runs the suite.  Both files
 are read as text: Python 3.10 has no ``tomllib``.
 
 The list of named mutants in ``tools/mutants.py`` is sound: each old text
-occurs once in its file, each new text differs from it, and each equivalent
-mutant says why.
+occurs once in its file, each new text differs from it, each killed mutant
+names a test that exists, and each equivalent mutant says why.
 """
 
 import importlib.util
@@ -62,27 +62,36 @@ _SPEC.loader.exec_module(mutants)
 
 def test_every_named_mutant_applies_once_and_says_why_if_equivalent():
     # The cheap half of ``tools/mutants.py``: the list itself is sound, so each
-    # mutant it runs is the one it names (the next test shows the check catches
-    # each fault).  Running them is a CI job of its own.
+    # mutant it runs is the one it names, against a test that exists (the next
+    # test shows the check catches each fault).  Running them is a CI job of its own.
     assert mutants.problems() == []
-    # The tool deselects this test by name, as no mutated tree can pass it.
-    this = test_every_named_mutant_applies_once_and_says_why_if_equivalent
-    assert mutants.LIST_CHECK == f"tests/test_tooling.py::{this.__name__}"
 
 
 def test_the_mutant_list_check_reports_each_fault():
     Mutant = mutants.Mutant
     analysis = "src/acmbundles/analysis.py"
+    old = "rank1 = F.c1 + m > 0"
+    test = "tests/test_analysis.py::test_general_engine_requires_rank1_hypothesis_for_a_conclusion"
     broken = (
-        Mutant("absent", analysis, "no such text anywhere", "x", "killed"),
-        Mutant("twice", analysis, "return", "yield", "killed"),
-        Mutant("same", analysis, "rank1 = F.c1 + m > 0", "rank1 = F.c1 + m > 0", "killed"),
-        Mutant("silent", analysis, "rank1 = F.c1 + m > 0", "rank1 = True", "equivalent"),
-        Mutant("excused", analysis, "rank1 = F.c1 + m > 0", "rank1 = True", "killed", "a reason"),
-        Mutant("unsure", analysis, "rank1 = F.c1 + m > 0", "rank1 = True", "maybe"),
-        Mutant("unsure", analysis, "rank1 = F.c1 + m > 0", "rank1 = False", "killed"),
+        Mutant("sound", analysis, old, "rank1 = True", "killed", test),
+        Mutant("sound-with-parameters", analysis, old, "rank1 = True", "killed", test + "[a-1]"),
+        Mutant("absent", analysis, "no such text anywhere", "x", "killed", test),
+        Mutant("twice", analysis, "return", "yield", "killed", test),
+        Mutant("same", analysis, old, old, "killed", test),
+        Mutant("silent", analysis, old, "rank1 = True", "equivalent"),
+        Mutant("excused", analysis, old, "rank1 = True", "killed", test, "a reason"),
+        Mutant("unsure", analysis, old, "rank1 = True", "maybe"),
+        Mutant("unsure", analysis, old, "rank1 = False", "killed", test),
+        Mutant("untested", analysis, old, "rank1 = True", "killed"),
+        Mutant("tested-equivalent", analysis, old, "rank1 = True", "equivalent", test, "a reason"),
+        Mutant("file-only", analysis, old, "rank1 = True", "killed", "tests/test_analysis.py"),
+        Mutant("no-file", analysis, old, "rank1 = True", "killed", "tests/test_absent.py::test_general"),
+        Mutant("no-function", analysis, old, "rank1 = True", "killed", "tests/test_analysis.py::test_absent"),
+        Mutant("function-prefix", analysis, old, "rank1 = True", "killed", test[:-1]),
     )
     found = mutants.problems(broken)
-    for name in ("absent", "twice", "same", "silent", "excused", "unsure"):
-        assert any(line.startswith(f"{name}: ") for line in found), name
+    faulty = {line.split(": ", 1)[0] for line in found}
+    assert faulty == {mutant.name for mutant in broken} - {"sound", "sound-with-parameters"}, found
     assert "unsure: the name is used twice" in found
+    assert "no-file: the test file tests/test_absent.py does not exist" in found
+    assert "no-function: tests/test_analysis.py defines no test function test_absent" in found

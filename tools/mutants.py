@@ -1,28 +1,30 @@
-"""Named mutants of ``src/``: each is killed by the tests, or declared equivalent with a reason.
+"""Named mutants of ``src/``: each is killed by the test it names, or declared equivalent with a reason.
 
     python3 tools/mutants.py    # run every killed mutant; exit 1 if one survives
 
 A mutant is a record: a name, a file, an old text that occurs exactly once
 in that file, the new text that replaces it, and a status: ``killed`` (the
-tests must fail on it) or ``equivalent`` (no input tells it apart from the
-code, and its reason says why).  The tool copies the files ``git ls-files``
-lists (tracked, and untracked but not ignored) into a temporary directory,
-so it writes nothing in the checkout.  There it applies one ``killed``
-mutant at a time and runs ``python -m pytest -x -q -p no:cacheprovider
-tests`` with ``PYTHONPATH=src``, then puts the file back; the unmutated copy
-must pass the same run first.  The run deselects the one test that checks
-this list (``LIST_CHECK``), which every mutant would fail.  A mutant counts as killed when pytest exits 1
-(a test failed) or 2 (collection stopped).  The tool prints one verdict line
-per mutant and exits 1 if a ``killed`` mutant passes the tests, if an old
-text does not occur exactly once, or if the unmutated copy fails.
-Equivalent mutants are checked for their text and reason only, never run.
-A change that adds a trust check adds its mutants here.  Uses the standard
-library only.
+test it names must fail on it) or ``equivalent`` (no input tells it apart
+from the code, and its reason says why).  A killed mutant's test is a pytest
+node id, ``tests/<file>.py::<function>`` with an optional ``[<parameters>]``.
+The tool copies the files ``git ls-files`` lists (tracked, and untracked but
+not ignored) into a temporary directory, so it writes nothing in the
+checkout.  There the unmutated copy must first pass the whole suite.  Then
+the tool applies one ``killed`` mutant at a time, runs its named test alone
+with ``python -m pytest -q -p no:cacheprovider`` and ``PYTHONPATH=src``, and
+puts the file back.  A mutant counts as killed only when pytest exits 1: its
+test ran and failed.  The tool prints one verdict line per mutant and exits
+1 if a ``killed`` mutant's test passes or does not run, if the list itself
+is unsound (see ``problems``), or if the unmutated copy fails.  Equivalent
+mutants are checked for their text and reason only, never run.  A change
+that adds a trust check adds its mutants here.  Uses the standard library
+only.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,8 +35,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 STATUSES = ("killed", "equivalent")
-# This test checks that each old text occurs in the unmutated tree, so every mutant fails it.
-LIST_CHECK = "tests/test_tooling.py::test_every_named_mutant_applies_once_and_says_why_if_equivalent"
+TEST_ID = re.compile(r"(tests/[\w/]+\.py)::(\w+)(\[.*\])?")
 
 
 class Mutant(NamedTuple):
@@ -43,18 +44,20 @@ class Mutant(NamedTuple):
     old: str
     new: str
     status: str
-    reason: str = ""
+    test: str = ""  # a killed mutant's pytest node id
+    reason: str = ""  # why an equivalent mutant is equivalent
 
 
 MUTANTS = (
     Mutant(
-        "tensor-chain-depth-guard",
+        "operator-loop-depth-guard",
         "src/acmbundles/expr.py",
-        "        node, height = Tensor(node, right), 1 + max(height, right_height)\n"
+        "            node, height = op[1](node, right), 1 + max(height, right_height)\n"
         "        if height > MAX_DEPTH:\n"
         "            raise _ParseError(_TOO_DEEP, at)\n",
-        "        node, height = Tensor(node, right), 1 + max(height, right_height)\n",
+        "            node, height = op[1](node, right), 1 + max(height, right_height)\n",
         "killed",
+        "tests/test_cli.py::test_eval_deep_expression_exits_two",
     ),
     Mutant(
         "dual-depth-guard",
@@ -64,6 +67,31 @@ MUTANTS = (
         "                raise _ParseError(_TOO_DEEP, at)\n",
         "            node, height = Dual(node), height + 1\n",
         "killed",
+        "tests/test_cli.py::test_eval_deep_expression_exits_two",
+    ),
+    Mutant(
+        "binary-operators-right-associative",
+        "src/acmbundles/expr.py",
+        "op[0] + 1",
+        "op[0]",
+        "killed",
+        "tests/test_expr.py::test_binary_operators_are_left_associative",
+    ),
+    Mutant(
+        "sum-binds-tighter-than-tensor",
+        "src/acmbundles/expr.py",
+        '_BINARY = {"++": (1, Sum), "*": (2, Tensor)}',
+        '_BINARY = {"++": (2, Sum), "*": (1, Tensor)}',
+        "killed",
+        "tests/test_expr.py::test_tensor_binds_tighter_than_sum",
+    ),
+    Mutant(
+        "twist-only-at-the-loosest-level",
+        "src/acmbundles/expr.py",
+        'if tokens[i] == "(":',
+        'if tokens[i] == "(" and least == 1:',
+        "killed",
+        "tests/test_expr.py::test_twist_binds_tightest",
     ),
     Mutant(
         "trivial-key-at-every-m",
@@ -71,7 +99,7 @@ MUTANTS = (
         "trivial = m == 0 and tuple(sorted((F.pair, E.pair)))",
         "trivial = tuple(sorted((F.pair, E.pair)))",
         "equivalent",
-        "the pair (F, E) has c1 sum c1(G) - 2m, so at m < 0 it is never in the c1(G) group _classify visits",
+        reason="the pair (F, E) has c1 sum c1(G) - 2m, so at m < 0 it is never in the c1(G) group _classify visits",
     ),
     Mutant(
         "rank1-premise-admits-zero",
@@ -79,6 +107,7 @@ MUTANTS = (
         "rank1 = F.c1 + m > 0",
         "rank1 = F.c1 + m >= 0",
         "killed",
+        "tests/test_analysis.py::test_general_engine_requires_rank1_hypothesis_for_a_conclusion",
     ),
     Mutant(
         "c1-disjoint-placeholder-kept",
@@ -86,6 +115,7 @@ MUTANTS = (
         '"chi_sum": P.chi + Q.chi, "chi_target": None})',
         '"chi_sum": P.chi + Q.chi, "chi_target": None, "c1_disjoint": None})',
         "killed",
+        "tests/test_analysis.py::test_every_survivor_has_the_details_keys_of_its_filter_in_order",
     ),
     Mutant(
         "c1-zero-entry-has-no-section",
@@ -93,6 +123,7 @@ MUTANTS = (
         "    if n == 0 and E.c1 == 0:\n        return 1\n",
         "    if n == 0 and E.c1 == 0:\n        return 0\n",
         "killed",
+        "tests/test_catalog.py::test_h0_twist_oracle_values",
     ),
     Mutant(
         "tensor-c2-cross-term-unshifted",
@@ -100,6 +131,7 @@ MUTANTS = (
         "(s * t - 1) * a1 * b1",
         "s * t * a1 * b1",
         "killed",
+        "tests/test_bundles.py::test_tensor_is_the_product_of_characters_on_every_pair_of_a_box",
     ),
     Mutant(
         "tensor-c3-drops-c1-c2",
@@ -107,6 +139,7 @@ MUTANTS = (
         "(p3 - r * c1**3 + 3 * c1 * c2) // 3",
         "(p3 - r * c1**3) // 3",
         "killed",
+        "tests/test_bundles.py::test_tensor_is_the_product_of_characters_on_every_pair_of_a_box",
     ),
     Mutant(
         "degree-one-refused",
@@ -114,12 +147,13 @@ MUTANTS = (
         "if value < 1:",
         "if value <= 1:",
         "killed",
+        "tests/test_cli.py::test_degree_one_is_the_least_degree_accepted",
     ),
 )
 
 
 def problems(mutants: tuple[Mutant, ...] = MUTANTS, root: Path = ROOT) -> list[str]:
-    """What is wrong with the list itself: names, statuses, reasons, and old texts that do not occur once."""
+    """What is wrong with the list itself: names, statuses, tests, reasons, and old texts that do not occur once."""
     found = []
     names = [mutant.name for mutant in mutants]
     found += [f"{name}: the name is used twice" for name in sorted(set(names)) if names.count(name) > 1]
@@ -128,12 +162,28 @@ def problems(mutants: tuple[Mutant, ...] = MUTANTS, root: Path = ROOT) -> list[s
             found.append(f"{mutant.name}: status {mutant.status!r} is not one of {STATUSES}")
         if (mutant.status == "equivalent") != bool(mutant.reason.strip()):
             found.append(f"{mutant.name}: an equivalent mutant, and only one, gives a reason")
+        if (mutant.status == "killed") != bool(mutant.test):
+            found.append(f"{mutant.name}: a killed mutant, and only one, names the test that kills it")
+        elif mutant.test:
+            found += [f"{mutant.name}: {line}" for line in _test_problems(mutant.test, root)]
         if mutant.new == mutant.old:
             found.append(f"{mutant.name}: the new text is the old text")
         count = (root / mutant.file).read_text().count(mutant.old)
         if count != 1:
             found.append(f"{mutant.name}: the old text occurs {count} times in {mutant.file}, not once")
     return found
+
+
+def _test_problems(test: str, root: Path) -> list[str]:
+    match = TEST_ID.fullmatch(test)
+    if match is None:
+        return [f"{test!r} is not a node id tests/<file>.py::<function>[<parameters>]"]
+    file, function = match[1], match[2]
+    if not (root / file).is_file():
+        return [f"the test file {file} does not exist"]
+    if not re.search(rf"^def {function}\(", (root / file).read_text(), re.M):
+        return [f"{file} defines no test function {function}"]
+    return []
 
 
 def copy_tree(destination: Path) -> None:
@@ -148,12 +198,12 @@ def copy_tree(destination: Path) -> None:
             shutil.copy2(source, destination / name)
 
 
-def run_tests(tree: Path) -> subprocess.CompletedProcess:
+def run_tests(tree: Path, target: str) -> subprocess.CompletedProcess:
     # No bytecode caches: a mutant of the same size, written within the same second
     # as the file it replaces, would otherwise load the cached unmutated module.
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", LIST_CHECK, "tests"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", target],
         cwd=tree, env=env, capture_output=True, text=True,
     )
 
@@ -168,7 +218,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         tree = Path(scratch)
         copy_tree(tree)
-        done = run_tests(tree)
+        done = run_tests(tree, "tests")
         if done.returncode != 0:
             print(f"error: the unmutated tree fails its tests:\n{done.stdout[-2000:]}", file=sys.stderr)
             return 1
@@ -180,18 +230,18 @@ def main() -> int:
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
             start = time.perf_counter()
-            done = run_tests(tree)
+            done = run_tests(tree, mutant.test)
             seconds = time.perf_counter() - start
             path.write_text(original)
-            if done.returncode in (1, 2):
-                first = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
-                print(f"killed     {mutant.name} ({seconds:.1f} s): {(first or ['(no test named)'])[0]}", flush=True)
+            if done.returncode == 1:
+                print(f"killed     {mutant.name} ({seconds:.1f} s) by {mutant.test}", flush=True)
                 continue
             failures.append(mutant.name)
             if done.returncode == 0:
-                print(f"SURVIVED   {mutant.name}: the tests pass ({seconds:.1f} s)", flush=True)
+                print(f"SURVIVED   {mutant.name}: {mutant.test} passes ({seconds:.1f} s)", flush=True)
             else:
-                print(f"error      {mutant.name}: pytest exited {done.returncode}\n{done.stdout[-2000:]}", flush=True)
+                output = done.stdout[-2000:] + done.stderr[-2000:]
+                print(f"error      {mutant.name}: pytest exited {done.returncode}\n{output}", flush=True)
     return 1 if failures else 0
 
 

@@ -5,7 +5,7 @@ The package has four library layers and a CLI:
 * :mod:`acmbundles.chowring` — truncated Chow-ring arithmetic on a smooth
   degree-r hypersurface threefold in P^4, with tangent Chern and Todd classes;
 * :mod:`acmbundles.bundles` — bundle descriptors and their calculus (duals,
-  twists, tensor products, direct sums, Riemann-Roch chi and Euler pairings);
+  twists, tensor products, direct sums and Riemann-Roch chi);
 * :mod:`acmbundles.catalog` — the fourteen admissible (c1, c2) pairs of
   normalized indecomposable rank-2 ACM bundles on the quintic;
 * :mod:`acmbundles.analysis` — the seven-row extension table and the

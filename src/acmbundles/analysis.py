@@ -6,7 +6,7 @@ as extensions
     0 -> F(m) -> G -> E -> 0,    m <= 0,
 
 of catalog bundles E by twisted catalog bundles F(m).  The Euler pairing
-chi(E, F(m)) = hom - ext^1 + ext^2 - ext^3 (``euler_pairing``) bounds ext^1 from
+chi(E, F(m)) = hom - ext^1 + ext^2 - ext^3 (chi of F(m) tensor E*) bounds ext^1 from
 below by -chi (``d_lower``), and so makes Ext^1(E, F(m)) nonempty when chi < 0,
 only once ext^3 vanishes.  As omega_X = O_X, ext^3(E, F(m)) = hom(F(m), E), which
 nothing here computes: the report's ``rank1_hypothesis_ok`` is c1(F) + m > 0,

@@ -34,9 +34,9 @@ r (s b1^3 + t a1^3 - (t a1 + s b1)^3), and (x + y)^3 = x^3 + y^3, t^3 = t
 there.  So ``tensor`` of two valid descriptors never raises.
 
 Euler characteristics come from Hirzebruch-Riemann-Roch, chi(E) = chi(O_X, E)
-= integral of ch(E).td(X), and so does the Euler pairing chi(E, F) = sum
-(-1)^i ext^i(E, F) = integral of ch(E*).ch(F).td(X), with no tensor built;
-``Hypersurface._point`` reads its point coefficient with no product formed.
+= integral of ch(E).td(X), and the Euler pairing chi(E, F) = sum (-1)^i
+ext^i(E, F) is chi_hrr(tensor(dual(E), F, X), X).  (``analysis.build_case``
+reads it from cached characters, by ``Hypersurface._point`` on ch(E*).ch(F).td(X).)
 ``chi_rank2`` is chi of a rank-2 bundle on the quintic: 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
 """
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _exp_h, _integer, _over, _Record
 
 __all__ = [
     "BundleDescriptor",
@@ -57,7 +57,6 @@ __all__ = [
     "direct_sum",
     "chi_hrr",
     "chi_rank2",
-    "euler_pairing",
 ]
 
 
@@ -135,10 +134,10 @@ def dual(E: BundleDescriptor) -> BundleDescriptor:
 
 
 def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
-    """E(n) = E tensor O_X(n), through the Chern character."""
+    """E(n) = E tensor O_X(n): ch(E) times ch(O_X(n)), read back."""
     if (n if type(n) is int else _integer(n, "twist n")) == 0:
         return E
-    return from_ch(X.mul(to_ch(E, X), X.exp_h(n)), X)
+    return from_ch(X.mul(to_ch(E, X), _exp_h(X.r, n)), X)
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
@@ -177,11 +176,6 @@ def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
         6 * E.rank * t3 + 6 * c1 * t2 + 3 * (r * c1 * c1 - 2 * c2) * t1 + (r * c1**3 - 3 * c1 * c2 + 3 * E.c3) * t0,
         6 * f,
     )
-
-
-def euler_pairing(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Fraction:
-    """chi(E, F) = sum (-1)^i ext^i(E, F), by Riemann-Roch the integral of ch(E*).ch(F).td(X)."""
-    return Fraction(*X._point(to_ch(dual(E), X), to_ch(F, X), X.todd()))
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:

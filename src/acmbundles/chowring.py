@@ -15,7 +15,7 @@ elsewhere in this package integral.
 The ring operations are methods of Hypersurface; QUINTIC is X_5 (the field
 default), the one degree the rank-2 catalog lives on.  ``todd`` is memoised
 in a dict keyed by the integer degree r, so chi never hashes a Hypersurface;
-``exp_h`` per (r, n) in a typed, bounded ``lru_cache``, ``_exp_h``.
+ch(O_X(n)), which ``bundles.twist`` reads, per (r, n) in ``_exp_h``.
 A ChowClass is read, not combined: a0..a3, ``coefficients()``, equality,
 hash, ``repr`` (which ``str`` falls back to) and pickling.  It has no +, -
 or scalar *; the one product is ``Hypersurface.mul``, and the degree map is
@@ -180,13 +180,13 @@ def _over(d: int, n0: int, n1: int, n2: int, n3: int) -> ChowClass:
     return x
 
 
-# The Todd class of X_r for each degree r that has asked for it.
+# The Todd class of X_r for each degree r that has asked for it, at most 64 of them.
 _TODD: dict[int, ChowClass] = {}
 
 
-# ch(O_X(n)) by (r, n).  Bounded, as n comes from user expressions; typed, so that
-# exp_h(1.0) or exp_h(Fraction(2)) still raises once exp_h(1) or exp_h(2) is held.
-@lru_cache(maxsize=256, typed=True)
+# ch(O_X(n)) = 1 + nH + n^2 H^2/2 + n^3 H^3/6, or (1, n, r n^2/2, r n^3/6) in basis units, per (r, n).
+# Bounded, as n comes from user expressions; keyed by value, so its caller ``twist`` checks n is an int.
+@lru_cache(maxsize=256)
 def _exp_h(r: int, n: int) -> ChowClass:
     return _over(6, 6, 6 * n, 3 * r * n * n, r * n**3)
 
@@ -226,14 +226,6 @@ class Hypersurface(_Record):
             d * e * f,
         )
 
-    def exp_h(self, n: int) -> ChowClass:
-        """Chern character of O_X(n): the truncated exponential of n*H.
-
-        The series 1 + nH + n^2 H^2/2 + n^3 H^3/6 becomes
-        (1, n, r n^2/2, r n^3/6) in basis units, memoised per (r, n).
-        """
-        return _exp_h(self.r, n)
-
     def tangent_chern(self) -> ChowClass:
         """Total Chern class of the tangent bundle T_X: (1+H)^5/(1+rH) up to H^3."""
         r = self.r
@@ -242,6 +234,8 @@ class Hypersurface(_Record):
     def todd(self) -> ChowClass:
         """Todd class 1 + c1/2 + (c1^2 + c2)/12 + c1*c2/24 of T_X, memoised per degree r."""
         if self.r not in _TODD:
+            if len(_TODD) >= 64:  # the degree comes from outside, so a miss may evict
+                _TODD.clear()
             _, _, c1, c2, _ = self.tangent_chern().scaled
             _TODD[self.r] = _over(24, 24, 12 * c1, 2 * (self.r * c1 * c1 + c2), c1 * c2)
         return _TODD[self.r]

@@ -14,6 +14,7 @@ from acmbundles.expr import (
     MAX_DEPTH,
     MAX_DIGITS,
     Dual,
+    Expression,
     ExpressionError,
     Sum,
     Tensor,
@@ -148,32 +149,14 @@ def _frame_depth() -> int:
     return depth
 
 
-def test_the_depth_limit_keeps_the_parser_within_five_frames_per_level():
-    # The two deepest accepted texts parse with 5 frames per level, and 10
-    # to spare, above the caller's depth.
-    deepest = ("dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1), "(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 5 * MAX_DEPTH + 10)
-    try:
-        trees = [parse(text) for text in deepest]
-    finally:
-        sys.setrecursionlimit(limit)
-    assert trees[1] == O(1)
-    for _ in range(MAX_DEPTH - 1):
-        assert type(trees[0]) is Dual
-        trees[0] = trees[0].inner
-    assert trees[0] == O(1)
-
-
-def _parses_within(text: str, frames: int) -> bool:
-    """Whether ``parse(text)`` succeeds under a recursion limit ``frames`` above this function's depth."""
+def _parse_within(text: str, frames: int) -> Expression | None:
+    """``parse(text)`` under a recursion limit ``frames`` above this function's depth; None if it recurses too deep."""
     limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(_frame_depth() + frames)
-        parse(text)
-        return True
+        return parse(text)
     except RecursionError:
-        return False
+        return None
     finally:
         sys.setrecursionlimit(limit)
 
@@ -182,9 +165,13 @@ def test_a_nesting_level_costs_the_parser_two_frames():
     # A leaf needs some frames above the caller (on Python 3.10 and 3.11 the
     # limit also counts C calls, which no frame shows).  Each level of the two
     # deepest accepted texts adds at most 2: the precedence loop and _unary.
-    leaf = next(frames for frames in range(100) if _parses_within("o(1)", frames))
-    assert _parses_within("dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1), leaf + 2 * (MAX_DEPTH - 1))
-    assert _parses_within("(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH, leaf + 2 * MAX_DEPTH)
+    leaf = next(frames for frames in range(100) if _parse_within("o(1)", frames) is not None)
+    duals = _parse_within("dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1), leaf + 2 * (MAX_DEPTH - 1))
+    for _ in range(MAX_DEPTH - 1):
+        assert type(duals) is Dual
+        duals = duals.inner
+    assert duals == O(1)
+    assert _parse_within("(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH, leaf + 2 * MAX_DEPTH) == O(1)
 
 
 @pytest.mark.parametrize(

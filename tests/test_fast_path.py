@@ -34,7 +34,6 @@ from acmbundles import (
     chi_hrr,
     direct_sum,
     dual,
-    euler_pairing,
     from_ch,
     tensor,
     twist,
@@ -42,6 +41,7 @@ from acmbundles import (
 from acmbundles import analysis
 from acmbundles.bundles import _exact_int
 from acmbundles.catalog import CatalogEntry
+from acmbundles.expr import evaluate, parse
 
 from strategies import descriptors, hypersurfaces
 
@@ -211,7 +211,8 @@ def test_the_twist_cache_stays_within_its_bound_for_any_e():
             for E in catalog():
                 case = build_case(F, E, m)
                 Fm = twist(F.descriptor(), m, QUINTIC)
-                assert case.chi_tensor == euler_pairing(E.descriptor(), Fm, QUINTIC), (F.pair, E.pair, m)
+                chi = chi_hrr(tensor(dual(E.descriptor()), Fm, QUINTIC), QUINTIC)
+                assert case.chi_tensor == chi, (F.pair, E.pair, m)
     info = analysis._twisted.cache_info()
     assert 0 < info.currsize <= info.maxsize <= 64
 
@@ -228,12 +229,14 @@ def test_a_sweep_pass_misses_the_twist_cache_once_per_twisted_entry():
 
 def test_every_chi_of_the_sweep_is_its_riemann_roch_value():
     # The cached characters against the routes that cache nothing: the
-    # tensor product's chi for the pairing, chi_hrr(G) for each verdict.
+    # tensor product's chi for the pairing, built by the library and by the
+    # expression `acmbundles eval chi` runs, and chi_hrr(G) for each verdict.
     for F, E, m in _sweep():
         report = analyze_extension(F, E, m)
         case, Fm = report.case, twist(F.descriptor(), m, QUINTIC)
-        chi = euler_pairing(E.descriptor(), Fm, QUINTIC)
-        assert case.chi_tensor == chi == chi_hrr(tensor(Fm, dual(E.descriptor()), QUINTIC), QUINTIC)
+        chi = chi_hrr(tensor(Fm, dual(E.descriptor()), QUINTIC), QUINTIC)
+        text = f"dual(cat({E.c1},{E.c2})) * cat({F.c1},{F.c2})({m})"
+        assert case.chi_tensor == chi == chi_hrr(evaluate(parse(text), QUINTIC), QUINTIC), text
         chi_G = chi_hrr(case.G, QUINTIC)
         assert chi_G == chi_hrr(Fm, QUINTIC) + E.chi
         for verdict in report.verdicts + report.rejected:

@@ -40,7 +40,7 @@ def test_library_block_runs_and_states_its_values():
     assert values["to_ch(E, X)"].coefficients() == (2, 4, 10, Fraction(-20, 3))
     assert values["X.mul(to_ch(E, X), X.todd()).a3"] == 10
     assert values["extension_cases()[0].chi_tensor"] == -14
-    pairing = values["euler_pairing(BundleDescriptor(2, 1, 8), E, X)"]
+    pairing = values["chi_hrr(tensor(dual(BundleDescriptor(2, 1, 8)), E, X), X)"]
     assert type(pairing) is Fraction and pairing == -14
     assert values["analyze_case(1).rank1_hypothesis_ok"] is True
     assert values["report.conclusion"] == "indecomposable-by-numeric-filters"

@@ -142,6 +142,22 @@ MUTANTS = (
         "tests/test_bundles.py::test_tensor_is_the_product_of_characters_on_every_pair_of_a_box",
     ),
     Mutant(
+        "triple-reader-drops-r",
+        "src/acmbundles/chowring.py",
+        "self.r * y1 * z1",
+        "y1 * z1",
+        "killed",
+        "tests/test_chowring.py::test_the_triple_reader_is_the_integral_of_the_product",
+    ),
+    Mutant(
+        "twist-by-minus-n",
+        "src/acmbundles/bundles.py",
+        "_exp_h(X.r, n)",
+        "_exp_h(X.r, -n)",
+        "killed",
+        "tests/test_bundles.py::test_twist_values",
+    ),
+    Mutant(
         "degree-one-refused",
         "src/acmbundles/cli.py",
         "if value < 1:",

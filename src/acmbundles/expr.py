@@ -28,12 +28,13 @@ interpreter's recursion limit, and an integer literal may have at most
 MAX_DIGITS digits.
 
 The whole text is tokenized, in one scan of one pattern, before any syntax
-error is raised.  The parser is one precedence loop over the binary operators
-of ``_BINARY`` and the postfix twist, which binds tightest, with ``_unary``
-reading its operands; both pass the token index along and keep no positions.
-A nesting level costs two interpreter frames.  Errors carry a 1-based
-column, which only ``parse`` computes, for an error, by scanning the text
-again.
+error is raised.  The parser is one function per nesting level, so a level
+costs one interpreter frame: it reads an operand, then each postfix twist,
+which binds tightest, and each operator of ``_BINARY`` that binds tightly
+enough; it passes the token index along and keeps no positions.  The printer
+reads the binding powers and spellings from ``_BINARY`` too.  Errors carry a
+1-based column, which only ``parse`` computes, for an error, by scanning the
+text again.
 """
 
 from __future__ import annotations
@@ -124,16 +125,47 @@ def _expected(what: str, tokens: list[str], i: int) -> _ParseError:
     return _ParseError(f"expected {what}, found {tokens[i] or 'end of input'!r}", i)
 
 
-# Binary operator -> (its binding power, the node it builds); a postfix twist binds tighter than both.
+# Binary operator -> (its binding power, the node it builds); a twist or a leaf binds _TIGHT, tighter than all.
 _BINARY = {"++": (1, Sum), "*": (2, Tensor)}
+_TIGHT = len(_BINARY) + 1
+_PRINTED = {node: (spelling, power) for spelling, (power, node) in _BINARY.items()}  # the printer's view
 
 
-# One precedence loop over _BINARY, with _unary reading its operands.  Each
-# function reads from token i, with ``groups`` parentheses open around it, and
-# returns what it parsed and the index after it; "" is the token after the last.
+# One function per nesting level: it reads from token i, with ``groups`` parentheses open
+# around it, and returns what it parsed and the index after it; "" is the token after the last.
 def _expression(tokens: list[str], i: int, groups: int, least: int = 1) -> Parsed:
     """An operand, then each twist and each operator of binding power at least ``least``."""
-    node, height, i = _unary(tokens, i, groups)
+    at = i
+    name = tokens[i]
+    leaf = _LEAVES.get(name)
+    if leaf is not None:
+        build, arity, prefix = leaf
+        values, i = _arguments(tokens, i + 1, name, arity, at)
+        try:
+            node, height = build(*values), 1
+        except ValueError as exc:
+            raise _ParseError(f"{prefix}{exc}", at) from exc
+    elif name == "(" or name == "dual":
+        # "(" expr ")" or "dual(" expr ")".  Bounds the parser's own
+        # recursion, which the tree height cannot: it is only known once the
+        # group is parsed.
+        i += name == "dual"  # from "dual" to its "("
+        if tokens[i] != "(":
+            raise _expected("'('", tokens, i)
+        if groups == MAX_DEPTH:
+            raise _ParseError(_TOO_DEEP, at)
+        node, height, i = _expression(tokens, i + 1, groups + 1)
+        if tokens[i] != ")":
+            raise _expected("')'", tokens, i)
+        i += 1
+        if name == "dual":
+            node, height = Dual(node), height + 1
+            if height > MAX_DEPTH:
+                raise _ParseError(_TOO_DEEP, at)
+    elif name.isidentifier():
+        raise _ParseError(f"unknown name {name!r}", at)
+    else:
+        raise _expected("an expression", tokens, i)
     while True:
         at = i
         if tokens[i] == "(":
@@ -147,39 +179,6 @@ def _expression(tokens: list[str], i: int, groups: int, least: int = 1) -> Parse
             node, height = op[1](node, right), 1 + max(height, right_height)
         if height > MAX_DEPTH:
             raise _ParseError(_TOO_DEEP, at)
-
-
-def _unary(tokens: list[str], i: int, groups: int) -> Parsed:
-    at = i
-    name = tokens[i]
-    leaf = _LEAVES.get(name)
-    if leaf is not None:
-        build, arity, prefix = leaf
-        values, i = _arguments(tokens, i + 1, name, arity, at)
-        try:
-            return build(*values), 1, i
-        except ValueError as exc:
-            raise _ParseError(f"{prefix}{exc}", at) from exc
-    if name == "(" or name == "dual":
-        # "(" expr ")" or "dual(" expr ")".  Bounds the parser's own
-        # recursion, which the tree height cannot: it is only known once the
-        # group is parsed.
-        i += name == "dual"  # from "dual" to its "("
-        if tokens[i] != "(":
-            raise _expected("'('", tokens, i)
-        if groups == MAX_DEPTH:
-            raise _ParseError(_TOO_DEEP, at)
-        node, height, i = _expression(tokens, i + 1, groups + 1)
-        if tokens[i] != ")":
-            raise _expected("')'", tokens, i)
-        if name == "dual":
-            node, height = Dual(node), height + 1
-            if height > MAX_DEPTH:
-                raise _ParseError(_TOO_DEEP, at)
-        return node, height, i + 1
-    if name.isidentifier():
-        raise _ParseError(f"unknown name {name!r}", at)
-    raise _expected("an expression", tokens, i)
 
 
 def _arguments(tokens: list[str], i: int, name: str, arity: tuple[int, int, str], at: int) -> tuple[list[int], int]:
@@ -244,17 +243,16 @@ def to_text(expr: Expression) -> str:
     if kind is Dual:
         return f"dual({to_text(expr.inner)})"
     if kind is Twist:
-        return f"{_operand(expr.inner, 3)}({expr.n})"
-    if kind is Tensor:
-        return f"{_operand(expr.left, 2)} * {_operand(expr.right, 3)}"
-    if kind is Sum:
-        return f"{_operand(expr.left, 1)} ++ {_operand(expr.right, 2)}"
-    raise TypeError(f"not an expression: {expr!r}")
+        return f"{_operand(expr.inner, _TIGHT)}({expr.n})"
+    if kind not in _PRINTED:
+        raise TypeError(f"not an expression: {expr!r}")
+    spelling, power = _PRINTED[kind]
+    return f"{_operand(expr.left, power)} {spelling} {_operand(expr.right, power + 1)}"
 
 
 def _operand(expr: Expression, needs: int) -> str:
-    # "++" binds 1, "*" binds 2, every other node 3: wrap what binds looser than its position needs.
-    binds = 1 if type(expr) is Sum else 2 if type(expr) is Tensor else 3
+    # A node of _BINARY binds its operator's power, any other node _TIGHT: wrap what binds looser than its position needs.
+    binds = _PRINTED.get(type(expr), ("", _TIGHT))[1]
     text = to_text(expr)
     return f"({text})" if binds < needs else text
 

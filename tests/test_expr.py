@@ -161,17 +161,17 @@ def _parse_within(text: str, frames: int) -> Expression | None:
         sys.setrecursionlimit(limit)
 
 
-def test_a_nesting_level_costs_the_parser_two_frames():
+def test_a_nesting_level_costs_the_parser_one_frame():
     # A leaf needs some frames above the caller (on Python 3.10 and 3.11 the
     # limit also counts C calls, which no frame shows).  Each level of the two
-    # deepest accepted texts adds at most 2: the precedence loop and _unary.
+    # deepest accepted texts adds at most 1: the one parse function.
     leaf = next(frames for frames in range(100) if _parse_within("o(1)", frames) is not None)
-    duals = _parse_within("dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1), leaf + 2 * (MAX_DEPTH - 1))
+    duals = _parse_within("dual(" * (MAX_DEPTH - 1) + "o(1)" + ")" * (MAX_DEPTH - 1), leaf + (MAX_DEPTH - 1))
     for _ in range(MAX_DEPTH - 1):
         assert type(duals) is Dual
         duals = duals.inner
     assert duals == O(1)
-    assert _parse_within("(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH, leaf + 2 * MAX_DEPTH) == O(1)
+    assert _parse_within("(" * MAX_DEPTH + "o(1)" + ")" * MAX_DEPTH, leaf + MAX_DEPTH) == O(1)
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,15 @@ are read as text: Python 3.10 has no ``tomllib``.
 The list of named mutants in ``tools/mutants.py`` is sound: each old text
 occurs once in its file, each new text differs from it, each killed mutant
 names a test that exists, and each equivalent mutant says why.
+
+Each entry of the known list of ``tools/unexecuted.py`` names an executable
+statement of its file, and the tool's comparison reports new and stale
+entries.
 """
 
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,9 +60,14 @@ def test_ci_runs_the_requires_python_floor_as_its_lowest_version():
     assert min(versions, key=_version) == floor
 
 
-_SPEC = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-mutants = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(mutants)
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+mutants = _tool("mutants")
 
 
 def test_every_named_mutant_applies_once_and_says_why_if_equivalent():
@@ -95,3 +105,48 @@ def test_the_mutant_list_check_reports_each_fault():
     assert "unsure: the name is used twice" in found
     assert "no-file: the test file tests/test_absent.py does not exist" in found
     assert "no-function: tests/test_analysis.py defines no test function test_absent" in found
+
+
+unexecuted = _tool("unexecuted")
+
+
+def test_every_known_unexecuted_statement_is_a_statement_of_its_file():
+    # The cheap half of ``tools/unexecuted.py``: each entry still names as many
+    # executable statements as it is listed times.  Tracing the suite is a CI job of its own.
+    for (file, text), count in Counter(unexecuted.KNOWN).items():
+        source = (ROOT / file).read_text()
+        lines = source.splitlines()
+        firsts = [lines[first - 1].strip() for first in unexecuted.statements(source, file)]
+        assert firsts.count(text) >= count, (file, text)
+
+
+def test_a_statement_is_keyed_by_its_first_line_and_owns_the_lines_no_nested_statement_claims():
+    source = (
+        '"""A module."""\n'           # 1
+        "import functools\n"          # 2
+        "\n"                          # 3
+        "@functools.cache\n"          # 4
+        "def f(x):\n"                 # 5
+        '    """f."""\n'              # 6: a function's docstring compiles to nothing
+        "    if x:\n"                 # 7
+        "        return (\n"          # 8
+        "            x\n"             # 9
+        "            + 1)\n"          # 10
+        "    else:\n"                 # 11: no statement of its own
+        "        global y\n"          # 12: compiles to nothing
+        "        pass\n"              # 13
+    )
+    found = unexecuted.statements(source, "example.py")
+    assert set(found) == {1, 2, 5, 7, 8, 13}
+    assert found[5] >= {5} and found[5] <= {4, 5}
+    assert found[8] <= {8, 9, 10} and found[8]
+    assert found[7] == {7} and found[13] == {13}
+
+
+def test_the_statement_check_reports_new_and_stale_keys_counting_repeats():
+    known = (("a.py", "return 1"), ("a.py", "return 1"), ("a.py", "pass"), ("b.py", "pass"))
+    found = [("a.py", "return 1"), ("a.py", "pass"), ("a.py", "pass"), ("c.py", "x = 1")]
+    new, stale = unexecuted.compare(found, known)
+    assert new == [("a.py", "pass"), ("c.py", "x = 1")]
+    assert stale == [("a.py", "return 1"), ("b.py", "pass")]
+    assert unexecuted.compare(list(known), known) == ([], [])

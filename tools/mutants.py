@@ -94,6 +94,22 @@ MUTANTS = (
         "tests/test_expr.py::test_twist_binds_tightest",
     ),
     Mutant(
+        "printer-wraps-equal-power",
+        "src/acmbundles/expr.py",
+        "binds < needs",
+        "binds <= needs",
+        "killed",
+        "tests/test_expr.py::test_printer_parenthesizes_exactly_the_looser_operands",
+    ),
+    Mutant(
+        "printer-leaf-binds-tighter",
+        "src/acmbundles/expr.py",
+        '("", _TIGHT))',
+        '("", _TIGHT + 1))',
+        "equivalent",
+        reason="no position needs more than _TIGHT (a twist's operand), so a twist, dual or leaf binding _TIGHT + 1 is never wrapped, as at _TIGHT",
+    ),
+    Mutant(
         "trivial-key-at-every-m",
         "src/acmbundles/analysis.py",
         "trivial = m == 0 and tuple(sorted((F.pair, E.pair)))",

@@ -19,7 +19,8 @@ identities truncated at codimension three; on this ring
 
     ch1 = c1,   ch2 = (r c1^2 - 2 c2)/2,   ch3 = (r c1^3 - 3 c1 c2 + 3 c3)/6.
 
-``twist`` multiplies two characters and reads the product back.  ``tensor``
+``_newton`` states them once, as the integers 6 ch0 .. 6 ch3.  ``twist``
+multiplies ch(E) by ch(O_X(n)), memoised per (r, n) in ``_line_ch``.  ``tensor``
 builds no character: for E = (s; a1, a2, a3) and F = (t; b1, b2, b3) it is
 (st; c1, c2, c3) with
 
@@ -27,9 +28,9 @@ builds no character: for E = (s; a1, a2, a3) and F = (t; b1, b2, b3) it is
     c2 = r (C(t,2) a1^2 + (st - 1) a1 b1 + C(s,2) b1^2) + s b2 + t a2,
     c3 = (6 P3 - r c1^3 + 3 c1 c2)/3,
 
-where 6 P3 = s(r b1^3 - 3 b1 b2 + 3 b3) + t(r a1^3 - 3 a1 a2 + 3 a3)
-+ 3 a1 (r b1^2 - 2 b2) + 3 b1 (r a1^2 - 2 a2) is six times the product's ch3.
-The division by 3 is exact: mod 3, 6 P3 - r c1^3 + 3 c1 c2 is
+where 6 P3 = s 6ch3(F) + t 6ch3(E) + a1 6ch2(F) + b1 6ch2(E), read from
+``_newton``, is six times the product's ch3.  The division by 3 is exact: mod
+3 a factor's 6 ch2 is 0 and its 6 ch3 is r c1^3, so the numerator is
 r (s b1^3 + t a1^3 - (t a1 + s b1)^3), and (x + y)^3 = x^3 + y^3, t^3 = t
 there.  So ``tensor`` of two valid descriptors never raises.
 
@@ -43,8 +44,9 @@ reads it from cached characters, by ``Hypersurface._point`` on ch(E*).ch(F).td(X
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _exp_h, _integer, _over, _Record
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record
 
 __all__ = [
     "BundleDescriptor",
@@ -89,12 +91,22 @@ class BundleDescriptor(_Record):
         return (self.c1, self.c2, self.c3)
 
 
+def _newton(E: BundleDescriptor, r: int) -> tuple[int, int, int, int]:
+    """6 ch0, 6 ch1, 6 ch2, 6 ch3 of E on X_r: the Newton identities, the one place they are stated."""
+    c1, c2 = E.c1, E.c2
+    return 6 * E.rank, 6 * c1, 3 * (r * c1 * c1 - 2 * c2), r * c1**3 - 3 * c1 * c2 + 3 * E.c3
+
+
 def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
     """Chern character ch0 + ch1 H + ch2 ell + ch3 pt of E (Newton identities)."""
-    r, c1, c2, c3 = X.r, E.c1, E.c2, E.c3
-    return _over(
-        6, 6 * E.rank, 6 * c1, 3 * (r * c1 * c1 - 2 * c2), r * c1**3 - 3 * c1 * c2 + 3 * c3
-    )
+    n0, n1, n2, n3 = _newton(E, X.r)  # unpacked, as a starred call is slower here on CPython 3.11
+    return _over(6, n0, n1, n2, n3)
+
+
+# ch(O_X(n)) per (r, n), bounded as n comes from user input; keyed by value, so ``twist`` checks n is an int.
+@lru_cache(maxsize=256)
+def _line_ch(r: int, n: int) -> ChowClass:
+    return to_ch(BundleDescriptor(1, n), Hypersurface(r))
 
 
 def _exact_int(num: Rational, what: str, den: int = 1) -> int:
@@ -137,17 +149,18 @@ def twist(E: BundleDescriptor, n: int, X: Hypersurface) -> BundleDescriptor:
     """E(n) = E tensor O_X(n): ch(E) times ch(O_X(n)), read back."""
     if (n if type(n) is int else _integer(n, "twist n")) == 0:
         return E
-    return from_ch(X.mul(to_ch(E, X), _exp_h(X.r, n)), X)
+    return from_ch(X.mul(to_ch(E, X), _line_ch(X.r, n)), X)
 
 
 def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleDescriptor:
     """Tensor product by the closed form in the integer Chern classes; ranks multiply."""
     r, s, t = X.r, E.rank, F.rank
-    a1, a2, a3, b1, b2, b3 = E.c1, E.c2, E.c3, F.c1, F.c2, F.c3
+    a1, a2, b1, b2 = E.c1, E.c2, F.c1, F.c2
     c1 = t * a1 + s * b1
     c2 = r * (t * (t - 1) // 2 * a1 * a1 + (s * t - 1) * a1 * b1 + s * (s - 1) // 2 * b1 * b1) + s * b2 + t * a2
-    p3 = (s * (r * b1**3 - 3 * b1 * b2 + 3 * b3) + t * (r * a1**3 - 3 * a1 * a2 + 3 * a3)
-          + 3 * a1 * (r * b1 * b1 - 2 * b2) + 3 * b1 * (r * a1 * a1 - 2 * a2))  # 6 P3 of the docstring
+    _, _, e2, e3 = _newton(E, r)
+    _, _, f2, f3 = _newton(F, r)
+    p3 = s * f3 + t * e3 + a1 * f2 + b1 * e2  # 6 P3 of the docstring
     return BundleDescriptor(s * t, c1, c2, (p3 - r * c1**3 + 3 * c1 * c2) // 3)
 
 
@@ -165,17 +178,14 @@ def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Bun
 def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
     """Euler characteristic by Hirzebruch-Riemann-Roch: integral of ch(E).td(X).
 
-    This is the Euler pairing chi(O_X, E), read from the Newton numerators of
-    ``to_ch``, written out again so that ``to_ch`` stays one call, with no class
-    built.  The exact value is an integer whenever the descriptor satisfies the
-    parity constraint of an honest bundle class (every catalog and analysis bundle).
+    This is the Euler pairing chi(O_X, E), read from the integers of ``_newton``
+    against td(X)'s numerators, with no class built.  The exact value is an
+    integer whenever the descriptor satisfies the parity constraint of an honest
+    bundle class (every catalog and analysis bundle).
     """
-    r, c1, c2 = X.r, E.c1, E.c2
+    n0, n1, n2, n3 = _newton(E, X.r)
     f, t0, t1, t2, t3 = X.todd().scaled
-    return Fraction(
-        6 * E.rank * t3 + 6 * c1 * t2 + 3 * (r * c1 * c1 - 2 * c2) * t1 + (r * c1**3 - 3 * c1 * c2 + 3 * E.c3) * t0,
-        6 * f,
-    )
+    return Fraction(n0 * t3 + n1 * t2 + n2 * t1 + n3 * t0, 6 * f)
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:

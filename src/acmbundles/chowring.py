@@ -15,7 +15,7 @@ elsewhere in this package integral.
 The ring operations are methods of Hypersurface; QUINTIC is X_5 (the field
 default), the one degree the rank-2 catalog lives on.  ``todd`` is memoised
 in a dict keyed by the integer degree r, so chi never hashes a Hypersurface;
-ch(O_X(n)), which ``bundles.twist`` reads, per (r, n) in ``_exp_h``.
+no Chern character is formed here, not even ch(O_X(n)) (see ``bundles._newton``).
 A ChowClass is read, not combined: a0..a3, ``coefficients()``, equality,
 hash, ``repr`` (which ``str`` falls back to) and pickling.  It has no +, -
 or scalar *; the one product is ``Hypersurface.mul``, and the degree map is
@@ -39,7 +39,6 @@ that defines its own ``__init__`` keeps it, with no twin (ChowClass does).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
@@ -87,7 +86,7 @@ class _RecordType(type):
         exec(compile(
             f"def __init__({s}, {', '.join(f'{n}={s}d{n}' if n in defaults else n for n in names)}):\n"
             + f" {s}r({s}, {s}t)\n" + "".join(f" {s}.{n} = {n}\n" for n in names) + f" {s}.__class__ = {s}c\n"
-            + (f" {s}._validate()\n" if cls._validate is not _Record._validate else "")
+            + (f" {s}._validate()\n" if hasattr(cls, "_validate") else "")
             + f"def _values({s}):\n return ({''.join(f'{s}.{n}, ' for n in names)})",
             f"<record {cls.__qualname__}>", "exec",  # a filename per class, so profilers count each apart
         ), env)
@@ -112,9 +111,6 @@ class _Record(metaclass=_RecordType):
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-
-    def _validate(self) -> None:
-        pass
 
     def __repr__(self) -> str:
         fields = (f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
@@ -182,13 +178,6 @@ def _over(d: int, n0: int, n1: int, n2: int, n3: int) -> ChowClass:
 
 # The Todd class of X_r for each degree r that has asked for it, at most 64 of them.
 _TODD: dict[int, ChowClass] = {}
-
-
-# ch(O_X(n)) = 1 + nH + n^2 H^2/2 + n^3 H^3/6, or (1, n, r n^2/2, r n^3/6) in basis units, per (r, n).
-# Bounded, as n comes from user expressions; keyed by value, so its caller ``twist`` checks n is an int.
-@lru_cache(maxsize=256)
-def _exp_h(r: int, n: int) -> ChowClass:
-    return _over(6, 6, 6 * n, 3 * r * n * n, r * n**3)
 
 
 class Hypersurface(_Record):

@@ -263,13 +263,33 @@ CHERN_BOX = [
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_chi_is_the_integral_of_the_character_against_todd_on_a_chern_box(r):
-    # chi_hrr writes the Newton numerators of to_ch again; this ties the two copies together.
-    # On the quintic td_1 = 0, so the other degrees are the ones that read ch_2.
+    # chi_hrr pairs the Newton integers with td(X)'s numerators and builds no class; this
+    # checks that pairing against the ring's product.  On the quintic td_1 = 0, so the
+    # other degrees are the ones that read ch_2.
     X = Hypersurface(r)
     assert len(CHERN_BOX) == 742
     for E in CHERN_BOX:
         chi = chi_hrr(E, X)
         assert type(chi) is Fraction and chi == X.mul(to_ch(E, X), X.todd()).a3, E
+
+
+def test_the_newton_identities_are_read_from_one_kernel(monkeypatch):
+    # to_ch and chi_hrr read _newton once and tensor once per factor, on every degree and
+    # descriptor of a box, and each result is the per-coefficient Fraction oracle's.
+    calls = []
+    newton = bundles._newton
+    monkeypatch.setattr(bundles, "_newton", lambda E, r: calls.append(E) or newton(E, r))
+    box = [E for E in CHERN_BOX if max(map(abs, E.chern_tuple())) <= 1]
+    for r in (1, 3, 5, 8):
+        X = Hypersurface(r)
+        for E in box:
+            del calls[:]
+            assert to_ch(E, X).coefficients() == oracles.to_ch(r, E) and calls == [E], (r, E)
+            del calls[:]
+            assert chi_hrr(E, X) == oracles.chi(r, E) and calls == [E], (r, E)
+        for E, F in product(box, repeat=2):
+            del calls[:]
+            assert tensor(E, F, X) == oracles.tensor(r, E, F) and calls == [E, F], (r, E, F)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

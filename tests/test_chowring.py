@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acmbundles import BundleDescriptor, ChowClass, Hypersurface, chowring, to_ch, twist
+from acmbundles import BundleDescriptor, ChowClass, Hypersurface, bundles, chowring, to_ch, twist
 from acmbundles.chowring import _over
 
 import oracles
@@ -24,7 +24,7 @@ def _add(x, y):
     return ChowClass(*(a + b for a, b in zip(x.coefficients(), y.coefficients())))
 
 
-def _line_ch(X, n):
+def _ch_o(X, n):
     # ch(O_X(n)), the truncated exponential of nH, through the public route.
     return to_ch(BundleDescriptor(1, n), X)
 
@@ -48,10 +48,10 @@ def test_character_product_pt_coefficient():
 
 
 def test_exp_h_values():
-    assert _line_ch(X5, 0) == ChowClass(1, 0, 0, 0)
-    assert _line_ch(X5, -1) == ChowClass(1, -1, Fraction(5, 2), Fraction(-5, 6))
-    assert _line_ch(X5, 1) == ChowClass(1, 1, Fraction(5, 2), Fraction(5, 6))
-    assert _line_ch(X5, 2) == ChowClass(1, 2, 10, Fraction(20, 3))
+    assert _ch_o(X5, 0) == ChowClass(1, 0, 0, 0)
+    assert _ch_o(X5, -1) == ChowClass(1, -1, Fraction(5, 2), Fraction(-5, 6))
+    assert _ch_o(X5, 1) == ChowClass(1, 1, Fraction(5, 2), Fraction(5, 6))
+    assert _ch_o(X5, 2) == ChowClass(1, 2, 10, Fraction(20, 3))
 
 
 def test_exp_h_is_a_homomorphism():
@@ -59,18 +59,18 @@ def test_exp_h_is_a_homomorphism():
         X = Hypersurface(r)
         for n in range(-5, 6):
             for m in range(-5, 6):
-                assert X.mul(_line_ch(X, n), _line_ch(X, m)) == _line_ch(X, n + m)
+                assert X.mul(_ch_o(X, n), _ch_o(X, m)) == _ch_o(X, n + m)
 
 
 def test_exp_h_is_its_oracle_and_a_repeat_is_the_same_object():
-    # The memo twist reads, against the oracle and the public route.
-    chowring._exp_h.cache_clear()
+    # The memo twist reads, bundles._line_ch, against the oracle and the public route.
+    bundles._line_ch.cache_clear()
     for r in range(1, 9):
         X = Hypersurface(r)
         for n in range(-12, 13):
-            first = chowring._exp_h(r, n)
-            assert first.coefficients() == oracles.exp_h(r, n) == _line_ch(X, n).coefficients(), (r, n)
-            assert chowring._exp_h(r, n) is first, (r, n)
+            first = bundles._line_ch(r, n)
+            assert first.coefficients() == oracles.exp_h(r, n) == _ch_o(X, n).coefficients(), (r, n)
+            assert bundles._line_ch(r, n) is first, (r, n)
 
 
 def test_the_exp_h_memo_stays_within_its_bound():
@@ -78,10 +78,10 @@ def test_the_exp_h_memo_stays_within_its_bound():
     for r in (3, 5):
         for n in range(-250, 250):  # 1,000 distinct keys
             twist(O, n, Hypersurface(r))
-    info = chowring._exp_h.cache_info()
+    info = bundles._line_ch.cache_info()
     assert 0 < info.currsize <= info.maxsize <= 256
     assert twist(O, -250, X5) == BundleDescriptor(1, -250)  # evicted, then built again
-    assert chowring._exp_h(5, -250).coefficients() == oracles.exp_h(5, -250)
+    assert bundles._line_ch(5, -250).coefficients() == oracles.exp_h(5, -250)
 
 
 @pytest.mark.parametrize("bad", [1.0, 2.0, Fraction(1), Fraction(2), 1.5, "1", None])
@@ -90,7 +90,7 @@ def test_exp_h_rejects_a_non_int_even_when_the_int_of_its_value_is_held(bad):
     # caller, must refuse a non-int n before it reads the memo.
     E = BundleDescriptor(2, 1, 8)
     held = twist(E, 1, X5), twist(E, 2, X5)
-    assert chowring._exp_h(5, 1.0) is chowring._exp_h(5, 1)
+    assert bundles._line_ch(5, 1.0) is bundles._line_ch(5, 1)
     for n in (bad, True):
         with pytest.raises(ValueError, match="twist n must be an integer"):
             twist(E, n, X5)
@@ -238,7 +238,7 @@ def _is_canonical(x):
 
 def test_built_and_computed_classes_are_equal_and_hash_equal():
     pairs = [
-        (ChowClass(1, -1, Fraction(5, 2), Fraction(-5, 6)), _line_ch(X5, -1)),
+        (ChowClass(1, -1, Fraction(5, 2), Fraction(-5, 6)), _ch_o(X5, -1)),
         (ChowClass(0, 0, 5, 0), X5.mul(H, H)),
         (ChowClass(Fraction(4, 2), Fraction(3, 3), 0, 0), X5.mul(ChowClass(2), ChowClass(1, Fraction(1, 2)))),
         (ChowClass(), X5.mul(ChowClass(0, 0, Fraction(1, 2)), ChowClass(0, 0, Fraction(1, 3)))),
@@ -254,7 +254,7 @@ def test_built_and_computed_classes_are_equal_and_hash_equal():
 def test_operations_keep_the_canonical_form(x, y, X, n):
     scaled_by_three_quarters = X.mul(ChowClass(Fraction(3, 4)), x)
     over_six_times = _over(*(6 * v for v in x.scaled))
-    for z in (x, y, X.mul(x, y), _add(x, y), scaled_by_three_quarters, over_six_times, _line_ch(X, n), X.todd()):
+    for z in (x, y, X.mul(x, y), _add(x, y), scaled_by_three_quarters, over_six_times, _ch_o(X, n), X.todd()):
         assert _is_canonical(z)
     assert over_six_times == x
     assert (x == y) == (x.coefficients() == y.coefficients())
@@ -262,7 +262,7 @@ def test_operations_keep_the_canonical_form(x, y, X, n):
 
 
 def test_coefficients_read_back_as_fractions():
-    x = _line_ch(X5, 1)
+    x = _ch_o(X5, 1)
     assert x.scaled == (6, 6, 6, 15, 5)
     for value in (*x.coefficients(), x.a0, x.a1, x.a2, x.a3):
         assert type(value) is Fraction
@@ -284,7 +284,7 @@ def test_classes_are_immutable():
 
 
 def test_text_forms_and_pickling():
-    x = _line_ch(X5, -1)
+    x = _ch_o(X5, -1)
     assert repr(x) == (
         "ChowClass(a0=Fraction(1, 1), a1=Fraction(-1, 1), "
         "a2=Fraction(5, 2), a3=Fraction(-5, 6))"
@@ -294,7 +294,7 @@ def test_text_forms_and_pickling():
 
 
 def test_a_class_keeps_its_one_slot_and_no_instance_dict():
-    for x in (ChowClass(1, 2, 3, 4), _line_ch(X5, 2), X5.todd()):
+    for x in (ChowClass(1, 2, 3, 4), _ch_o(X5, 2), X5.todd()):
         assert not hasattr(x, "__dict__")
 
 

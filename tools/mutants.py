@@ -142,6 +142,14 @@ MUTANTS = (
         "tests/test_catalog.py::test_h0_twist_oracle_values",
     ),
     Mutant(
+        "newton-ch2-adds-c2",
+        "src/acmbundles/bundles.py",
+        "- 2 * c2",
+        "+ 2 * c2",
+        "killed",
+        "tests/test_bundles.py::test_to_ch_values",
+    ),
+    Mutant(
         "tensor-c2-cross-term-unshifted",
         "src/acmbundles/bundles.py",
         "(s * t - 1) * a1 * b1",
@@ -168,8 +176,8 @@ MUTANTS = (
     Mutant(
         "twist-by-minus-n",
         "src/acmbundles/bundles.py",
-        "_exp_h(X.r, n)",
-        "_exp_h(X.r, -n)",
+        "_line_ch(X.r, n)",
+        "_line_ch(X.r, -n)",
         "killed",
         "tests/test_bundles.py::test_twist_values",
     ),

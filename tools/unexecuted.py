@@ -46,8 +46,6 @@ KNOWN = (
     ("src/acmbundles/__main__.py", "import sys"),
     ("src/acmbundles/__main__.py", "from .cli import main"),
     ("src/acmbundles/__main__.py", "sys.exit(main())"),
-    # _Record._validate, which a record class without checks never calls
-    ("src/acmbundles/chowring.py", "pass"),
     # type-checking imports
     ("src/acmbundles/cli.py", "from .analysis import CaseReport, ExtensionCase, SplitVerdict"),
     ("src/acmbundles/cli.py", "from .expr import Expression"),

@@ -25,8 +25,9 @@ built once, grouped by c1 sum; a row holds six fields: the pair, its key, the
 Whitney sum's Chern classes, the two c1 values, the two h0 and the case-free
 half of the ``details`` each verdict copies (c2 and c3 of the sum, the chi sum).
 The trivial key {F(m), E} and the counts h0(F(m)), h0(E) are facts of the case,
-decided once per case.  ``build_case`` reads chi(E, F(m)) with
-``Hypersurface._point`` from the Chern characters ``_twisted`` caches.
+decided once per case.  ``build_case`` takes catalog entries only, and reads
+chi(E, F(m)) as the ``_td_integral`` of the ``_product`` of the integer
+characters of E* and F(m) that ``_twisted`` caches, the kernels of chowring.
 ``_classify`` disposes of each candidate by the first applicable filter and
 builds the case report:
 
@@ -54,9 +55,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bundles import BundleDescriptor, _exact_int, chi_hrr, direct_sum, dual, to_ch, twist
+from .bundles import BundleDescriptor, _exact_int, _newton, chi_hrr, direct_sum, dual, twist
 from .catalog import _TABLE_ROWS, CASE_INDICES, CatalogEntry, catalog, lookup
-from .chowring import QUINTIC, ChowClass, _integer, _Record
+from .chowring import QUINTIC, _integer, _product, _Record, _td_integral
 
 __all__ = [
     "QUINTIC",
@@ -140,23 +141,26 @@ class CaseReport(_Record):
 def build_case(
     F: CatalogEntry, E: CatalogEntry, m: int, *, index: int | None = None
 ) -> ExtensionCase:
-    """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0."""
+    """Assemble the extension datum for 0 -> F(m) -> G -> E -> 0 of catalog entries F and E."""
+    if not (type(F) is type(E) is CatalogEntry):  # a descriptor has c1 and c2, but no catalog facts
+        bad = E if type(F) is CatalogEntry else F
+        raise ValueError(f"the extension analysis applies to the catalog bundles, not {bad}")
     if _integer(m, "extension twist m") > 0:
         raise ValueError(f"extension twist m must be non-positive, got {m}")
     Fm, ch_Fm, _ = _twisted(F.c1, F.c2, m)
     E0, _, ch_E_dual = _twisted(E.c1, E.c2, 0)
-    num, den = QUINTIC._point(ch_E_dual, ch_Fm, QUINTIC.todd())
+    num, den = _td_integral(QUINTIC, _product(QUINTIC.r, ch_E_dual, ch_Fm))
     chi_t = _exact_int(num, "chi", den)
     G = direct_sum(Fm, E0, QUINTIC)
     return ExtensionCase(index, F, E, m, chi_t, max(0, -chi_t), G)
 
 
 @lru_cache(maxsize=64)
-def _twisted(c1: int, c2: int, m: int) -> tuple[BundleDescriptor, ChowClass, ChowClass]:
-    # E(m), ch(E(m)) and ch(E(m)*) for the rank-2 E = (c1, c2).  The sweep's 56 keys fit,
-    # its 14 m = 0 keys serving E as well as F; any other key evicts, never grows it.
+def _twisted(c1: int, c2: int, m: int) -> tuple[BundleDescriptor, tuple[int, ...], tuple[int, ...]]:
+    # E(m), ch(E(m)) and ch(E(m)*) for the rank-2 E = (c1, c2), each character as ``_newton``'s integers.
+    # The sweep's 56 keys fit, its 14 m = 0 keys serving E as well as F; any other key evicts, never grows it.
     Em = twist(BundleDescriptor(2, c1, c2), m, QUINTIC)
-    return Em, to_ch(Em, QUINTIC), to_ch(dual(Em), QUINTIC)
+    return Em, _newton(Em, QUINTIC.r), _newton(dual(Em), QUINTIC.r)
 
 
 @lru_cache(maxsize=1)

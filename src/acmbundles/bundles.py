@@ -19,7 +19,7 @@ identities truncated at codimension three; on this ring
 
     ch1 = c1,   ch2 = (r c1^2 - 2 c2)/2,   ch3 = (r c1^3 - 3 c1 c2 + 3 c3)/6.
 
-``_newton`` states them once, as the integers 6 ch0 .. 6 ch3.  ``twist``
+``_newton`` states them once, as ch(E) = (6 ch0, .., 6 ch3)/6.  ``twist``
 multiplies ch(E) by ch(O_X(n)), memoised per (r, n) in ``_line_ch``.  ``tensor``
 builds no character: for E = (s; a1, a2, a3) and F = (t; b1, b2, b3) it is
 (st; c1, c2, c3) with
@@ -37,7 +37,7 @@ there.  So ``tensor`` of two valid descriptors never raises.
 Euler characteristics come from Hirzebruch-Riemann-Roch, chi(E) = chi(O_X, E)
 = integral of ch(E).td(X), and the Euler pairing chi(E, F) = sum (-1)^i
 ext^i(E, F) is chi_hrr(tensor(dual(E), F, X), X).  (``analysis.build_case``
-reads it from cached characters, by ``Hypersurface._point`` on ch(E*).ch(F).td(X).)
+reads it as ``chowring._td_integral`` of the ``_product`` of cached ch(E*), ch(F).)
 ``chi_rank2`` is chi of a rank-2 bundle on the quintic: 5/6 c1^3 - 1/2 c1 c2 + 25/6 c1.
 """
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record
+from .chowring import QUINTIC, ChowClass, Hypersurface, Rational, _integer, _over, _Record, _td_integral
 
 __all__ = [
     "BundleDescriptor",
@@ -91,16 +91,16 @@ class BundleDescriptor(_Record):
         return (self.c1, self.c2, self.c3)
 
 
-def _newton(E: BundleDescriptor, r: int) -> tuple[int, int, int, int]:
-    """6 ch0, 6 ch1, 6 ch2, 6 ch3 of E on X_r: the Newton identities, the one place they are stated."""
+def _newton(E: BundleDescriptor, r: int) -> tuple[int, int, int, int, int]:
+    """ch(E) on X_r as (6, 6 ch0, 6 ch1, 6 ch2, 6 ch3): the Newton identities, the one place they are stated."""
     c1, c2 = E.c1, E.c2
-    return 6 * E.rank, 6 * c1, 3 * (r * c1 * c1 - 2 * c2), r * c1**3 - 3 * c1 * c2 + 3 * E.c3
+    return 6, 6 * E.rank, 6 * c1, 3 * (r * c1 * c1 - 2 * c2), r * c1**3 - 3 * c1 * c2 + 3 * E.c3
 
 
 def to_ch(E: BundleDescriptor, X: Hypersurface) -> ChowClass:
     """Chern character ch0 + ch1 H + ch2 ell + ch3 pt of E (Newton identities)."""
-    n0, n1, n2, n3 = _newton(E, X.r)  # unpacked, as a starred call is slower here on CPython 3.11
-    return _over(6, n0, n1, n2, n3)
+    d, n0, n1, n2, n3 = _newton(E, X.r)  # unpacked, as a starred call is slower here on CPython 3.11
+    return _over(d, n0, n1, n2, n3)
 
 
 # ch(O_X(n)) per (r, n), bounded as n comes from user input; keyed by value, so ``twist`` checks n is an int.
@@ -158,8 +158,8 @@ def tensor(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> BundleD
     a1, a2, b1, b2 = E.c1, E.c2, F.c1, F.c2
     c1 = t * a1 + s * b1
     c2 = r * (t * (t - 1) // 2 * a1 * a1 + (s * t - 1) * a1 * b1 + s * (s - 1) // 2 * b1 * b1) + s * b2 + t * a2
-    _, _, e2, e3 = _newton(E, r)
-    _, _, f2, f3 = _newton(F, r)
+    _, _, _, e2, e3 = _newton(E, r)
+    _, _, _, f2, f3 = _newton(F, r)
     p3 = s * f3 + t * e3 + a1 * f2 + b1 * e2  # 6 P3 of the docstring
     return BundleDescriptor(s * t, c1, c2, (p3 - r * c1**3 + 3 * c1 * c2) // 3)
 
@@ -178,14 +178,13 @@ def direct_sum(E: BundleDescriptor, F: BundleDescriptor, X: Hypersurface) -> Bun
 def chi_hrr(E: BundleDescriptor, X: Hypersurface) -> Fraction:
     """Euler characteristic by Hirzebruch-Riemann-Roch: integral of ch(E).td(X).
 
-    This is the Euler pairing chi(O_X, E), read from the integers of ``_newton``
-    against td(X)'s numerators, with no class built.  The exact value is an
+    This is the Euler pairing chi(O_X, E): ``_td_integral`` of ``_newton``'s
+    character, with no class built.  The exact value is an
     integer whenever the descriptor satisfies the parity constraint of an honest
     bundle class (every catalog and analysis bundle).
     """
-    n0, n1, n2, n3 = _newton(E, X.r)
-    f, t0, t1, t2, t3 = X.todd().scaled
-    return Fraction(n0 * t3 + n1 * t2 + n2 * t1 + n3 * t0, 6 * f)
+    num, den = _td_integral(X, _newton(E, X.r))
+    return Fraction(num, den)
 
 
 def chi_rank2(c1: int, c2: int) -> Fraction:

@@ -19,7 +19,9 @@ no Chern character is formed here, not even ch(O_X(n)) (see ``bundles._newton``)
 A ChowClass is read, not combined: a0..a3, ``coefficients()``, equality,
 hash, ``repr`` (which ``str`` falls back to) and pickling.  It has no +, -
 or scalar *; the one product is ``Hypersurface.mul``, and the degree map is
-the pt-coefficient ``x.a3``.
+the pt-coefficient ``x.a3``.  The product and the integral against td(X) are
+each written once, as integer kernels on (denominator, four numerators):
+``_product``, which ``mul`` wraps, and ``_td_integral``.
 
 All coefficients are exact rationals; floats are rejected, as equality tests
 must be exact.  A ChowClass keeps four integer numerators over one positive
@@ -191,29 +193,8 @@ class Hypersurface(_Record):
 
     def mul(self, x: ChowClass, y: ChowClass) -> ChowClass:
         """Graded truncated product under H^2 = r*ell, H.ell = pt."""
-        d, x0, x1, x2, x3 = x.scaled
-        e, y0, y1, y2, y3 = y.scaled
-        return _over(
-            d * e,
-            x0 * y0,
-            x0 * y1 + x1 * y0,
-            x0 * y2 + x2 * y0 + self.r * x1 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
-        )
-
-    def _point(self, x: ChowClass, y: ChowClass, z: ChowClass) -> tuple[int, int]:
-        """The pt-coefficient of x.y.z as (numerator, positive denominator), with no product formed."""
-        # The sum of x_i y_j z_k over i + j + k = 3, plus (r - 1) x_1 y_1 z_1, as H^3 = r pt.
-        d, x0, x1, x2, x3 = x.scaled
-        e, y0, y1, y2, y3 = y.scaled
-        f, z0, z1, z2, z3 = z.scaled
-        return (
-            x0 * (y0 * z3 + y1 * z2 + y2 * z1 + y3 * z0)
-            + x1 * (y0 * z2 + y2 * z0 + self.r * y1 * z1)
-            + x2 * (y0 * z1 + y1 * z0)
-            + x3 * y0 * z0,
-            d * e * f,
-        )
+        d, n0, n1, n2, n3 = _product(self.r, x.scaled, y.scaled)  # unpacked: a starred call is slower
+        return _over(d, n0, n1, n2, n3)
 
     def tangent_chern(self) -> ChowClass:
         """Total Chern class of the tangent bundle T_X: (1+H)^5/(1+rH) up to H^3."""
@@ -228,6 +209,20 @@ class Hypersurface(_Record):
             _, _, c1, c2, _ = self.tangent_chern().scaled
             _TODD[self.r] = _over(24, 24, 12 * c1, 2 * (self.r * c1 * c1 + c2), c1 * c2)
         return _TODD[self.r]
+
+
+def _product(r: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """The truncated product on X_r of two classes as (denominator, four numerators), in that form."""
+    d, x0, x1, x2, x3 = x
+    e, y0, y1, y2, y3 = y
+    return d * e, x0 * y0, x0 * y1 + x1 * y0, x0 * y2 + x2 * y0 + r * x1 * y1, x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1
+
+
+def _td_integral(X: Hypersurface, x: tuple[int, ...]) -> tuple[int, int]:
+    """The integral of x.td(X) for x = (denominator, four numerators), as (numerator, positive denominator)."""
+    d, n0, n1, n2, n3 = x
+    f, t0, t1, t2, t3 = X.todd().scaled
+    return n0 * t3 + n1 * t2 + n2 * t1 + n3 * t0, d * f
 
 
 QUINTIC = Hypersurface()

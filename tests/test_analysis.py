@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from acmbundles import (
+    BundleDescriptor,
     ChowClass,
     Hypersurface,
     analyze_case,
@@ -417,6 +418,18 @@ def test_build_case_rejects_positive_twists():
         build_case(lookup(4, 30), lookup(1, 8), 1)
 
 
+@pytest.mark.parametrize(
+    "bad", [BundleDescriptor(2, 1, 4), BundleDescriptor(3, 1, 4, 0), (1, 4)], ids=repr
+)
+@pytest.mark.parametrize("call", [build_case, analyze_extension], ids=lambda f: f.__name__)
+def test_an_f_or_e_that_is_not_a_catalog_entry_is_rejected(call, bad):
+    # A descriptor has c1 and c2 but no catalog facts: a rank-3 one was read as rank 2.
+    for F, E in ((bad, lookup(1, 8)), (lookup(1, 8), bad)):
+        with pytest.raises(ValueError) as info:
+            call(F, E, 0)
+        assert str(info.value) == f"the extension analysis applies to the catalog bundles, not {bad}"
+
+
 @pytest.mark.parametrize("m", [False, -1.0, Fraction(-1)], ids=repr)
 @pytest.mark.parametrize("call", [build_case, analyze_extension], ids=lambda f: f.__name__)
 def test_a_twist_that_is_not_an_int_is_rejected(call, m):
@@ -507,3 +520,33 @@ def test_filters_can_exhaust_on_a_synthetic_pool():
     assert [v.pair_key for v in undecided] == [((0, 4), (0, 4))]
     assert undecided[0].details["reason"] == "all numeric filters agree"
     assert undecided[0].details["h0_lhs"] == undecided[0].details["h0_rhs"] == 2
+
+
+# The sweep triples (F, E, m) whose conclusion differs from that of the Serre-dual triple
+# (E, F, m + c1(F) - c1(E)), which has the same chi: E* (x) F(m) and F* (x) E(m') are one bundle.
+# The h0 filter compares h0(F(m)) + h0(E) with the pair's sum, and those counts are not symmetric.
+DUAL_DISAGREEMENTS = {
+    ((1, 4), (2, 11), 0), ((1, 4), (2, 12), 0), ((1, 6), (2, 11), 0), ((1, 6), (2, 12), 0),
+    ((2, 11), (1, 4), -1), ((2, 11), (1, 6), -1), ((2, 11), (2, 12), -1), ((2, 11), (2, 13), -1),
+    ((2, 12), (1, 4), -1), ((2, 12), (1, 6), -1), ((2, 12), (2, 11), -1), ((2, 12), (3, 20), -1),
+    ((2, 13), (2, 11), -1), ((2, 13), (4, 30), -1), ((2, 14), (3, 20), -1),
+    ((3, 20), (2, 12), -2), ((3, 20), (2, 14), -2), ((3, 20), (4, 30), -2),
+    ((4, 30), (2, 13), -3), ((4, 30), (3, 20), -3),
+}
+
+
+def test_serre_dual_sweep_triples_agree_on_chi_and_on_all_but_the_known_conclusions():
+    sweep = {(F.pair, E.pair, m): (F, E, m) for F in catalog() for E in catalog() for m in range(-3, 1)}
+    paired, differ = 0, set()
+    for key, (F, E, m) in sweep.items():
+        dual_key = (E.pair, F.pair, m + F.c1 - E.c1)
+        if dual_key not in sweep:
+            continue
+        paired += 1
+        report, dual_report = analyze_extension(F, E, m), analyze_extension(*sweep[dual_key])
+        assert report.case.chi_tensor == dual_report.case.chi_tensor, key
+        if report.conclusion != dual_report.conclusion:
+            differ.add(key)
+    assert (len(sweep), paired) == (784, 458)
+    assert differ - DUAL_DISAGREEMENTS == set(), "new disagreements"
+    assert DUAL_DISAGREEMENTS - differ == set(), "stale known disagreements"

@@ -229,8 +229,13 @@ def pairing(E, F, X):
 
 
 def integral_of_characters(E, F, X):
-    # The same pairing as the integral of ch(E*).ch(F).td(X), by the reader build_case uses.
-    return Fraction(*X._point(to_ch(dual(E), X), to_ch(F, X), X.todd()))
+    # The same pairing as the integral of ch(E*).ch(F).td(X), by the two kernels build_case uses,
+    # checked against the product of the Fraction oracle's characters and Todd class.
+    r = X.r
+    num, den = chowring._td_integral(X, chowring._product(r, bundles._newton(dual(E), r), bundles._newton(F, r)))
+    ch = oracles.mul(r, oracles.to_ch(r, dual(E)), oracles.to_ch(r, F))
+    assert type(num) is type(den) is int and den > 0 and Fraction(num, den) == oracles.mul(r, ch, oracles.todd(r))[3]
+    return Fraction(num, den)
 
 
 @given(descriptors(), descriptors(), hypersurfaces(8))

@@ -97,9 +97,9 @@ def test_exp_h_rejects_a_non_int_even_when_the_int_of_its_value_is_held(bad):
     assert held == (BundleDescriptor(2, 3, 18), BundleDescriptor(2, 5, 38))
 
 
-# Each basis class over a denominator of its own, and two dense classes.  The triple
-# reader is linear in each factor, so the 6^3 ordered triples on a degree meet every
-# term x_i y_j z_k, and every denominator, in every position.
+# Each basis class over a denominator of its own, and two dense classes.  The two kernels
+# are linear in each factor, so the 6^2 ordered pairs on a degree meet every term x_i y_j of
+# the product, and every denominator, in every position, as the six factors do in the integral.
 TRIPLE_FACTORS = (
     ChowClass(Fraction(2, 3)),
     ChowClass(0, Fraction(-5, 4)),
@@ -112,11 +112,22 @@ TRIPLE_FACTORS = (
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_the_triple_reader_is_the_integral_of_the_product(r):
-    X = Hypersurface(r)
-    for x, y, z in product(TRIPLE_FACTORS, repeat=3):
-        num, den = X._point(x, y, z)
-        assert type(num) is type(den) is int and den > 0
-        assert Fraction(num, den) == X.mul(X.mul(x, y), z).a3 == X.mul(x, X.mul(y, z)).a3, (x, y, z)
+    # build_case reads chi(E, F(m)) as _td_integral(X, _product(r, ch(E*), ch(F(m)))).  Each kernel
+    # and the two composed against the Fraction oracle, not against Hypersurface.mul, which is
+    # _over of the product kernel.
+    X, td = Hypersurface(r), oracles.todd(r)
+    f = X.todd().scaled[0]
+    for x in TRIPLE_FACTORS:
+        num, den = chowring._td_integral(X, x.scaled)
+        assert type(num) is type(den) is int and den == x.scaled[0] * f > 0
+        assert Fraction(num, den) == oracles.mul(r, x.coefficients(), td)[3], x
+    for x, y in product(TRIPLE_FACTORS, repeat=2):
+        xy = chowring._product(r, x.scaled, y.scaled)
+        assert all(type(n) is int for n in xy) and xy[0] == x.scaled[0] * y.scaled[0]
+        expected = oracles.mul(r, x.coefficients(), y.coefficients())
+        assert tuple(Fraction(n, xy[0]) for n in xy[1:]) == expected, (x, y)
+        num, den = chowring._td_integral(X, xy)
+        assert den == xy[0] * f and Fraction(num, den) == oracles.mul(r, expected, td)[3], (x, y)
 
 
 def test_tangent_chern_quintic():

@@ -38,7 +38,7 @@ from acmbundles import (
     tensor,
     twist,
 )
-from acmbundles import analysis
+from acmbundles import analysis, bundles, chowring
 from acmbundles.bundles import _exact_int
 from acmbundles.catalog import CatalogEntry
 from acmbundles.expr import evaluate, parse
@@ -289,3 +289,46 @@ def test_a_warm_sweep_pass_forms_no_product_and_reads_todd_twice_per_triple(monk
     for F, E, m in triples:
         analyze_extension(F, E, m)
     assert (len(triples), calls["mul"], calls["todd"]) == (784, 0, 1568)
+
+
+def test_a_warm_sweep_pass_reads_each_chi_from_the_two_kernels(monkeypatch):
+    # build_case reads chi(E, F(m)) as the td integral of one product, and _classify reads
+    # chi(G) by chi_hrr's td integral: 784 products and 1,568 integrals once the twist cache is warm.
+    triples = _sweep()
+    for F, E, m in triples:
+        analyze_extension(F, E, m)
+    calls = Counter()
+    for name in ("_product", "_td_integral"):
+        original = getattr(chowring, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (chowring, bundles, analysis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    for F, E, m in triples:
+        analyze_extension(F, E, m)
+    assert (len(triples), calls["_product"], calls["_td_integral"]) == (784, 784, 1568)
+
+
+def test_every_to_ch_call_of_a_sweep_pass_goes_through_bundles_to_ch(monkeypatch):
+    # A tracer that wraps bundles.to_ch sees every call: _twisted reads _newton and calls no to_ch,
+    # so a profiler's count of to_ch's code equals the count through the module's name.
+    analysis._twisted.cache_clear()
+    original, through_name, callers = bundles.to_ch, Counter(), Counter()
+    monkeypatch.setattr(bundles, "to_ch", lambda E, X: through_name.update([E]) or original(E, X))
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is original.__code__:
+            callers[frame.f_back.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        for F, E, m in _sweep():
+            analyze_extension(F, E, m)
+    finally:
+        sys.setprofile(None)
+    assert not hasattr(analysis, "to_ch") and "_twisted" not in callers
+    assert sum(callers.values()) == sum(through_name.values()) > 0

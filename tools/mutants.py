@@ -134,6 +134,14 @@ MUTANTS = (
         "tests/test_analysis.py::test_every_survivor_has_the_details_keys_of_its_filter_in_order",
     ),
     Mutant(
+        "h0-mismatch-one-sided",
+        "src/acmbundles/analysis.py",
+        'details["h0_lhs"] != details["h0_rhs"]',
+        'details["h0_lhs"] > details["h0_rhs"]',
+        "killed",
+        "tests/test_analysis.py::test_serre_dual_sweep_triples_agree_on_chi_and_on_all_but_the_known_conclusions",
+    ),
+    Mutant(
         "c1-zero-entry-has-no-section",
         "src/acmbundles/catalog.py",
         "    if n == 0 and E.c1 == 0:\n        return 1\n",
@@ -168,8 +176,16 @@ MUTANTS = (
     Mutant(
         "triple-reader-drops-r",
         "src/acmbundles/chowring.py",
-        "self.r * y1 * z1",
-        "y1 * z1",
+        "r * x1 * y1",
+        "x1 * y1",
+        "killed",
+        "tests/test_chowring.py::test_the_triple_reader_is_the_integral_of_the_product",
+    ),
+    Mutant(
+        "td-integral-swaps-two-terms",
+        "src/acmbundles/chowring.py",
+        "n1 * t2 + n2 * t1",
+        "n1 * t1 + n2 * t2",
         "killed",
         "tests/test_chowring.py::test_the_triple_reader_is_the_integral_of_the_product",
     ),
